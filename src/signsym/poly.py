@@ -9,7 +9,6 @@ orbit of each monomial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -19,7 +18,6 @@ from .signed_perm import (
     ENUMERATION_GUARD,
     RankGuardError,
     SignedPermutation,
-    enumerate_group,
     generators,
     group_order,
 )
@@ -210,13 +208,27 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        n = int(data["n"])
+        # ``type(v) is int`` refuses bools and floats, so no inexact value
+        # gets in; coefficients may also be exact fraction strings.
+        if not isinstance(data, dict) or type(data.get("n")) is not int:
+            raise ValueError('a polynomial must be a JSON object with an integer "n"')
+        entries = data.get("terms", [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError('"terms" must be a list of objects')
         terms: dict[Monomial, Fraction] = {}
-        for entry in data.get("terms", []):
-            m = Monomial(tuple(entry["p"]), tuple(entry["q"]))
-            c = Fraction(entry["coeff"])
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return cls(n, terms)
+        for entry in entries:
+            p, q, c = entry.get("p"), entry.get("q"), entry.get("coeff")
+            if not all(isinstance(v, list) and all(type(e) is int for e in v) for v in (p, q)):
+                raise ValueError(f"term exponents p and q must be lists of integers, got {entry!r}")
+            if type(c) is not int and not isinstance(c, str):
+                raise ValueError(f"a coefficient must be an integer or a fraction string, got {c!r}")
+            try:
+                coeff = Fraction(c)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+            m = Monomial(tuple(p), tuple(q))
+            terms[m] = terms.get(m, Fraction(0)) + coeff
+        return cls(data["n"], terms)
 
 
 def _act_monomial(
@@ -265,31 +277,17 @@ def _act_family(sigma: SignedPermutation, f: Polynomial, family: str) -> Polynom
     return Polynomial(f.n, acc)
 
 
-def _rho_monomial(m: Monomial, guard: int = ENUMERATION_GUARD) -> dict[Monomial, Fraction]:
-    n = m.n
-    if all((pi + qi) % 2 == 0 for pi, qi in zip(m.p, m.q)):
-        # Sign choices cancel pairwise, so the signed-group average
-        # collapses to an average over plain permutations, which is
-        # cancellation-free.
-        counts: dict[Monomial, int] = {}
-        for alpha in permutations(range(n)):
-            p = [0] * n
-            q = [0] * n
-            for i, j in enumerate(alpha):
-                p[j] = m.p[i]
-                q[j] = m.q[i]
-            key = Monomial(tuple(p), tuple(q))
-            counts[key] = counts.get(key, 0) + 1
-        unit = Fraction(1, math.factorial(n))
-        return {mm: unit * c for mm, c in counts.items()}
-    # Some slot has odd total exponent: average over the whole signed
-    # group and let the signs cancel arithmetically.
-    signed: dict[Monomial, int] = {}
-    for sigma in enumerate_group(n, guard):
-        image, sign = _act_monomial(sigma, m)
-        signed[image] = signed.get(image, 0) + sign
-    unit = Fraction(1, group_order(n))
-    return {mm: unit * c for mm, c in signed.items() if c}
+def _rho_monomial(m: Monomial) -> dict[Monomial, Fraction]:
+    # See rho for the two cases; the weight 1/|orbit| = |stabiliser|/n! is
+    # what averaging over all n! plain permutations gives.
+    if any((pi + qi) % 2 for pi, qi in zip(m.p, m.q)):
+        return {}
+    orbit = set(permutations(zip(m.p, m.q)))
+    weight = Fraction(1, len(orbit))
+    return {
+        Monomial(tuple(p for p, _ in pairs), tuple(q for _, q in pairs)): weight
+        for pairs in orbit
+    }
 
 
 def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
@@ -297,6 +295,12 @@ def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
 
     The result is invariant, the operator is linear and idempotent, and
     it fixes every invariant polynomial.  Coefficients stay exact.
+
+    No group element is enumerated.  A monomial with an odd total
+    exponent in some slot averages to 0, because flipping the sign of
+    that slot negates it; any other monomial averages to its orbit sum
+    over the distinct rearrangements of its (x, y) exponent pairs,
+    divided by the orbit size.
     """
     if f.n > guard:
         raise RankGuardError(
@@ -305,7 +309,7 @@ def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
         )
     acc: dict[Monomial, Fraction] = {}
     for m, c in f._terms.items():
-        for image, weight in _rho_monomial(m, guard).items():
+        for image, weight in _rho_monomial(m).items():
             acc[image] = acc.get(image, Fraction(0)) + c * weight
     return Polynomial(f.n, acc)
 

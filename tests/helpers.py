@@ -29,8 +29,8 @@ def poly(n, *terms) -> Polynomial:
 def rho_bruteforce(f: Polynomial) -> Polynomial:
     """Averaging oracle: sum the action of every group element, then divide.
 
-    Independent of the production path, which collapses the sum over
-    sign choices for even monomials.
+    Independent of the production path, which averages per orbit and
+    never enumerates the group.
     """
     total = Polynomial.zero(f.n)
     for sigma in enumerate_group(f.n):

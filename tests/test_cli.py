@@ -110,10 +110,20 @@ def test_straighten_rejects_non_invariant(capsys, monkeypatch):
 
 
 def test_straighten_rejects_malformed_json(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
-    code, _, err = run(capsys, "straighten")
-    assert code != 0
-    assert "error" in err
+    term = '{"n": 1, "terms": [{"p": %s, "q": [1], "coeff": %s}]}'
+    for payload in (
+        "{not json",
+        "[1, 2]",  # not an object
+        term % ("[1]", "0.1"),  # inexact float coefficient
+        term % ("[1]", "1e400"),  # overflows to an infinite float
+        term % ("[true]", '"1"'),  # boolean exponent
+        term % ("[1.5]", '"1"'),  # fractional exponent
+        term % ("[1]", '"1/0"'),  # zero denominator
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, _, err = run(capsys, "straighten")
+        assert code == 1, payload
+        assert err.startswith("error:") and "Traceback" not in err, payload
 
 
 def test_verify_rank_one(capsys):

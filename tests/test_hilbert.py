@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import inversion_count, rational_rank
+from helpers import inversion_count, mono, rational_rank, rho_bruteforce
 from signsym.hilbert import (
     BiSeries,
     _integer_rank,
@@ -112,14 +112,16 @@ def test_series_matches_bruteforce_dimensions_rank_three():
 
 
 def test_invariant_dimension_shortcut_against_elimination():
-    # the dimension count relies on distinct orbit averages being
-    # independent; spot-check that claim by an actual rank computation
-    from signsym.descent_basis import ordered_monomials
-    from signsym.poly import Polynomial, rho
+    # the slice is spanned by the group averages of all its monomials, so
+    # its dimension is their rank; the averages here sum the whole group,
+    # independent of both the ordered-monomial count and production rho
+    from signsym.poly import Polynomial
 
     for a, b in ((2, 2), (4, 2), (3, 3), (4, 4), (5, 3)):
         averages = [
-            rho(Polynomial.from_monomial(m)) for m in ordered_monomials(2, a, b)
+            rho_bruteforce(Polynomial.from_monomial(mono((i, a - i), (j, b - j))))
+            for i in range(a + 1)
+            for j in range(b + 1)
         ]
         averages = [f for f in averages if not f.is_zero()]
         support = sorted({m for f in averages for m in f.monomials()}, key=lambda m: (m.p, m.q))
@@ -131,7 +133,7 @@ def test_invariant_dimension_shortcut_against_elimination():
                 vec[index[m]] = c
             vectors.append(vec)
         rank = rational_rank(vectors) if vectors else 0
-        assert rank == len(averages) == invariant_dimension(2, a, b)
+        assert rank == invariant_dimension(2, a, b)
 
 
 def test_integer_rank_against_rational_oracle():

@@ -119,12 +119,21 @@ def test_rho_guard():
 
 
 def test_rho_matches_bruteforce():
-    # the even-monomial shortcut must agree with the full group average
+    # the orbit formula must agree with the full group average
     rng = random.Random(17)
     for n in (1, 2, 3):
         for _ in range(12):
             f = random_polynomial(rng, n, terms=3, max_exp=3)
             assert rho(f) == rho_bruteforce(f)
+    # repeated exponent pairs: orbits smaller than n!
+    for p, q in (
+        ((2, 2, 0, 0), (0, 0, 2, 2)),
+        ((1, 1, 1, 1), (1, 1, 1, 1)),
+        ((3, 1, 1, 0), (1, 1, 1, 2)),
+        ((1, 1, 0, 0), (0, 0, 0, 0)),
+    ):
+        f = Polynomial.from_monomial(mono(p, q), Fraction(5, 3))
+        assert rho(f) == rho_bruteforce(f)
 
 
 def test_rho_idempotent_linear_fixes_invariants():
@@ -146,10 +155,11 @@ def test_vanishing_dichotomy_exhaustive():
     for n in (1, 2):
         for p in itertools.product(range(5), repeat=n):
             for q in itertools.product(range(5), repeat=n):
-                m = mono(p, q)
-                image = rho(Polynomial.from_monomial(m))
+                f = Polynomial.from_monomial(mono(p, q))
+                image = rho_bruteforce(f)
                 odd = any((pi + qi) % 2 for pi, qi in zip(p, q))
                 assert image.is_zero() == odd
+                assert rho(f) == image
 
 
 def test_rho_even_orbit_formula():
