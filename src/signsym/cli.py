@@ -25,10 +25,11 @@ from .poly import Monomial, Polynomial, rho
 from .signed_perm import ENUMERATION_GUARD, parse_window, statistics
 from .straighten import evaluate, straighten
 
-#: Default rank cap for the rank/series verification suite; the checks
-#: there enumerate ordered monomials cell by cell, so the default stays
-#: low and --rank-guard raises it deliberately.
-VERIFY_GUARD = 3
+#: Default rank cap for the rank/series verification suite.  Each cell
+#: scans the 2^n * n! group elements for candidates and builds them at
+#: the ordered monomials; rank 4 at the default degree 12 takes about a
+#: second, and --rank-guard raises the cap deliberately.
+VERIFY_GUARD = 4
 
 MONOMIAL_KINDS = {
     "a": descent_monomial,

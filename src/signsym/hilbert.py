@@ -7,6 +7,9 @@ by truncated formal expansion, counts the dimensions it predicts as
 ordered monomials, and verifies degreewise that the averaged descent
 monomials together with monomial symmetric functions in the squared
 variables span each bidegree slice with exactly the right cardinality.
+Verification works in orbit coordinates: an invariant is fixed by its
+coefficients at the ordered monomials, so each candidate is built only
+there and the rank is taken over those columns.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ from .descent_basis import (
     ordered_monomials,
     partitions_fixed_length,
 )
-from .poly import Polynomial, monomial_sym_squares, rho
+from .poly import Polynomial, rho
 from .signed_perm import (
     ENUMERATION_GUARD,
     RankGuardError,
     SignedPermutation,
     enumerate_group,
     group_order,
-    statistics,
 )
 
 #: Rank cap for the plain-permutation equidistribution check.
@@ -170,35 +172,65 @@ def _integer_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def _integer_rows(vectors: list[list[Fraction]]) -> list[list[int]]:
-    rows = []
-    for vec in vectors:
-        lcm = 1
-        for value in vec:
-            lcm = lcm * value.denominator // math.gcd(lcm, value.denominator)
-        rows.append([int(value * lcm) for value in vec])
-    return rows
+def _fmaj(window: tuple[int, ...]) -> int:
+    # 2 * maj + neg, read off the window without a StatisticsProfile
+    maj = sum(i for i in range(1, len(window)) if window[i - 1] > window[i])
+    return 2 * maj + sum(1 for v in window if v < 0)
 
 
 def basis_candidates(
     n: int, a: int, b: int, guard: int = ENUMERATION_GUARD
 ) -> Iterator[tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], Polynomial]]:
-    """Degree-(a, b) products m_nu(x^2) m_mu(y^2) rho(c_sigma).
+    """Degree-(a, b) products m_nu(x^2) m_mu(y^2) rho(c_sigma) in orbit coordinates.
 
     Runs over every sigma whose flag bidegree fits inside (a, b) with
-    even slack, and every partition pair filling the slack.
+    even slack, and every partition pair filling the slack.  Each product
+    is invariant, so it is fixed by its coefficients at the ordered
+    monomials, and only those are computed: the yielded polynomial is
+    the restriction of the product to ``ordered_monomials(n, a, b)``.
+    With O the support of rho(c_sigma), where every coefficient is
+    1/|O|, the coefficient at an ordered w is count/|O|, counting the
+    u in O with w.p - u.p a rearrangement of 2*nu and w.q - u.q a
+    rearrangement of 2*mu.
     """
     _check_rank(n, guard)
+    columns = list(ordered_monomials(n, a, b))
     for sigma in enumerate_group(n, guard):
-        fb = statistics(sigma).fmaj
-        fa = statistics(sigma.inverse()).fmaj
-        if fa > a or fb > b or (a - fa) % 2 or (b - fb) % 2:
+        fb = _fmaj(sigma.window)
+        if fb > b or (b - fb) % 2:
+            continue
+        fa = _fmaj(sigma.inverse().window)
+        if fa > a or (a - fa) % 2:
             continue
         base = rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)), guard)
+        orbit = list(base.monomials())
+        # Per column, how many u in O leave each pair of sorted
+        # differences; a (nu, mu) candidate reads its own pair.
+        tallies = []
+        for w in columns:
+            tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+            for u in orbit:
+                dp = [x - y for x, y in zip(w.p, u.p)]
+                if min(dp) < 0:
+                    continue
+                dq = [x - y for x, y in zip(w.q, u.q)]
+                if min(dq) < 0:
+                    continue
+                dp.sort(reverse=True)
+                dq.sort(reverse=True)
+                key = (tuple(dp), tuple(dq))
+                tally[key] = tally.get(key, 0) + 1
+            tallies.append(tally)
         for nu in partitions_fixed_length((a - fa) // 2, n):
-            mx = monomial_sym_squares(nu, "x", n)
+            twice_nu = tuple(2 * v for v in nu)
             for mu in partitions_fixed_length((b - fb) // 2, n):
-                yield sigma, nu, mu, mx * monomial_sym_squares(mu, "y", n) * base
+                key = (twice_nu, tuple(2 * v for v in mu))
+                terms = {
+                    w: Fraction(tally[key], len(orbit))
+                    for w, tally in zip(columns, tallies)
+                    if key in tally
+                }
+                yield sigma, nu, mu, Polynomial(n, terms)
 
 
 @dataclass(frozen=True)
@@ -234,24 +266,23 @@ def verify_basis_rank(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) ->
     """Check rank = dimension = series coefficient at one bidegree cell.
 
     Builds every candidate product of monomial symmetric functions in
-    the squared variables with an averaged descent monomial, computes
-    its exact rank by fraction-free elimination, and compares against
-    the ordered-monomial dimension and the series coefficient.  Equality
-    of all three together with the candidate count is degreewise freeness.
+    the squared variables with an averaged descent monomial in orbit
+    coordinates, computes the exact rank of the integer matrix whose
+    columns are the ordered monomials by fraction-free elimination, and
+    compares against the ordered-monomial dimension and the series
+    coefficient.  Restricting an invariant to its ordered coefficients
+    is injective, since every orbit meets one ordered monomial, so this
+    rank equals the rank over the full support.  Equality of all three
+    together with the candidate count is degreewise freeness.
     """
     candidates = [poly for _, _, _, poly in basis_candidates(n, a, b, guard)]
-    support = sorted(
-        {m for poly in candidates for m in poly.monomials()},
-        key=lambda m: (m.p, m.q),
-    )
-    index = {m: i for i, m in enumerate(support)}
-    vectors = []
+    columns = list({m for poly in candidates for m in poly.monomials()})
+    rows = []
     for poly in candidates:
-        vec = [Fraction(0)] * len(support)
-        for m, c in poly.items():
-            vec[index[m]] = c
-        vectors.append(vec)
-    rank = _integer_rank(_integer_rows(vectors))
+        coefficients = [poly.coefficient(w) for w in columns]
+        scale = math.lcm(*(c.denominator for c in coefficients))
+        rows.append([c.numerator * (scale // c.denominator) for c in coefficients])
+    rank = _integer_rank(rows)
     return CellReport(
         n=n,
         a=a,

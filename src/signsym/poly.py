@@ -9,6 +9,8 @@ orbit of each monomial.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -19,7 +21,6 @@ from .signed_perm import (
     RankGuardError,
     SignedPermutation,
     generators,
-    group_order,
 )
 
 Scalar = Union[int, Fraction]
@@ -209,7 +210,9 @@ class Polynomial:
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
         # ``type(v) is int`` refuses bools and floats, so no inexact value
-        # gets in; coefficients may also be exact fraction strings.
+        # gets in; coefficients may also be exact fraction strings.  Those
+        # are matched before ``Fraction`` sees them, because it would
+        # expand a decimal exponent such as "1e10000000" in full.
         if not isinstance(data, dict) or type(data.get("n")) is not int:
             raise ValueError('a polynomial must be a JSON object with an integer "n"')
         entries = data.get("terms", [])
@@ -220,7 +223,9 @@ class Polynomial:
             p, q, c = entry.get("p"), entry.get("q"), entry.get("coeff")
             if not all(isinstance(v, list) and all(type(e) is int for e in v) for v in (p, q)):
                 raise ValueError(f"term exponents p and q must be lists of integers, got {entry!r}")
-            if type(c) is not int and not isinstance(c, str):
+            if type(c) is not int and not (
+                isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", c)
+            ):
                 raise ValueError(f"a coefficient must be an integer or a fraction string, got {c!r}")
             try:
                 coeff = Fraction(c)
@@ -305,7 +310,7 @@ def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
     if f.n > guard:
         raise RankGuardError(
             f"rank {f.n} exceeds the averaging guard {guard}: "
-            f"the group has {group_order(f.n)} elements"
+            f"each monomial has up to {math.factorial(f.n)} rearrangements of its exponent pairs"
         )
     acc: dict[Monomial, Fraction] = {}
     for m, c in f._terms.items():

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from signsym.poly import Monomial, Polynomial, act
+from signsym.descent_basis import diagonal_signed_descent_monomial
+from signsym.poly import Monomial, Polynomial, act, monomial_sym_squares, rho
 from signsym.signed_perm import SignedPermutation, enumerate_group, group_order
 
 
@@ -58,8 +59,6 @@ def random_even_monomial(rng: random.Random, n: int, max_total: int) -> Monomial
 
 def random_invariant(rng: random.Random, n: int, max_total: int = 10) -> Polynomial:
     """Random invariant built as a combination of orbit averages."""
-    from signsym.poly import rho
-
     f = Polynomial.zero(n)
     for _ in range(rng.randint(1, 3)):
         m = random_even_monomial(rng, n, max_total)
@@ -81,9 +80,26 @@ def rational_rank(vectors: list[list[Fraction]]) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
         rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
                 factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+                rows[r] = [v - factor * w if w else v for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def full_candidate(sigma: SignedPermutation, nu, mu) -> Polynomial:
+    """Freeness candidate m_nu(x^2) m_mu(y^2) rho(c_sigma) multiplied out in full.
+
+    Independent of the production path, which computes the product only
+    at the ordered monomials.
+    """
+    n = sigma.n
+    base = rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
+    return monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * base
+
+
+def full_support_rank(polys: list[Polynomial]) -> int:
+    """Rank of polynomials as rational vectors over their whole joint support."""
+    support = sorted({m for f in polys for m in f.monomials()}, key=lambda m: (m.p, m.q))
+    return rational_rank([[f.coefficient(m) for m in support] for f in polys])

@@ -119,6 +119,7 @@ def test_straighten_rejects_malformed_json(capsys, monkeypatch):
         term % ("[true]", '"1"'),  # boolean exponent
         term % ("[1.5]", '"1"'),  # fractional exponent
         term % ("[1]", '"1/0"'),  # zero denominator
+        term % ("[1]", '"1e10000000"'),  # decimal exponent Fraction would expand
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         code, _, err = run(capsys, "straighten")
@@ -140,6 +141,12 @@ def test_verify_json_schema(capsys):
     for cell in data["cells"]:
         assert set(cell) == {"n", "a", "b", "rank", "dim", "series", "generators", "pass"}
         assert cell["pass"] is True
+
+
+def test_verify_rank_four_within_default_guard(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "4", "--max-degree", "6")
+    assert code == 0
+    assert "all cells pass" in out
 
 
 def test_verify_guard_refusal(capsys):

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import inversion_count, mono, rational_rank, rho_bruteforce
+from helpers import (
+    full_candidate,
+    full_support_rank,
+    inversion_count,
+    mono,
+    rational_rank,
+    rho_bruteforce,
+)
+from signsym.descent_basis import ordered_monomials
 from signsym.hilbert import (
     BiSeries,
     _integer_rank,
@@ -17,6 +25,7 @@ from signsym.hilbert import (
     series_coefficient,
     verify_basis_rank,
 )
+from signsym.poly import Polynomial
 from signsym.signed_perm import RankGuardError, enumerate_group, statistics
 
 
@@ -115,8 +124,6 @@ def test_invariant_dimension_shortcut_against_elimination():
     # the slice is spanned by the group averages of all its monomials, so
     # its dimension is their rank; the averages here sum the whole group,
     # independent of both the ordered-monomial count and production rho
-    from signsym.poly import Polynomial
-
     for a, b in ((2, 2), (4, 2), (3, 3), (4, 4), (5, 3)):
         averages = [
             rho_bruteforce(Polynomial.from_monomial(mono((i, a - i), (j, b - j))))
@@ -155,6 +162,21 @@ def test_basis_candidates_filters_parity_and_degree():
         assert st_inv.fmaj + 2 * sum(nu) == 2
         assert st.fmaj + 2 * sum(mu) == 2
         assert not poly.is_zero()
+
+
+def test_candidates_in_orbit_coordinates_against_full_products():
+    # each yielded candidate is the full product restricted to the ordered
+    # monomials, and the rank over those columns is the full-support rank
+    cells = [(n, a, total - a) for n in (1, 2, 3) for total in range(9) for a in range(total + 1)]
+    cells += [(4, 4, 4), (4, 6, 6), (4, 8, 4)]
+    for n, a, b in cells:
+        columns = list(ordered_monomials(n, a, b))
+        products = []
+        for sigma, nu, mu, poly in basis_candidates(n, a, b):
+            full = full_candidate(sigma, nu, mu)
+            assert poly == Polynomial(n, {w: full.coefficient(w) for w in columns}), (sigma, nu, mu)
+            products.append(full)
+        assert verify_basis_rank(n, a, b).rank == full_support_rank(products), (n, a, b)
 
 
 def test_verify_basis_rank_examples():

@@ -114,7 +114,8 @@ def test_rho_examples():
 
 
 def test_rho_guard():
-    with pytest.raises(RankGuardError):
+    # the message names the real cost: the n! rearrangements of the exponent pairs
+    with pytest.raises(RankGuardError, match="up to 24 rearrangements of its exponent pairs"):
         rho(Polynomial.one(4), guard=3)
 
 
@@ -246,6 +247,19 @@ def test_polynomial_json_round_trip():
     assert data["n"] == 2
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
     assert Polynomial.from_json(data) == f
+
+
+def test_polynomial_json_coefficient_strings():
+    def parse(coeff):
+        return Polynomial.from_json({"n": 1, "terms": [{"p": [1], "q": [1], "coeff": coeff}]})
+
+    assert parse("-3/4") == poly(1, (Fraction(-3, 4), (1,), (1,)))
+    assert parse("+2") == parse(2) == poly(1, (2, (1,), (1,)))
+    # only what to_json emits; a decimal exponent is refused before
+    # Fraction would expand it
+    for coeff in ("1e10000000", "0.5", " 1", "1/-2", "1_000", "inf"):
+        with pytest.raises(ValueError, match="fraction string"):
+            parse(coeff)
 
 
 def test_text_rendering():
