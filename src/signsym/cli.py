@@ -31,6 +31,9 @@ from .straighten import evaluate, straighten
 #: second, and --rank-guard raises the cap deliberately.
 VERIFY_GUARD = 4
 
+#: Default total-degree bound of the verify and hilbert tables.
+TRUNCATION_DEGREE = 12
+
 MONOMIAL_KINDS = {
     "a": descent_monomial,
     "b": signed_descent_monomial,
@@ -44,7 +47,6 @@ class Config:
     """Resolved run options shared by the subcommands."""
 
     output_format: str = "text"
-    truncation_degree: int = 12
     max_rank_guard: Optional[int] = None
 
     def guard(self, default: int) -> int:
@@ -136,7 +138,7 @@ def _cmd_straighten(args: argparse.Namespace, config: Config) -> int:
 
 def _cmd_verify(args: argparse.Namespace, config: Config) -> int:
     guard = config.guard(VERIFY_GUARD)
-    max_degree = args.max_degree if args.max_degree is not None else config.truncation_degree
+    max_degree = args.max_degree if args.max_degree is not None else TRUNCATION_DEGREE
     reports = []
     for total in range(max_degree + 1):
         for a in range(total + 1):
@@ -156,9 +158,10 @@ def _cmd_verify(args: argparse.Namespace, config: Config) -> int:
 
 
 def _cmd_hilbert(args: argparse.Namespace, config: Config) -> int:
-    max_degree = args.max_degree if args.max_degree is not None else config.truncation_degree
+    max_degree = args.max_degree if args.max_degree is not None else TRUNCATION_DEGREE
+    guard = config.guard(ENUMERATION_GUARD)
     if args.numerator:
-        series = hilbert.fmaj_numerator(args.n, guard=config.guard(ENUMERATION_GUARD))
+        series = hilbert.fmaj_numerator(args.n, guard=guard)
         cells = [
             {"a": a, "b": b, "value": c}
             for (a, b), c in sorted(series.coefficients.items())
@@ -171,7 +174,7 @@ def _cmd_hilbert(args: argparse.Namespace, config: Config) -> int:
     for total in range(max_degree + 1):
         for a in range(total + 1):
             b = total - a
-            value = hilbert.series_coefficient(args.n, a, b)
+            value = hilbert.series_coefficient(args.n, a, b, guard=guard)
             if value:
                 cells.append({"a": a, "b": b, "value": value})
     data = {"n": args.n, "max_degree": max_degree, "coefficients": cells}

@@ -102,7 +102,8 @@ def _series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     # with stride 2i, and likewise for t.
     size = max_total + 1
     table = [[0] * size for _ in range(size)]
-    for (a, b), c in fmaj_numerator(n).coefficients.items():
+    # series_coefficient has already checked the rank against its guard.
+    for (a, b), c in fmaj_numerator(n, guard=n).coefficients.items():
         if a < size and b < size:
             table[a][b] = c
     for i in range(1, n + 1):
@@ -119,8 +120,13 @@ def _series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
-def series_coefficient(n: int, a: int, b: int) -> int:
-    """Coefficient of s^a t^b in the bigraded Hilbert series."""
+def series_coefficient(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) -> int:
+    """Coefficient of s^a t^b in the bigraded Hilbert series.
+
+    The numerator behind the series scans the whole group, so ranks
+    above ``guard`` are refused as in ``fmaj_numerator``.
+    """
+    _check_rank(n, guard)
     if a < 0 or b < 0:
         raise ValueError("degrees must be non-negative")
     return _series_table(n, a + b)[a][b]
@@ -172,12 +178,6 @@ def _integer_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def _fmaj(window: tuple[int, ...]) -> int:
-    # 2 * maj + neg, read off the window without a StatisticsProfile
-    maj = sum(i for i in range(1, len(window)) if window[i - 1] > window[i])
-    return 2 * maj + sum(1 for v in window if v < 0)
-
-
 def basis_candidates(
     n: int, a: int, b: int, guard: int = ENUMERATION_GUARD
 ) -> Iterator[tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], Polynomial]]:
@@ -196,10 +196,10 @@ def basis_candidates(
     _check_rank(n, guard)
     columns = list(ordered_monomials(n, a, b))
     for sigma in enumerate_group(n, guard):
-        fb = _fmaj(sigma.window)
+        fb = scan.window_fmaj(sigma.window)
         if fb > b or (b - fb) % 2:
             continue
-        fa = _fmaj(sigma.inverse().window)
+        fa = scan.window_fmaj(scan.window_inverse(sigma.window))
         if fa > a or (a - fa) % 2:
             continue
         base = rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)), guard)
@@ -289,7 +289,7 @@ def verify_basis_rank(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) ->
         b=b,
         rank=rank,
         dim=invariant_dimension(n, a, b, guard),
-        series=series_coefficient(n, a, b),
+        series=series_coefficient(n, a, b, guard),
         generators=len(candidates),
     )
 

@@ -53,6 +53,8 @@ class SignedPermutation:
             raise ValueError("window must contain at least one entry")
         seen: set[int] = set()
         for pos, value in enumerate(window, start=1):
+            if type(value) is not int:
+                raise ValueError(f"entry {value!r} at position {pos} is not an integer")
             if value == 0:
                 raise ValueError(f"zero entry at position {pos}")
             if abs(value) > n:

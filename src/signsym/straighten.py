@@ -11,6 +11,7 @@ basis element, and repeat on the strictly smaller remainder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +34,7 @@ from .poly import (
     monomial_sym_squares,
     rho,
 )
-from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation, group_order
+from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +182,7 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
     if f.n > guard:
         raise RankGuardError(
             f"rank {f.n} exceeds the straightening guard {guard}: "
-            f"the group has {group_order(f.n)} elements"
+            f"each monomial has up to {math.factorial(f.n)} rearrangements of its exponent pairs"
         )
     violated = find_violated_generator(f)
     if violated is not None:

@@ -164,6 +164,15 @@ def test_hilbert_series_table(capsys):
     assert (1, 0) not in cells
 
 
+@pytest.mark.parametrize("extra", [(), ("--numerator",)])
+def test_hilbert_honours_rank_guard(capsys, extra):
+    # the series table and the numerator refuse alike
+    code, out, err = run(capsys, "hilbert", "--n", "3", "--max-degree", "2", "--rank-guard", "2", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rank 3 exceeds the guard 2")
+
+
 def test_hilbert_numerator(capsys):
     code, out, _ = run(capsys, "hilbert", "--format", "json", "--n", "2", "--numerator")
     assert code == 0

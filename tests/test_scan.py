@@ -1,20 +1,10 @@
-"""Scan kernels: backend agreement and object-level oracles."""
+"""Scan kernels against object-level oracles."""
 
 import pytest
 
 from helpers import inversion_count
-from signsym import _scan_py
 from signsym import scan
 from signsym.signed_perm import enumerate_group, group_order, statistics
-
-try:
-    from signsym import _scan_cy
-except ImportError:  # compiled kernel unavailable; fallback covers the API
-    _scan_cy = None
-
-backends = [pytest.param(_scan_py, id="python")]
-if _scan_cy is not None:
-    backends.append(pytest.param(_scan_cy, id="cython"))
 
 
 def pair_counts_oracle(n):
@@ -25,23 +15,20 @@ def pair_counts_oracle(n):
     return counts
 
 
-@pytest.mark.parametrize("impl", backends)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_fmaj_pair_counts_against_object_oracle(impl, n):
-    assert impl.fmaj_pair_counts(n) == pair_counts_oracle(n)
+def test_fmaj_pair_counts_against_object_oracle(n):
+    assert scan.fmaj_pair_counts(n) == pair_counts_oracle(n)
 
 
-@pytest.mark.parametrize("impl", backends)
-def test_fmaj_pair_counts_mass_and_symmetry(impl):
+def test_fmaj_pair_counts_mass_and_symmetry():
     for n in (1, 2, 3, 4, 5):
-        counts = impl.fmaj_pair_counts(n)
+        counts = scan.fmaj_pair_counts(n)
         assert sum(counts.values()) == group_order(n)
         assert all(counts[(b, a)] == c for (a, b), c in counts.items())
 
 
-@pytest.mark.parametrize("impl", backends)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_maj_and_inv_counts_against_object_oracle(impl, n):
+def test_maj_and_inv_counts_against_object_oracle(n):
     maj_oracle = {}
     inv_oracle = {}
     for sigma in enumerate_group(n):
@@ -51,23 +38,21 @@ def test_maj_and_inv_counts_against_object_oracle(impl, n):
         maj_oracle[st.maj] = maj_oracle.get(st.maj, 0) + 1
         inv = inversion_count(sigma.window)
         inv_oracle[inv] = inv_oracle.get(inv, 0) + 1
-    assert impl.maj_counts(n) == maj_oracle
-    assert impl.inv_counts(n) == inv_oracle
+    assert scan.maj_counts(n) == maj_oracle
+    assert scan.inv_counts(n) == inv_oracle
 
 
-@pytest.mark.skipif(_scan_cy is None, reason="compiled kernel not built")
-def test_backends_agree_beyond_oracle_scale():
-    assert _scan_cy.fmaj_pair_counts(5) == _scan_py.fmaj_pair_counts(5)
-    assert _scan_cy.maj_counts(7) == _scan_py.maj_counts(7)
-    assert _scan_cy.inv_counts(7) == _scan_py.inv_counts(7)
+def test_window_helpers_against_objects():
+    for sigma in enumerate_group(3):
+        assert scan.window_fmaj(sigma.window) == statistics(sigma).fmaj
+        assert scan.window_inverse(sigma.window) == sigma.inverse().window
 
 
-@pytest.mark.parametrize("impl", backends)
-def test_rank_validation(impl):
-    with pytest.raises(ValueError):
-        impl.fmaj_pair_counts(0)
+def test_rank_validation():
+    for kernel in (scan.fmaj_pair_counts, scan.maj_counts, scan.inv_counts):
+        with pytest.raises(ValueError):
+            kernel(0)
 
 
 def test_facade_exports_active_backend():
-    assert scan.BACKEND in ("python", "cython")
-    assert scan.fmaj_pair_counts(2) == pair_counts_oracle(2)
+    assert scan.BACKEND == "python"

@@ -48,6 +48,19 @@ def test_parse_errors(text, fragment):
         parse_window(text)
 
 
+@pytest.mark.parametrize("window", [(1.0, 2), (True, 2), (2, "1"), (2.0, -1.0), (1, None)])
+def test_constructor_refuses_non_integer_entries(window):
+    with pytest.raises(ValueError, match="not an integer"):
+        SignedPermutation(window)
+
+
+def test_from_json_refuses_non_integer_entries():
+    with pytest.raises(ValueError, match="entry True at position 1 is not an integer"):
+        SignedPermutation.from_json({"window": [True, 2]})
+    with pytest.raises(ValueError, match="not an integer"):
+        SignedPermutation.from_json({"n": 2, "window": [2, 1.0]})
+
+
 def test_compose_with_inverse_is_identity():
     sigma = sp(2, -1, -4, 3)
     assert sigma * sigma.inverse() == SignedPermutation.identity(4)

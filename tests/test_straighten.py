@@ -110,7 +110,8 @@ def test_straighten_rejects_non_invariant():
 
 
 def test_straighten_guard():
-    with pytest.raises(RankGuardError):
+    # the message names the real cost: rho's rearrangements, not the group order
+    with pytest.raises(RankGuardError, match="up to 24 rearrangements of its exponent pairs"):
         straighten(Polynomial.one(4), guard=3)
 
 
