@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -265,9 +266,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         max_rank_guard=rank_guard,
     )
     try:
-        return args.handler(args, config)
+        code = args.handler(args, config)
+        sys.stdout.flush()
+        return code
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed early (`signsym ... | head -1`); devnull takes
+        # the flush Python retries at exit, which would raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -10,8 +10,12 @@ times a diagonal signed descent monomial, which drives straightening.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
+from itertools import permutations
+from typing import Iterable, Iterator
 
 from .poly import Monomial
 from .signed_perm import SignedPermutation, statistics
@@ -284,3 +288,35 @@ def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
             m = Monomial(p, q)
             if is_ordered(m):
                 yield m
+
+
+def product_coefficients(
+    sigma: SignedPermutation,
+    nu: tuple[int, ...],
+    mu: tuple[int, ...],
+    columns: Iterable[Monomial],
+) -> dict[Monomial, Fraction]:
+    """Nonzero coefficients of m_nu(x^2) m_mu(y^2) rho(c_sigma) at ``columns``.
+
+    rho(c_sigma) puts 1/|O| on each of the |O| distinct rearrangements
+    of the exponent pairs of c_sigma, so the coefficient at w is count/|O|,
+    counting the distinct rearrangements r of 2*nu and s of 2*mu for which
+    the pairs of (w.p - r, w.q - s) rearrange those of c_sigma.  An r is
+    tried against the s only when w.p - r rearranges c_sigma's x exponents.
+    """
+    c = diagonal_signed_descent_monomial(sigma)
+    pairs = sorted(zip(c.p, c.q))
+    xs = sorted(c.p)
+    orbit = math.factorial(sigma.n) // math.prod(math.factorial(k) for k in Counter(pairs).values())
+    rs = set(permutations([2 * v for v in nu]))
+    ss = set(permutations([2 * v for v in mu]))
+    out = {}
+    for w in columns:
+        count = 0
+        for r in rs:
+            dp = [a - b for a, b in zip(w.p, r)]
+            if sorted(dp) == xs:
+                count += sum(sorted(zip(dp, [a - b for a, b in zip(w.q, s)])) == pairs for s in ss)
+        if count:
+            out[w] = Fraction(count, orbit)
+    return out

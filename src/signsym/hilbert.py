@@ -7,26 +7,25 @@ by truncated formal expansion, counts the dimensions it predicts as
 ordered monomials, and verifies degreewise that the averaged descent
 monomials together with monomial symmetric functions in the squared
 variables span each bidegree slice with exactly the right cardinality.
-Verification works in orbit coordinates: an invariant is fixed by its
-coefficients at the ordered monomials, so each candidate is built only
-there and the rank is taken over those columns.
+Verification works in orbit coordinates: each candidate is computed only
+at the ordered monomials, which fix an invariant, by the kernel that
+straightening uses, and the rank is taken over those columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
 from . import scan
 from .descent_basis import (
-    diagonal_signed_descent_monomial,
     ordered_monomials,
     partitions_fixed_length,
+    product_coefficients,
 )
-from .poly import Polynomial, rho
+from .poly import Polynomial
 from .signed_perm import (
     ENUMERATION_GUARD,
     RankGuardError,
@@ -185,13 +184,8 @@ def basis_candidates(
 
     Runs over every sigma whose flag bidegree fits inside (a, b) with
     even slack, and every partition pair filling the slack.  Each product
-    is invariant, so it is fixed by its coefficients at the ordered
-    monomials, and only those are computed: the yielded polynomial is
-    the restriction of the product to ``ordered_monomials(n, a, b)``.
-    With O the support of rho(c_sigma), where every coefficient is
-    1/|O|, the coefficient at an ordered w is count/|O|, counting the
-    u in O with w.p - u.p a rearrangement of 2*nu and w.q - u.q a
-    rearrangement of 2*mu.
+    is invariant, so the yielded polynomial is its restriction to
+    ``ordered_monomials(n, a, b)``, computed by ``product_coefficients``.
     """
     _check_rank(n, guard)
     columns = list(ordered_monomials(n, a, b))
@@ -202,35 +196,9 @@ def basis_candidates(
         fa = scan.window_fmaj(scan.window_inverse(sigma.window))
         if fa > a or (a - fa) % 2:
             continue
-        base = rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)), guard)
-        orbit = list(base.monomials())
-        # Per column, how many u in O leave each pair of sorted
-        # differences; a (nu, mu) candidate reads its own pair.
-        tallies = []
-        for w in columns:
-            tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-            for u in orbit:
-                dp = [x - y for x, y in zip(w.p, u.p)]
-                if min(dp) < 0:
-                    continue
-                dq = [x - y for x, y in zip(w.q, u.q)]
-                if min(dq) < 0:
-                    continue
-                dp.sort(reverse=True)
-                dq.sort(reverse=True)
-                key = (tuple(dp), tuple(dq))
-                tally[key] = tally.get(key, 0) + 1
-            tallies.append(tally)
         for nu in partitions_fixed_length((a - fa) // 2, n):
-            twice_nu = tuple(2 * v for v in nu)
             for mu in partitions_fixed_length((b - fb) // 2, n):
-                key = (twice_nu, tuple(2 * v for v in mu))
-                terms = {
-                    w: Fraction(tally[key], len(orbit))
-                    for w, tally in zip(columns, tallies)
-                    if key in tally
-                }
-                yield sigma, nu, mu, Polynomial(n, terms)
+                yield sigma, nu, mu, Polynomial(n, product_coefficients(sigma, nu, mu, columns))
 
 
 @dataclass(frozen=True)

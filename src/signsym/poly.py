@@ -47,8 +47,9 @@ class Monomial:
         object.__setattr__(self, "q", q)
         if len(p) == 0 or len(p) != len(q):
             raise ValueError("exponent vectors must be nonempty and of equal length")
-        if any(e < 0 for e in p) or any(e < 0 for e in q):
-            raise ValueError("exponents must be non-negative")
+        # ``type(e) is int`` refuses floats, bools and strings alike.
+        if not all(type(e) is int and e >= 0 for e in p + q):
+            raise ValueError(f"exponents must be non-negative integers, got {p} and {q}")
 
     @property
     def n(self) -> int:
@@ -83,6 +84,16 @@ class Monomial:
                 elif e > 1:
                     parts.append(f"{name}{i}^{e}")
         return " ".join(parts) if parts else "1"
+
+
+def json_object(data: object, what: str, key: str) -> tuple[int, list[dict]]:
+    """The rank and the ``key`` list of a JSON object; bool and float ranks are refused."""
+    if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:
+        raise ValueError(f'{what} must be a JSON object with a positive integer "n"')
+    entries = data.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f'"{key}" must be a list of objects')
+    return data["n"], entries
 
 
 class Polynomial:
@@ -209,15 +220,11 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        # ``type(v) is int`` refuses bools and floats, so no inexact value
-        # gets in; coefficients may also be exact fraction strings.  Those
-        # are matched before ``Fraction`` sees them, because it would
-        # expand a decimal exponent such as "1e10000000" in full.
-        if not isinstance(data, dict) or type(data.get("n")) is not int:
-            raise ValueError('a polynomial must be a JSON object with an integer "n"')
-        entries = data.get("terms", [])
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValueError('"terms" must be a list of objects')
+        # Exponents must be ints too; coefficients may also be exact
+        # fraction strings.  Those are matched before ``Fraction`` sees
+        # them, because it would expand a decimal exponent such as
+        # "1e10000000" in full.
+        n, entries = json_object(data, "a polynomial", "terms")
         terms: dict[Monomial, Fraction] = {}
         for entry in entries:
             p, q, c = entry.get("p"), entry.get("q"), entry.get("coeff")
@@ -233,7 +240,7 @@ class Polynomial:
                 raise ValueError(f"coefficient {c!r} has a zero denominator") from None
             m = Monomial(tuple(p), tuple(q))
             terms[m] = terms.get(m, Fraction(0)) + coeff
-        return cls(data["n"], terms)
+        return cls(n, terms)
 
 
 def _act_monomial(
@@ -282,17 +289,12 @@ def _act_family(sigma: SignedPermutation, f: Polynomial, family: str) -> Polynom
     return Polynomial(f.n, acc)
 
 
-def _rho_monomial(m: Monomial) -> dict[Monomial, Fraction]:
-    # See rho for the two cases; the weight 1/|orbit| = |stabiliser|/n! is
-    # what averaging over all n! plain permutations gives.
-    if any((pi + qi) % 2 for pi, qi in zip(m.p, m.q)):
-        return {}
-    orbit = set(permutations(zip(m.p, m.q)))
-    weight = Fraction(1, len(orbit))
-    return {
-        Monomial(tuple(p for p, _ in pairs), tuple(q for _, q in pairs)): weight
-        for pairs in orbit
-    }
+def rearrangements(m: Monomial) -> list[Monomial]:
+    """The distinct monomials whose exponent pairs (p_k, q_k) rearrange those of ``m``."""
+    return [
+        Monomial(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
+        for pairs in set(permutations(zip(m.p, m.q)))
+    ]
 
 
 def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
@@ -314,8 +316,13 @@ def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
         )
     acc: dict[Monomial, Fraction] = {}
     for m, c in f._terms.items():
-        for image, weight in _rho_monomial(m).items():
-            acc[image] = acc.get(image, Fraction(0)) + c * weight
+        if any((pi + qi) % 2 for pi, qi in zip(m.p, m.q)):
+            continue
+        # The weight 1/|orbit| = |stabiliser|/n! is what averaging over
+        # all n! plain permutations gives.
+        orbit = rearrangements(m)
+        for image in orbit:
+            acc[image] = acc.get(image, Fraction(0)) + c / len(orbit)
     return Polynomial(f.n, acc)
 
 

@@ -2,11 +2,14 @@
 
 Every diagonally invariant polynomial is a unique combination of the
 averaged diagonal signed descent monomials with coefficients that are
-separately invariant in each variable family.  The expansion is computed
-by iterated leading-term reduction: take the largest ordered monomial,
-peel off its even part as a product of monomial symmetric functions in
-the squared variables, subtract the matching multiple of the averaged
-basis element, and repeat on the strictly smaller remainder.
+separately invariant in each variable family.  An invariant is fixed by
+its coefficients at the ordered monomials, so the expansion works on
+those columns alone, walking them once in decreasing order.  A nonzero
+column w decomposes as x^(2 nu) y^(2 mu) c_sigma, and m_nu(x^2)
+m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger
+column, so subtracting its matching multiple clears w for good.
+``evaluate`` multiplies an expansion out in full, independently of
+``product_coefficients``, so comparing it with the input checks the walk.
 """
 
 from __future__ import annotations
@@ -14,15 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .descent_basis import (
+    Decomposition,
     decompose,
     diagonal_signed_descent_monomial,
     is_ordered,
     order_key,
     ordered_monomials,
+    product_coefficients,
 )
 from .poly import (
     Bidegree,
@@ -31,16 +35,12 @@ from .poly import (
     bidegree_components,
     find_violated_generator,
     is_separately_invariant,
+    json_object,
     monomial_sym_squares,
+    rearrangements,
     rho,
 )
 from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation
-
-
-@lru_cache(maxsize=None)
-def averaged_basis_element(sigma: SignedPermutation) -> Polynomial:
-    """Group average of the diagonal signed descent monomial of ``sigma``."""
-    return rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
 
 
 @dataclass
@@ -85,29 +85,14 @@ class BasisExpansion:
 
     @classmethod
     def from_json(cls, data: dict) -> "BasisExpansion":
-        exp = cls(int(data["n"]))
-        for entry in data.get("entries", []):
-            exp.add(
-                SignedPermutation(tuple(entry["sigma"])),
-                Polynomial.from_json(entry["coeff"]),
-            )
+        n, entries = json_object(data, "an expansion", "entries")
+        exp = cls(n)
+        for entry in entries:
+            sigma, coeff = entry.get("sigma"), Polynomial.from_json(entry.get("coeff"))
+            if not isinstance(sigma, list) or len(sigma) != n or coeff.n != n:
+                raise ValueError(f"entry {entry!r} needs a window list and a coefficient of rank {n}")
+            exp.add(SignedPermutation(tuple(sigma)), coeff)
         return exp
-
-
-def _leading_ordered(f: Polynomial) -> tuple[Monomial, Fraction]:
-    # Every orbit contributing to an invariant polynomial contains its
-    # ordered representative with the same coefficient, so the maximum
-    # over ordered monomials is the true leading term.
-    best: Optional[Monomial] = None
-    best_key = None
-    for m in f.monomials():
-        if is_ordered(m):
-            key = order_key(m)
-            if best_key is None or key > best_key:
-                best, best_key = m, key
-    if best is None:
-        raise RuntimeError("invariant polynomial without an ordered monomial; action bug")
-    return best, f.coefficient(best)
 
 
 def leading_term(
@@ -125,7 +110,13 @@ def leading_term(
     (actual,) = components
     if bidegree is not None and Bidegree(*bidegree) != actual:
         raise ValueError(f"expected bidegree {tuple(bidegree)}, found {tuple(actual)}")
-    return _leading_ordered(f)
+    # Every orbit contributing to an invariant polynomial contains its
+    # ordered representative with the same coefficient, so the maximum
+    # over ordered monomials is the true leading term.
+    best = max((m for m in f.monomials() if is_ordered(m)), key=order_key, default=None)
+    if best is None:
+        raise RuntimeError("invariant polynomial without an ordered monomial; action bug")
+    return best, f.coefficient(best)
 
 
 class ReduceStep(NamedTuple):
@@ -138,26 +129,22 @@ class ReduceStep(NamedTuple):
     remainder: Polynomial
 
 
-def _reduce_once(f: Polynomial) -> ReduceStep:
-    m, c = _leading_ordered(f)
-    return _reduce_at(f, m, c)
-
-
-def _reduce_at(f: Polynomial, m: Monomial, c: Fraction) -> ReduceStep:
-    dec = decompose(m)
-    product = (
-        monomial_sym_squares(dec.nu, "x", f.n)
-        * monomial_sym_squares(dec.mu, "y", f.n)
-        * averaged_basis_element(dec.sigma)
-    )
-    lead = product.coefficient(m)
+def _step(
+    remainder: dict[Monomial, Fraction], w: Monomial, columns: list[Monomial]
+) -> tuple[Decomposition, Fraction]:
+    # Clears column w of ``remainder``, which is keyed by every column.
+    dec = decompose(w)
+    product = product_coefficients(dec.sigma, dec.nu, dec.mu, columns)
+    lead = product.get(w, Fraction(0))
     if lead <= 0:
         raise RuntimeError(
             "leading coefficient of the reduction product must be positive; "
-            f"got {lead} for {m.text()}"
+            f"got {lead} for {w.text()}"
         )
-    scalar = c / lead
-    return ReduceStep(dec.sigma, dec.nu, dec.mu, scalar, f - scalar * product)
+    scalar = remainder[w] / lead
+    for v, coeff in product.items():
+        remainder[v] -= scalar * coeff
+    return dec, scalar
 
 
 def reduce_step(f: Polynomial, bidegree: Optional[Bidegree] = None) -> ReduceStep:
@@ -165,19 +152,24 @@ def reduce_step(f: Polynomial, bidegree: Optional[Bidegree] = None) -> ReduceSte
 
     Subtracts scalar * m_nu(x^2) * m_mu(y^2) * rho(c_sigma), chosen so the
     leading ordered monomial cancels; every ordered monomial of the
-    remainder is strictly smaller.
+    remainder is strictly smaller.  The step is taken at the ordered
+    monomials, and the remainder, an invariant, is expanded from them.
     """
-    leading_term(f, bidegree)  # validates nonzero, invariant, bihomogeneous
-    return _reduce_once(f)
+    m, _ = leading_term(f, bidegree)
+    columns = list(ordered_monomials(f.n, *m.bidegree()))
+    remainder = {w: f.coefficient(w) for w in columns}
+    dec, scalar = _step(remainder, m, columns)
+    full = {u: c for w, c in remainder.items() if c for u in rearrangements(w)}
+    return ReduceStep(dec.sigma, dec.nu, dec.mu, scalar, Polynomial(f.n, full))
 
 
 def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
     """Expand an invariant polynomial over the averaged descent basis.
 
-    The input is split into bihomogeneous components and each component
-    is reduced until it vanishes.  Termination is guarded by the number
-    of ordered monomials of the component's bidegree, which bounds the
-    length of any strictly decreasing chain.
+    Each bihomogeneous component is restricted to the ordered monomials
+    of its bidegree and reduced by one walk over them in decreasing
+    order.  The products are triangular, so the walk must leave a zero
+    remainder at every column; anything else raises RuntimeError.
     """
     if f.n > guard:
         raise RankGuardError(
@@ -189,36 +181,24 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
         raise ValueError(f"input is not invariant: it changes under generator {violated}")
     expansion = BasisExpansion(f.n)
     for bd, component in bidegree_components(f).items():
-        bound = sum(1 for _ in ordered_monomials(f.n, bd.a, bd.b))
-        remainder = component
-        previous_key = None
-        steps = 0
-        while not remainder.is_zero():
-            steps += 1
-            if steps > bound:
-                raise RuntimeError(
-                    f"straightening of bidegree {tuple(bd)} exceeded {bound} steps; "
-                    "descent chain failed to terminate"
-                )
-            m, c = _leading_ordered(remainder)
-            key = order_key(m)
-            if previous_key is not None and not key < previous_key:
-                raise RuntimeError("leading ordered monomial failed to strictly decrease")
-            previous_key = key
-            step = _reduce_at(remainder, m, c)
-            coeff = (
-                monomial_sym_squares(step.nu, "x", f.n)
-                * monomial_sym_squares(step.mu, "y", f.n)
-                * step.scalar
+        columns = sorted(ordered_monomials(f.n, bd.a, bd.b), key=order_key, reverse=True)
+        remainder = {w: component.coefficient(w) for w in columns}
+        for w in columns:
+            if remainder[w]:
+                dec, scalar = _step(remainder, w, columns)
+                coeff = monomial_sym_squares(dec.nu, "x", f.n) * monomial_sym_squares(dec.mu, "y", f.n)
+                expansion.add(dec.sigma, coeff * scalar)
+        if any(remainder.values()):
+            raise RuntimeError(
+                f"straightening of bidegree {tuple(bd)} left a nonzero remainder; "
+                "the reduction products are not triangular"
             )
-            expansion.add(step.sigma, coeff)
-            remainder = step.remainder
     return expansion
 
 
 def evaluate(expansion: BasisExpansion) -> Polynomial:
-    """Sum of coefficient * rho(c_sigma) over all entries, computed exactly."""
+    """Sum of coefficient * rho(c_sigma) over all entries, multiplied out in full."""
     total = Polynomial.zero(expansion.n)
     for sigma, coeff in expansion.entries.items():
-        total = total + coeff * averaged_basis_element(sigma)
+        total = total + coeff * rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
     return total

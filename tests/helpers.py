@@ -5,9 +5,22 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from signsym.descent_basis import diagonal_signed_descent_monomial
-from signsym.poly import Monomial, Polynomial, act, monomial_sym_squares, rho
+from signsym.descent_basis import (
+    decompose,
+    diagonal_signed_descent_monomial,
+    is_ordered,
+    order_key,
+)
+from signsym.poly import (
+    Monomial,
+    Polynomial,
+    act,
+    bidegree_components,
+    monomial_sym_squares,
+    rho,
+)
 from signsym.signed_perm import SignedPermutation, enumerate_group, group_order
+from signsym.straighten import BasisExpansion
 
 
 def sp(*window: int) -> SignedPermutation:
@@ -88,6 +101,11 @@ def rational_rank(vectors: list[list[Fraction]]) -> int:
     return rank
 
 
+def averaged_basis(sigma: SignedPermutation) -> Polynomial:
+    """The averaged descent monomial rho(c_sigma), multiplied out in full."""
+    return rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
+
+
 def full_candidate(sigma: SignedPermutation, nu, mu) -> Polynomial:
     """Freeness candidate m_nu(x^2) m_mu(y^2) rho(c_sigma) multiplied out in full.
 
@@ -95,8 +113,32 @@ def full_candidate(sigma: SignedPermutation, nu, mu) -> Polynomial:
     at the ordered monomials.
     """
     n = sigma.n
-    base = rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
-    return monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * base
+    return monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * averaged_basis(sigma)
+
+
+def straighten_full(f: Polynomial) -> BasisExpansion:
+    """Straightening oracle: leading-term reduction on full products.
+
+    Independent of the production path, which works only at the ordered
+    monomials: each step here takes the largest ordered monomial of the
+    remainder, multiplies its m_nu(x^2) m_mu(y^2) rho(c_sigma) out in
+    full and subtracts the matching multiple.
+    """
+    expansion = BasisExpansion(f.n)
+    for component in bidegree_components(f).values():
+        remainder = component
+        previous = None
+        while not remainder.is_zero():
+            m = max((u for u in remainder.monomials() if is_ordered(u)), key=order_key)
+            assert previous is None or order_key(m) < previous, "leading term failed to decrease"
+            previous = order_key(m)
+            dec = decompose(m)
+            coeff = monomial_sym_squares(dec.nu, "x", f.n) * monomial_sym_squares(dec.mu, "y", f.n)
+            product = coeff * averaged_basis(dec.sigma)
+            scalar = remainder.coefficient(m) / product.coefficient(m)
+            expansion.add(dec.sigma, coeff * scalar)
+            remainder = remainder - scalar * product
+    return expansion
 
 
 def full_support_rank(polys: list[Polynomial]) -> int:

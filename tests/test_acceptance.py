@@ -9,7 +9,14 @@ import itertools
 import random
 import time
 
-from helpers import inversion_count, random_invariant, rho_bruteforce, sp
+from helpers import (
+    averaged_basis,
+    inversion_count,
+    random_invariant,
+    rho_bruteforce,
+    sp,
+    straighten_full,
+)
 from signsym.descent_basis import (
     compare,
     decompose,
@@ -31,7 +38,7 @@ from signsym.hilbert import (
 )
 from signsym.poly import Monomial, Polynomial, rho
 from signsym.signed_perm import enumerate_group, statistics
-from signsym.straighten import averaged_basis_element, evaluate, straighten
+from signsym.straighten import evaluate, straighten
 
 
 def mono(p, q):
@@ -130,7 +137,7 @@ def test_criterion_4_free_basis_round_trip():
     started = time.perf_counter()
     unit = Polynomial.one(3)
     for sigma in enumerate_group(3):
-        expansion = straighten(averaged_basis_element(sigma))
+        expansion = straighten(averaged_basis(sigma))
         assert set(expansion.entries) == {sigma}
         assert expansion.entries[sigma] == unit
     rng = random.Random(20240)
@@ -139,7 +146,9 @@ def test_criterion_4_free_basis_round_trip():
     for n, count in rounds.items():
         for _ in range(count):
             f = random_invariant(rng, n, max_total=10)
-            assert evaluate(straighten(f)) == f
+            expansion = straighten(f)
+            assert evaluate(expansion) == f
+            assert expansion.entries == straighten_full(f).entries
             total += 1
     assert total == 100
     report(4, "free-basis round trip, 48 basis elements plus 100 random invariants", started)

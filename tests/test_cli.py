@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import signsym
 from helpers import mono
 from signsym.cli import main
 from signsym.poly import Polynomial, rho
@@ -187,3 +192,25 @@ def test_deterministic_output(capsys):
     code2, out2, _ = run(capsys, "rho", "--format", "json", "--p", "2,0", "--q", "0,2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_closed_pipe_exits_without_traceback():
+    # About 159 KB of output overfills the pipe buffer, so the command is
+    # still writing when the reader closes its end after one line.
+    src = str(Path(signsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "signsym.cli", "hilbert", "--n", "2", "--max-degree", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"s^0 t^0: 1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

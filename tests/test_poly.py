@@ -40,6 +40,12 @@ def test_monomial_validation():
         Monomial((-1,), (0,))
     with pytest.raises(ValueError):
         Monomial((), ())
+    # non-integer exponents: floats, bools and strings are all refused
+    for bad in ((1.5,), (2.0,), (True,), ("1",)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Monomial(bad, (0,))
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Monomial((0,), bad)
 
 
 def test_monomial_text():

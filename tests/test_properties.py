@@ -1,4 +1,5 @@
-"""Property tests: straightening round trip, CLI input fuzz, window validation.
+"""Property tests: straightening round trip, CLI input fuzz, window
+validation, averaging, the group action and the JSON round trips.
 
 Examples are derived deterministically and nothing is stored between
 runs, so the suite reads the same on every run and leaves no database.
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rho_bruteforce, straighten_full
 from signsym.cli import main
-from signsym.poly import Monomial, Polynomial, rho
+from signsym.poly import Monomial, Polynomial, act, rho
 from signsym.signed_perm import SignedPermutation
-from signsym.straighten import evaluate, straighten
+from signsym.straighten import BasisExpansion, evaluate, straighten
 
 
 def deterministic(max_examples):
@@ -48,7 +50,66 @@ def rho_combinations(draw):
 @deterministic(60)
 @given(rho_combinations())
 def test_evaluate_inverts_straighten(f):
-    assert evaluate(straighten(f)) == f
+    expansion = straighten(f)
+    assert evaluate(expansion) == f
+    assert expansion.entries == straighten_full(f).entries
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def polynomials_at(draw, n):
+    """An arbitrary polynomial of rank n with exponents <= 3 and up to 3 terms."""
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(st.builds(Monomial, exps, exps), fractions, max_size=3))
+    return Polynomial(n, terms)
+
+
+@st.composite
+def signed_permutations(draw, n):
+    values = draw(st.permutations(range(1, n + 1)))
+    return SignedPermutation(tuple(v if draw(st.booleans()) else -v for v in values))
+
+
+@deterministic(40)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(polynomials_at(n), polynomials_at(n), fractions)))
+def test_rho_linear_idempotent_and_equal_to_the_group_average(args):
+    f, g, c = args
+    rf = rho(f)
+    assert rf == rho_bruteforce(f)
+    assert rho(rf) == rf
+    assert rho(f + g * c) == rf + rho(g) * c
+
+
+@deterministic(60)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(signed_permutations(n), signed_permutations(n), polynomials_at(n))
+    )
+)
+def test_action_composes(args):
+    sigma, tau, f = args
+    assert act(sigma, act(tau, f)) == act(sigma * tau, f)
+
+
+@deterministic(60)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            polynomials_at(n),
+            st.lists(st.tuples(signed_permutations(n), polynomials_at(n)), max_size=3),
+        )
+    )
+)
+def test_json_round_trips(args):
+    f, entries = args
+    assert Polynomial.from_json(json.loads(json.dumps(f.to_json()))) == f
+    expansion = BasisExpansion(f.n)
+    for sigma, coeff in entries:
+        expansion.add(sigma, coeff)
+    again = BasisExpansion.from_json(json.loads(json.dumps(expansion.to_json())))
+    assert again == expansion
 
 
 leaves = (

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mono, poly, random_invariant, sp
+from helpers import (
+    averaged_basis,
+    mono,
+    poly,
+    random_even_monomial,
+    random_invariant,
+    sp,
+    straighten_full,
+)
 from signsym.descent_basis import order_key
 from signsym.poly import (
     Bidegree,
@@ -18,7 +26,6 @@ from signsym.poly import (
 from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group, statistics
 from signsym.straighten import (
     BasisExpansion,
-    averaged_basis_element,
     evaluate,
     leading_term,
     reduce_step,
@@ -33,7 +40,7 @@ def averaged(m):
 def test_leading_term_examples():
     m, c = leading_term(averaged(mono((2, 0), (2, 0))))
     assert (m, c) == (mono((2, 0), (2, 0)), Fraction(1, 2))
-    m, c = leading_term(averaged_basis_element(sp(-1)))
+    m, c = leading_term(averaged_basis(sp(-1)))
     assert (m, c) == (mono((1,), (1,)), Fraction(1))
     m, c = leading_term(averaged(mono((2, 0), (0, 2))), bidegree=Bidegree(2, 2))
     assert (m, c) == (mono((2, 0), (0, 2)), Fraction(1, 2))
@@ -58,7 +65,7 @@ def test_reduce_step_worked_example():
     assert step.nu == (1, 0)
     assert step.mu == (1, 0)
     assert step.scalar == Fraction(1, 2)
-    expected_remainder = averaged_basis_element(sp(2, 1)) * Fraction(-1)
+    expected_remainder = averaged_basis(sp(2, 1)) * Fraction(-1)
     assert step.remainder == expected_remainder
     assert step.remainder == poly(
         2, (Fraction(-1, 2), (2, 0), (0, 2)), (Fraction(-1, 2), (0, 2), (2, 0))
@@ -68,7 +75,7 @@ def test_reduce_step_worked_example():
 def test_reduce_step_on_basis_elements():
     # an averaged descent monomial reduces in one step with unit scalar
     for sigma in enumerate_group(2):
-        step = reduce_step(averaged_basis_element(sigma))
+        step = reduce_step(averaged_basis(sigma))
         assert step.sigma == sigma
         assert step.nu == (0, 0)
         assert step.mu == (0, 0)
@@ -117,9 +124,20 @@ def test_straighten_guard():
 
 def test_unit_expansion_exhaustive_rank_two():
     for sigma in enumerate_group(2):
-        expansion = straighten(averaged_basis_element(sigma))
+        expansion = straighten(averaged_basis(sigma))
         assert set(expansion.entries) == {sigma}
         assert expansion.entries[sigma] == Polynomial.one(2)
+
+
+def test_column_walk_matches_full_product_oracle():
+    # 8 even monomials at ranks 5 and 6, total degree <= 8, plus one at
+    # rank 7 whose walk takes many steps
+    rng = random.Random(4096)
+    cases = [random_even_monomial(rng, n, 8) for n in (5, 6) for _ in range(4)]
+    cases.append(mono((5, 3, 1, 1, 0, 0, 0), (3, 1, 3, 1, 2, 0, 0)))
+    for m in cases:
+        f = averaged(m)
+        assert straighten(f).entries == straighten_full(f).entries, m.text()
 
 
 def test_round_trip_random_invariants():
@@ -184,7 +202,7 @@ def test_invariant_support_contains_ordered_representatives():
 
 def test_evaluate_unit_and_empty():
     unit = BasisExpansion(2, {sp(2, 1): Polynomial.one(2)})
-    assert evaluate(unit) == averaged_basis_element(sp(2, 1))
+    assert evaluate(unit) == averaged_basis(sp(2, 1))
     assert evaluate(BasisExpansion(2)).is_zero()
 
 
@@ -196,6 +214,27 @@ def test_expansion_json_round_trip():
     assert again.n == 2
     assert again.entries == expansion.entries
     assert evaluate(again) == f
+
+
+def test_expansion_from_json_refuses_malformed():
+    one = Polynomial.one(2).to_json()
+    refused = [
+        [],
+        {"n": 1.7, "entries": []},
+        {"n": True, "entries": []},
+        {"n": "2", "entries": []},
+        {"n": 0, "entries": []},
+        {"n": 2, "entries": {}},
+        {"n": 2, "entries": [[2, 1]]},
+        {"n": 2, "entries": [{"sigma": "21", "coeff": one}]},
+        {"n": 2, "entries": [{"sigma": [2.0, 1], "coeff": one}]},
+        {"n": 2, "entries": [{"sigma": [1], "coeff": Polynomial.one(1).to_json()}]},
+        {"n": 2, "entries": [{"sigma": [2, 1], "coeff": 1}]},
+        {"n": 2, "entries": [{"sigma": [2, 1], "coeff": Polynomial.one(3).to_json()}]},
+    ]
+    for data in refused:
+        with pytest.raises(ValueError):
+            BasisExpansion.from_json(data)
 
 
 def test_expansion_add_cancels_to_empty():
