@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import hilbert
@@ -27,9 +26,9 @@ from .signed_perm import ENUMERATION_GUARD, parse_window, statistics
 from .straighten import evaluate, straighten
 
 #: Default rank cap for the rank/series verification suite.  Each cell
-#: scans the 2^n * n! group elements for candidates and builds them at
-#: the ordered monomials; rank 4 at the default degree 12 takes about a
-#: second, and --rank-guard raises the cap deliberately.
+#: walks the 2^n * n! windows of the group for candidates and builds them
+#: at the ordered monomials; rank 4 at the default degree 12 takes about
+#: 0.4 s, and --rank-guard raises the cap deliberately.
 VERIFY_GUARD = 4
 
 #: Default total-degree bound of the verify and hilbert tables.
@@ -43,25 +42,14 @@ MONOMIAL_KINDS = {
 }
 
 
-@dataclass
-class Config:
-    """Resolved run options shared by the subcommands."""
-
-    output_format: str = "text"
-    max_rank_guard: Optional[int] = None
-
-    def guard(self, default: int) -> int:
-        return self.max_rank_guard if self.max_rank_guard is not None else default
-
-
-def _emit(config: Config, data: dict, text: str) -> None:
-    if config.output_format == "json":
+def _emit(args: argparse.Namespace, data: dict, text: str) -> None:
+    if args.output_format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(text)
 
 
-def _cmd_stats(args: argparse.Namespace, config: Config) -> int:
+def _cmd_stats(args: argparse.Namespace) -> int:
     sigma = parse_window(args.window)
     st = statistics(sigma)
     inverse = sigma.inverse()
@@ -90,15 +78,15 @@ def _cmd_stats(args: argparse.Namespace, config: Config) -> int:
             f"inverse: {inverse}",
         ]
     )
-    _emit(config, data, text)
+    _emit(args, data, text)
     return 0
 
 
-def _cmd_monomial(args: argparse.Namespace, config: Config) -> int:
+def _cmd_monomial(args: argparse.Namespace) -> int:
     sigma = parse_window(args.window)
     m = MONOMIAL_KINDS[args.kind](sigma)
     data = {"kind": args.kind, "window": list(sigma.window), "p": list(m.p), "q": list(m.q), "text": m.text()}
-    _emit(config, data, m.text())
+    _emit(args, data, m.text())
     return 0
 
 
@@ -112,33 +100,33 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
     return values
 
 
-def _cmd_rho(args: argparse.Namespace, config: Config) -> int:
+def _cmd_rho(args: argparse.Namespace) -> int:
     p = _parse_exponents(args.p)
     q = _parse_exponents(args.q)
     if len(p) != len(q):
         raise ValueError(f"exponent lists differ in length: {len(p)} vs {len(q)}")
     m = Monomial(p, q)
-    averaged = rho(Polynomial.from_monomial(m), guard=config.guard(ENUMERATION_GUARD))
-    _emit(config, averaged.to_json(), averaged.text())
+    averaged = rho(Polynomial.from_monomial(m), guard=args.rank_guard or ENUMERATION_GUARD)
+    _emit(args, averaged.to_json(), averaged.text())
     return 0
 
 
-def _cmd_straighten(args: argparse.Namespace, config: Config) -> int:
+def _cmd_straighten(args: argparse.Namespace) -> int:
     payload = json.load(sys.stdin)
     f = Polynomial.from_json(payload)
-    expansion = straighten(f, guard=config.guard(ENUMERATION_GUARD))
+    expansion = straighten(f, guard=args.rank_guard or ENUMERATION_GUARD)
     if args.verify:
         again = evaluate(expansion)
         if again != f:
             print("verification failed: expansion does not evaluate back to the input", file=sys.stderr)
             return 1
     lines = [f"{sigma}: {coeff.text()}" for sigma, coeff in expansion.items()]
-    _emit(config, expansion.to_json(), "\n".join(lines) if lines else "0")
+    _emit(args, expansion.to_json(), "\n".join(lines) if lines else "0")
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, config: Config) -> int:
-    guard = config.guard(VERIFY_GUARD)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    guard = args.rank_guard or VERIFY_GUARD
     max_degree = args.max_degree if args.max_degree is not None else TRUNCATION_DEGREE
     reports = []
     for total in range(max_degree + 1):
@@ -146,7 +134,7 @@ def _cmd_verify(args: argparse.Namespace, config: Config) -> int:
             reports.append(hilbert.verify_basis_rank(args.n, a, total - a, guard=guard))
     reports.sort(key=lambda r: (r.a, r.b))
     all_pass = all(r.passed for r in reports)
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps({"n": args.n, "max_degree": max_degree, "cells": [r.to_json() for r in reports], "pass": all_pass}, indent=2))
     else:
         header = f"{'a':>3} {'b':>3} {'rank':>5} {'dim':>5} {'series':>7} {'gens':>5}  status"
@@ -158,9 +146,9 @@ def _cmd_verify(args: argparse.Namespace, config: Config) -> int:
     return 0 if all_pass else 1
 
 
-def _cmd_hilbert(args: argparse.Namespace, config: Config) -> int:
+def _cmd_hilbert(args: argparse.Namespace) -> int:
     max_degree = args.max_degree if args.max_degree is not None else TRUNCATION_DEGREE
-    guard = config.guard(ENUMERATION_GUARD)
+    guard = args.rank_guard or ENUMERATION_GUARD
     if args.numerator:
         series = hilbert.fmaj_numerator(args.n, guard=guard)
         cells = [
@@ -169,7 +157,7 @@ def _cmd_hilbert(args: argparse.Namespace, config: Config) -> int:
         ]
         data = {"n": args.n, "numerator": cells, "total_mass": series.total_mass()}
         lines = [f"s^{c['a']} t^{c['b']}: {c['value']}" for c in cells]
-        _emit(config, data, "\n".join(lines))
+        _emit(args, data, "\n".join(lines))
         return 0
     cells = []
     for total in range(max_degree + 1):
@@ -180,7 +168,7 @@ def _cmd_hilbert(args: argparse.Namespace, config: Config) -> int:
                 cells.append({"a": a, "b": b, "value": value})
     data = {"n": args.n, "max_degree": max_degree, "coefficients": cells}
     lines = [f"s^{c['a']} t^{c['b']}: {c['value']}" for c in cells]
-    _emit(config, data, "\n".join(lines) if lines else "0")
+    _emit(args, data, "\n".join(lines) if lines else "0")
     return 0
 
 
@@ -261,12 +249,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if max_degree is not None and max_degree < 0:
         print("error: --max-degree must be non-negative", file=sys.stderr)
         return 1
-    config = Config(
-        output_format=args.output_format,
-        max_rank_guard=rank_guard,
-    )
     try:
-        code = args.handler(args, config)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except (ValueError, json.JSONDecodeError) as exc:

@@ -167,25 +167,6 @@ class Decomposition:
     mu: tuple[int, ...]
     gamma: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "sigma": list(self.sigma.window),
-            "nu": list(self.nu),
-            "delta": list(self.delta),
-            "mu": list(self.mu),
-            "gamma": list(self.gamma),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Decomposition":
-        return cls(
-            SignedPermutation(tuple(data["sigma"])),
-            tuple(data["nu"]),
-            tuple(data["delta"]),
-            tuple(data["mu"]),
-            tuple(data["gamma"]),
-        )
-
 
 def _check(condition: bool, message: str) -> None:
     # The decomposition facts always hold for ordered inputs; a failure

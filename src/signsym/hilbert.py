@@ -9,28 +9,31 @@ monomials together with monomial symmetric functions in the squared
 variables span each bidegree slice with exactly the right cardinality.
 Verification works in orbit coordinates: each candidate is computed only
 at the ordered monomials, which fix an invariant, by the kernel that
-straightening uses, and the rank is taken over those columns.
+straightening uses, and the rank is taken over those columns by
+echelon form on leading columns, which is the triangularity of the
+paper's freeness proof.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
 from . import scan
 from .descent_basis import (
+    order_key,
     ordered_monomials,
     partitions_fixed_length,
     product_coefficients,
 )
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 from .signed_perm import (
     ENUMERATION_GUARD,
     RankGuardError,
     SignedPermutation,
-    enumerate_group,
     group_order,
 )
 
@@ -146,35 +149,32 @@ def invariant_dimension(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) 
     return sum(1 for _ in ordered_monomials(n, a, b))
 
 
-def _integer_rank(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def _leading_column_rank(rows: list[Polynomial]) -> int:
+    """Exact rank of polynomials read as rows of rational coefficients.
 
-    Bareiss pivoting: every division is exact, so the arithmetic stays
-    in arbitrary-precision integers throughout.
+    Echelon form by leading columns: a row's lead is its largest monomial
+    under ``order_key``.  While the lead belongs to a pivot, the matching
+    multiple of that pivot row is subtracted, which only leaves smaller
+    monomials; a row that empties is dependent, and otherwise it becomes
+    the pivot of its lead.
     """
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    if rows == 0:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot_row = next((r for r in range(rank, rows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank]
-        for r in range(rank + 1, rows):
-            row = m[r]
-            factor = row[col]
-            for c in range(col, cols):
-                row[c] = (row[c] * pivot[col] - factor * pivot[c]) // prev
-        prev = pivot[col]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
+    for poly in rows:
+        row = {m: poly.coefficient(m) for m in poly.monomials()}
+        while row:
+            lead = max(row, key=order_key)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            factor = row[lead] / pivot[lead]
+            for m, c in pivot.items():
+                value = row.get(m, 0) - factor * c
+                if value:
+                    row[m] = value
+                else:
+                    del row[m]
+    return len(pivots)
 
 
 def basis_candidates(
@@ -182,20 +182,22 @@ def basis_candidates(
 ) -> Iterator[tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], Polynomial]]:
     """Degree-(a, b) products m_nu(x^2) m_mu(y^2) rho(c_sigma) in orbit coordinates.
 
-    Runs over every sigma whose flag bidegree fits inside (a, b) with
-    even slack, and every partition pair filling the slack.  Each product
-    is invariant, so the yielded polynomial is its restriction to
-    ``ordered_monomials(n, a, b)``, computed by ``product_coefficients``.
+    Walks the raw windows of the group and builds a sigma only when its
+    flag bidegree fits inside (a, b) with even slack, then runs over every
+    partition pair filling the slack.  Each product is invariant, so the
+    yielded polynomial is its restriction to ``ordered_monomials(n, a, b)``,
+    computed by ``product_coefficients``.
     """
     _check_rank(n, guard)
     columns = list(ordered_monomials(n, a, b))
-    for sigma in enumerate_group(n, guard):
-        fb = scan.window_fmaj(sigma.window)
+    for w in scan.windows(n):
+        fb = scan.window_fmaj(w)
         if fb > b or (b - fb) % 2:
             continue
-        fa = scan.window_fmaj(scan.window_inverse(sigma.window))
+        fa = scan.window_fmaj(scan.window_inverse(w))
         if fa > a or (a - fa) % 2:
             continue
+        sigma = SignedPermutation(w)
         for nu in partitions_fixed_length((a - fa) // 2, n):
             for mu in partitions_fixed_length((b - fb) // 2, n):
                 yield sigma, nu, mu, Polynomial(n, product_coefficients(sigma, nu, mu, columns))
@@ -235,27 +237,23 @@ def verify_basis_rank(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) ->
 
     Builds every candidate product of monomial symmetric functions in
     the squared variables with an averaged descent monomial in orbit
-    coordinates, computes the exact rank of the integer matrix whose
-    columns are the ordered monomials by fraction-free elimination, and
-    compares against the ordered-monomial dimension and the series
-    coefficient.  Restricting an invariant to its ordered coefficients
-    is injective, since every orbit meets one ordered monomial, so this
-    rank equals the rank over the full support.  Equality of all three
-    together with the candidate count is degreewise freeness.
+    coordinates, takes the exact rank of the candidates over the ordered
+    monomials by echelon form on leading columns, and compares it with
+    the ordered-monomial dimension and the series coefficient.
+    Restricting an invariant to its ordered coefficients is injective,
+    since every orbit meets one ordered monomial, so this rank equals the
+    rank over the full support.  Each candidate is positive at one
+    ordered monomial and zero at every larger one, and these leads are
+    the ordered monomials of the cell, so on a passing cell the echelon
+    form subtracts nothing.  Equality of all three together with the candidate count is
+    degreewise freeness.
     """
     candidates = [poly for _, _, _, poly in basis_candidates(n, a, b, guard)]
-    columns = list({m for poly in candidates for m in poly.monomials()})
-    rows = []
-    for poly in candidates:
-        coefficients = [poly.coefficient(w) for w in columns]
-        scale = math.lcm(*(c.denominator for c in coefficients))
-        rows.append([c.numerator * (scale // c.denominator) for c in coefficients])
-    rank = _integer_rank(rows)
     return CellReport(
         n=n,
         a=a,
         b=b,
-        rank=rank,
+        rank=_leading_column_rank(candidates),
         dim=invariant_dimension(n, a, b, guard),
         series=series_coefficient(n, a, b, guard),
         generators=len(candidates),

@@ -8,6 +8,7 @@ the windows, without building element objects.
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Iterator
 
 #: Name of the scan implementation.  Benchmark results record it and
 #: refuse to compare runs that differ in it, so it stays even though
@@ -34,16 +35,21 @@ def window_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def windows(n: int) -> Iterator[tuple[int, ...]]:
+    """Every window of the rank-n signed group, each exactly once."""
+    for perm in permutations(range(1, n + 1)):
+        for mask in range(1 << n):
+            yield tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(perm))
+
+
 def fmaj_pair_counts(n: int) -> dict[tuple[int, int], int]:
     """Counts of (fmaj of inverse, fmaj) over the whole rank-n signed group."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     counts: dict[tuple[int, int], int] = {}
-    for perm in permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            w = tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(perm))
-            key = (window_fmaj(window_inverse(w)), window_fmaj(w))
-            counts[key] = counts.get(key, 0) + 1
+    for w in windows(n):
+        key = (window_fmaj(window_inverse(w)), window_fmaj(w))
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 

@@ -252,13 +252,9 @@ def test_decompose_flag_slack_properties():
             assert all(gaps[i] >= gaps[i + 1] for i in range(2))
 
 
-def test_decomposition_json_round_trip():
-    from signsym.descent_basis import Decomposition
-
+def test_decomposition_sigma_example():
     dec = decompose(mono((7, 6, 6, 5, 5, 3), (3, 8, 6, 3, 5, 5)))
-    data = dec.to_json()
-    assert data["sigma"] == [2, 3, -6, -5, -4, -1]
-    assert Decomposition.from_json(data) == dec
+    assert dec.sigma == sp(2, 3, -6, -5, -4, -1)
 
 
 def test_partitions_fixed_length():

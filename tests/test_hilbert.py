@@ -1,6 +1,7 @@
 """Hilbert-series machinery: numerator, expansion, dimensions, rank checks."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,10 @@ from helpers import (
     rational_rank,
     rho_bruteforce,
 )
-from signsym.descent_basis import ordered_monomials
+from signsym.descent_basis import decompose, order_key, ordered_monomials
 from signsym.hilbert import (
     BiSeries,
-    _integer_rank,
+    _leading_column_rank,
     basis_candidates,
     fmaj_distribution,
     fmaj_numerator,
@@ -143,16 +144,50 @@ def test_invariant_dimension_shortcut_against_elimination():
         assert rank == invariant_dimension(2, a, b)
 
 
-def test_integer_rank_against_rational_oracle():
-    import random
-
+def test_leading_column_rank_against_rational_oracle():
+    # sparse rows over a few ordered monomials, with duplicate rows,
+    # linear combinations and rows that share a lead, so that the echelon
+    # form has to subtract
     rng = random.Random(71)
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        matrix = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        expected = rational_rank([[Fraction(v) for v in row] for row in matrix])
-        assert _integer_rank(matrix) == expected
+    columns = list(ordered_monomials(3, 4, 4))
+    for _ in range(60):
+        support = rng.sample(columns, rng.randint(1, 6))
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            picked = rng.sample(support, rng.randint(1, len(support)))
+            rows.append({m: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in picked})
+        rows.append(dict(rng.choice(rows)))
+        x, y = rng.sample(range(len(rows)), 2)
+        k = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        combination = dict(rows[x])
+        for m, c in rows[y].items():
+            combination[m] = combination.get(m, 0) + k * c
+        rows.append(combination)
+        polys = [Polynomial(3, row) for row in rows]
+        expected = rational_rank([[p.coefficient(m) for m in support] for p in polys])
+        rng.shuffle(polys)
+        assert _leading_column_rank(polys) == expected
+    assert _leading_column_rank([]) == 0
+    assert _leading_column_rank([Polynomial.zero(3)]) == 0
+
+
+def test_candidates_are_triangular_on_their_leads():
+    # the paper's freeness proof: each candidate is positive at one
+    # ordered monomial and zero at every larger one, that monomial
+    # decomposes back to the candidate's (sigma, nu, mu), and the leads
+    # of a cell are exactly its ordered monomials
+    cells = [(n, a, total - a) for n in (2, 3) for total in range(15) for a in range(total + 1)]
+    cells += [(4, a, total - a) for total in range(13) for a in range(total + 1)]
+    assert len(cells) == 331
+    for n, a, b in cells:
+        leads = []
+        for sigma, nu, mu, poly in basis_candidates(n, a, b):
+            lead = max(poly.monomials(), key=order_key)
+            assert poly.coefficient(lead) > 0, (sigma, nu, mu)
+            dec = decompose(lead)
+            assert (dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True))) == (sigma, nu, mu)
+            leads.append(lead)
+        assert sorted(leads, key=order_key) == sorted(ordered_monomials(n, a, b), key=order_key), (n, a, b)
 
 
 def test_basis_candidates_filters_parity_and_degree():

@@ -48,6 +48,13 @@ def test_window_helpers_against_objects():
         assert scan.window_inverse(sigma.window) == sigma.inverse().window
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_windows_are_the_group_once_each(n):
+    windows = list(scan.windows(n))
+    assert len(windows) == group_order(n)
+    assert sorted(windows) == [sigma.window for sigma in enumerate_group(n)]
+
+
 def test_rank_validation():
     for kernel in (scan.fmaj_pair_counts, scan.maj_counts, scan.inv_counts):
         with pytest.raises(ValueError):
