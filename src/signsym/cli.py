@@ -25,11 +25,12 @@ from .poly import Monomial, Polynomial, rho
 from .signed_perm import ENUMERATION_GUARD, parse_window, statistics
 from .straighten import evaluate, straighten
 
-#: Default rank cap for the rank/series verification suite.  Each cell
-#: walks the 2^n * n! windows of the group for candidates and builds them
-#: at the ordered monomials; rank 4 at the default degree 12 takes about
-#: 0.4 s, and --rank-guard raises the cap deliberately.
-VERIFY_GUARD = 4
+#: Default rank cap for the rank/series verification suite.  The cost
+#: that grows with rank is the series numerator, which scans the 2^n * n!
+#: group elements once per total degree: rank 6 at the default degree 12
+#: takes about 5 s, and rank 7 would spend 45 s or more in its 13 scans
+#: alone.  --rank-guard raises the cap deliberately.
+VERIFY_GUARD = 6
 
 #: Default total-degree bound of the verify and hilbert tables.
 TRUNCATION_DEGREE = 12

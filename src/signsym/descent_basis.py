@@ -5,7 +5,10 @@ its signed variant in the x family alone, and the diagonal versions that
 pair statistics of an element with statistics of its inverse across the
 two variable families.  The ordered monomials form a transversal of the
 averaging orbits; every ordered monomial decomposes as an even part
-times a diagonal signed descent monomial, which drives straightening.
+times a diagonal signed descent monomial.  ``product_coefficients``
+builds the basis product named by such a decomposition at a list of
+ordered monomials, the one kernel behind straightening and the
+freeness check.
 """
 
 from __future__ import annotations
@@ -271,26 +274,22 @@ def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
                 yield m
 
 
-def product_coefficients(
-    sigma: SignedPermutation,
-    nu: tuple[int, ...],
-    mu: tuple[int, ...],
-    columns: Iterable[Monomial],
-) -> dict[Monomial, Fraction]:
+def product_coefficients(dec: Decomposition, columns: Iterable[Monomial]) -> dict[Monomial, Fraction]:
     """Nonzero coefficients of m_nu(x^2) m_mu(y^2) rho(c_sigma) at ``columns``.
 
-    rho(c_sigma) puts 1/|O| on each of the |O| distinct rearrangements
-    of the exponent pairs of c_sigma, so the coefficient at w is count/|O|,
-    counting the distinct rearrangements r of 2*nu and s of 2*mu for which
-    the pairs of (w.p - r, w.q - s) rearrange those of c_sigma.  An r is
-    tried against the s only when w.p - r rearranges c_sigma's x exponents.
+    ``dec`` gives sigma's flag numbers directly: c_sigma is x^delta
+    y^gamma, and nu and mu are the even parts.  rho(c_sigma) puts 1/|O|
+    on each of the |O| distinct rearrangements of the exponent pairs of
+    c_sigma, so the coefficient at w is count/|O|, counting the distinct
+    rearrangements r of 2*nu and s of 2*mu for which the pairs of
+    (w.p - r, w.q - s) rearrange those of c_sigma.  An r is tried against
+    the s only when w.p - r rearranges c_sigma's x exponents.
     """
-    c = diagonal_signed_descent_monomial(sigma)
-    pairs = sorted(zip(c.p, c.q))
-    xs = sorted(c.p)
-    orbit = math.factorial(sigma.n) // math.prod(math.factorial(k) for k in Counter(pairs).values())
-    rs = set(permutations([2 * v for v in nu]))
-    ss = set(permutations([2 * v for v in mu]))
+    pairs = sorted(zip(dec.delta, dec.gamma))
+    xs = sorted(dec.delta)
+    orbit = math.factorial(len(pairs)) // math.prod(math.factorial(k) for k in Counter(pairs).values())
+    rs = set(permutations([2 * v for v in dec.nu]))
+    ss = set(permutations([2 * v for v in dec.mu]))
     out = {}
     for w in columns:
         count = 0

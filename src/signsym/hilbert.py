@@ -7,11 +7,12 @@ by truncated formal expansion, counts the dimensions it predicts as
 ordered monomials, and verifies degreewise that the averaged descent
 monomials together with monomial symmetric functions in the squared
 variables span each bidegree slice with exactly the right cardinality.
-Verification works in orbit coordinates: each candidate is computed only
-at the ordered monomials, which fix an invariant, by the kernel that
-straightening uses, and the rank is taken over those columns by
-echelon form on leading columns, which is the triangularity of the
-paper's freeness proof.
+Verification follows the paper's bijection: each ordered monomial of a
+cell decomposes as x^(2 nu) y^(2 mu) c_sigma, and the candidate it names
+is built only at the ordered monomials, which fix an invariant, by the
+kernel that straightening uses.  The rank is taken over those columns by
+echelon form on leading columns, the triangularity of the paper's
+freeness proof.  Only the series numerator scans the group.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from . import scan
-from .descent_basis import (
-    order_key,
-    ordered_monomials,
-    partitions_fixed_length,
-    product_coefficients,
-)
+from .descent_basis import decompose, order_key, ordered_monomials, product_coefficients
 from .poly import Monomial, Polynomial
 from .signed_perm import (
     ENUMERATION_GUARD,
@@ -134,7 +130,7 @@ def series_coefficient(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) -
     return _series_table(n, a + b)[a][b]
 
 
-def invariant_dimension(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) -> int:
+def invariant_dimension(n: int, a: int, b: int) -> int:
     """Dimension of the bidegree-(a, b) slice of the invariant ring.
 
     Counts the ordered monomials of the bidegree.  A monomial with an odd
@@ -143,7 +139,8 @@ def invariant_dimension(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) 
     orbit exactly once, and averages of distinct orbits have disjoint
     supports, so they form a basis.
     """
-    _check_rank(n, guard)
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     if a < 0 or b < 0:
         raise ValueError("degrees must be non-negative")
     return sum(1 for _ in ordered_monomials(n, a, b))
@@ -178,29 +175,23 @@ def _leading_column_rank(rows: list[Polynomial]) -> int:
 
 
 def basis_candidates(
-    n: int, a: int, b: int, guard: int = ENUMERATION_GUARD
+    n: int, a: int, b: int
 ) -> Iterator[tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], Polynomial]]:
     """Degree-(a, b) products m_nu(x^2) m_mu(y^2) rho(c_sigma) in orbit coordinates.
 
-    Walks the raw windows of the group and builds a sigma only when its
-    flag bidegree fits inside (a, b) with even slack, then runs over every
-    partition pair filling the slack.  Each product is invariant, so the
-    yielded polynomial is its restriction to ``ordered_monomials(n, a, b)``,
-    computed by ``product_coefficients``.
+    One product per ordered monomial w of the cell: ``decompose`` splits
+    w as x^(2 nu) y^(2 mu) c_sigma, and that product is positive at w and
+    zero at every larger ordered monomial.  The yielded polynomial is the
+    product's restriction to the cell's ordered monomials, by
+    ``product_coefficients``; mu is yielded sorted, as a partition.
     """
-    _check_rank(n, guard)
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     columns = list(ordered_monomials(n, a, b))
-    for w in scan.windows(n):
-        fb = scan.window_fmaj(w)
-        if fb > b or (b - fb) % 2:
-            continue
-        fa = scan.window_fmaj(scan.window_inverse(w))
-        if fa > a or (a - fa) % 2:
-            continue
-        sigma = SignedPermutation(w)
-        for nu in partitions_fixed_length((a - fa) // 2, n):
-            for mu in partitions_fixed_length((b - fb) // 2, n):
-                yield sigma, nu, mu, Polynomial(n, product_coefficients(sigma, nu, mu, columns))
+    for w in columns:
+        dec = decompose(w)
+        mu = tuple(sorted(dec.mu, reverse=True))
+        yield dec.sigma, dec.nu, mu, Polynomial(n, product_coefficients(dec, columns))
 
 
 @dataclass(frozen=True)
@@ -235,26 +226,30 @@ class CellReport:
 def verify_basis_rank(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) -> CellReport:
     """Check rank = dimension = series coefficient at one bidegree cell.
 
-    Builds every candidate product of monomial symmetric functions in
-    the squared variables with an averaged descent monomial in orbit
-    coordinates, takes the exact rank of the candidates over the ordered
-    monomials by echelon form on leading columns, and compares it with
-    the ordered-monomial dimension and the series coefficient.
-    Restricting an invariant to its ordered coefficients is injective,
-    since every orbit meets one ordered monomial, so this rank equals the
-    rank over the full support.  Each candidate is positive at one
-    ordered monomial and zero at every larger one, and these leads are
-    the ordered monomials of the cell, so on a passing cell the echelon
-    form subtracts nothing.  Equality of all three together with the candidate count is
-    degreewise freeness.
+    Builds one candidate m_nu(x^2) m_mu(y^2) rho(c_sigma) per ordered
+    monomial, in orbit coordinates, and takes their exact rank by echelon
+    form on leading columns.  Restriction to the ordered monomials is
+    injective on invariants, since every orbit meets one, so this is the
+    rank over the full support.
+
+    The check is complete.  Let C be the paper's candidates: each sigma
+    whose (fmaj sigma^-1, fmaj sigma) fits inside (a, b) with even slack,
+    with each partition pair (nu, mu) filling the slack.  The series
+    coefficient is |C|: its numerator counts sigma by that pair, and its
+    denominator counts nu and mu.  Let D be the candidates built from the
+    columns: ``decompose`` puts each in C, and |D| = dim.  rank = dim
+    forces the elements of D to be distinct, and dim = series then gives
+    D = C, a basis of the cell.  ``generators`` equals dim by
+    construction.  Only the series scans the group, so ``guard`` bounds it.
     """
-    candidates = [poly for _, _, _, poly in basis_candidates(n, a, b, guard)]
+    _check_rank(n, guard)
+    candidates = [poly for _, _, _, poly in basis_candidates(n, a, b)]
     return CellReport(
         n=n,
         a=a,
         b=b,
         rank=_leading_column_rank(candidates),
-        dim=invariant_dimension(n, a, b, guard),
+        dim=invariant_dimension(n, a, b),
         series=series_coefficient(n, a, b, guard),
         generators=len(candidates),
     )

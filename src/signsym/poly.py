@@ -87,12 +87,15 @@ class Monomial:
 
 
 def json_object(data: object, what: str, key: str) -> tuple[int, list[dict]]:
-    """The rank and the ``key`` list of a JSON object; bool and float ranks are refused."""
+    """The rank and the ``key`` list of a JSON object; bool and float ranks are refused.
+
+    A missing ``key`` is refused, since a misspelt key would load as zero.
+    """
     if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:
         raise ValueError(f'{what} must be a JSON object with a positive integer "n"')
-    entries = data.get(key, [])
+    entries = data.get(key)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f'"{key}" must be a list of objects')
+        raise ValueError(f'{what} needs "{key}", a list of objects')
     return data["n"], entries
 
 

@@ -134,7 +134,7 @@ def _step(
 ) -> tuple[Decomposition, Fraction]:
     # Clears column w of ``remainder``, which is keyed by every column.
     dec = decompose(w)
-    product = product_coefficients(dec.sigma, dec.nu, dec.mu, columns)
+    product = product_coefficients(dec, columns)
     lead = product.get(w, Fraction(0))
     if lead <= 0:
         raise RuntimeError(

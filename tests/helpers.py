@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from signsym.descent_basis import (
     decompose,
     diagonal_signed_descent_monomial,
     is_ordered,
     order_key,
+    partitions_fixed_length,
 )
 from signsym.poly import (
     Monomial,
@@ -19,7 +21,7 @@ from signsym.poly import (
     monomial_sym_squares,
     rho,
 )
-from signsym.signed_perm import SignedPermutation, enumerate_group, group_order
+from signsym.signed_perm import SignedPermutation, enumerate_group, group_order, statistics
 from signsym.straighten import BasisExpansion
 
 
@@ -104,6 +106,31 @@ def rational_rank(vectors: list[list[Fraction]]) -> int:
 def averaged_basis(sigma: SignedPermutation) -> Polynomial:
     """The averaged descent monomial rho(c_sigma), multiplied out in full."""
     return rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
+
+
+@cache
+def _flag_bidegrees(n: int) -> tuple[tuple[SignedPermutation, int, int], ...]:
+    return tuple(
+        (sigma, statistics(sigma.inverse()).fmaj, statistics(sigma).fmaj)
+        for sigma in enumerate_group(n)
+    )
+
+
+def group_candidates(n: int, a: int, b: int) -> list[tuple[SignedPermutation, tuple, tuple]]:
+    """The paper's candidate labels (sigma, nu, mu) of bidegree (a, b), by group walk.
+
+    Every sigma whose flag bidegree (fmaj sigma^-1, fmaj sigma) fits
+    inside (a, b) with even slack, with every pair of partitions of at
+    most n parts filling the slack.  Independent of the production path,
+    which reads the labels off the ordered monomials by ``decompose``.
+    """
+    out = []
+    for sigma, fa, fb in _flag_bidegrees(n):
+        if fa <= a and fb <= b and (a - fa) % 2 == 0 and (b - fb) % 2 == 0:
+            for nu in partitions_fixed_length((a - fa) // 2, n):
+                for mu in partitions_fixed_length((b - fb) // 2, n):
+                    out.append((sigma, nu, mu))
+    return out
 
 
 def full_candidate(sigma: SignedPermutation, nu, mu) -> Polynomial:

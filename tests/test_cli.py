@@ -125,6 +125,8 @@ def test_straighten_rejects_malformed_json(capsys, monkeypatch):
         term % ("[1.5]", '"1"'),  # fractional exponent
         term % ("[1]", '"1/0"'),  # zero denominator
         term % ("[1]", '"1e10000000"'),  # decimal exponent Fraction would expand
+        '{"n": 2}',  # no terms
+        '{"n": 2, "entries": []}',  # an expansion's key, not a polynomial's
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         code, _, err = run(capsys, "straighten")
@@ -155,9 +157,10 @@ def test_verify_rank_four_within_default_guard(capsys):
 
 
 def test_verify_guard_refusal(capsys):
-    code, _, err = run(capsys, "verify", "--n", "9")
-    assert code != 0
-    assert "guard" in err
+    for n in ("9", "7"):
+        code, _, err = run(capsys, "verify", "--n", n)
+        assert code != 0, n
+        assert "guard" in err, n
 
 
 def test_hilbert_series_table(capsys):

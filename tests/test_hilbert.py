@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     full_candidate,
     full_support_rank,
+    group_candidates,
     inversion_count,
     mono,
     rational_rank,
@@ -174,20 +176,24 @@ def test_leading_column_rank_against_rational_oracle():
 def test_candidates_are_triangular_on_their_leads():
     # the paper's freeness proof: each candidate is positive at one
     # ordered monomial and zero at every larger one, that monomial
-    # decomposes back to the candidate's (sigma, nu, mu), and the leads
-    # of a cell are exactly its ordered monomials
+    # decomposes back to the candidate's (sigma, nu, mu), the leads of a
+    # cell are exactly its ordered monomials, and the candidates are the
+    # paper's, as found by walking the group
     cells = [(n, a, total - a) for n in (2, 3) for total in range(15) for a in range(total + 1)]
     cells += [(4, a, total - a) for total in range(13) for a in range(total + 1)]
     assert len(cells) == 331
     for n, a, b in cells:
         leads = []
+        labels = []
         for sigma, nu, mu, poly in basis_candidates(n, a, b):
             lead = max(poly.monomials(), key=order_key)
             assert poly.coefficient(lead) > 0, (sigma, nu, mu)
             dec = decompose(lead)
             assert (dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True))) == (sigma, nu, mu)
             leads.append(lead)
+            labels.append((sigma, nu, mu))
         assert sorted(leads, key=order_key) == sorted(ordered_monomials(n, a, b), key=order_key), (n, a, b)
+        assert Counter(labels) == Counter(group_candidates(n, a, b)), (n, a, b)
 
 
 def test_basis_candidates_filters_parity_and_degree():

@@ -224,6 +224,7 @@ def test_expansion_from_json_refuses_malformed():
         {"n": True, "entries": []},
         {"n": "2", "entries": []},
         {"n": 0, "entries": []},
+        {"n": 2},
         {"n": 2, "entries": {}},
         {"n": 2, "entries": [[2, 1]]},
         {"n": 2, "entries": [{"sigma": "21", "coeff": one}]},
