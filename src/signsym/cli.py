@@ -28,8 +28,11 @@ from .straighten import evaluate, straighten
 #: Default rank cap for the rank/series verification suite.  The cost
 #: that grows with rank is the series numerator, which scans the 2^n * n!
 #: group elements once per total degree: rank 6 at the default degree 12
-#: takes about 5 s, and rank 7 would spend 45 s or more in its 13 scans
-#: alone.  --rank-guard raises the cap deliberately.
+#: takes about 4 to 4.5 s, and rank 7 would spend 45 s or more in its 13
+#: scans alone.  The candidate products, which dominate at rank 4, are
+#: cheap since they are counted by x groups and y completions: rank 4
+#: at degree 16 takes about 1.5 s and rank 5 at the default degree about
+#: 0.9 s.  --rank-guard raises the cap deliberately.
 VERIFY_GUARD = 6
 
 #: Default total-degree bound of the verify and hilbert tables.

@@ -8,19 +8,20 @@ averaging orbits; every ordered monomial decomposes as an even part
 times a diagonal signed descent monomial.  ``product_coefficients``
 builds the basis product named by such a decomposition at a list of
 ordered monomials, the one kernel behind straightening and the
-freeness check.
+freeness check.  It counts each coefficient from the exponent pairs of
+c_sigma: the x side once per distinct x-exponent vector among the
+columns, then the y exponents as completions within each group of equal
+x exponent, so no rearrangement of 2*mu is tried against a column.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Iterator
 
-from .poly import Monomial
+from .poly import Monomial, rearrangement_count
 from .signed_perm import SignedPermutation, statistics
 
 
@@ -282,21 +283,41 @@ def product_coefficients(dec: Decomposition, columns: Iterable[Monomial]) -> dic
     on each of the |O| distinct rearrangements of the exponent pairs of
     c_sigma, so the coefficient at w is count/|O|, counting the distinct
     rearrangements r of 2*nu and s of 2*mu for which the pairs of
-    (w.p - r, w.q - s) rearrange those of c_sigma.  An r is tried against
-    the s only when w.p - r rearranges c_sigma's x exponents.
+    (w.p - r, w.q - s) rearrange those of c_sigma.
+
+    The pairs are counted from c_sigma's side.  The x condition reads
+    only w.p: dp = w.p - r must rearrange delta, and the admissible dp
+    are found once per distinct w.p.  Each dp then fixes the y exponents
+    g = w.q - s up to the order within its groups of equal x exponent:
+    the slots where dp equals x take a distinct rearrangement of the
+    gamma values that c_sigma pairs with x, so a delta without ties
+    leaves exactly one g.  Distinct (r, g) give distinct (r, s), and a
+    (r, g) counts when w.q - g rearranges 2*mu.
     """
     pairs = sorted(zip(dec.delta, dec.gamma))
     xs = sorted(dec.delta)
-    orbit = math.factorial(len(pairs)) // math.prod(math.factorial(k) for k in Counter(pairs).values())
+    ys = sorted(2 * v for v in dec.mu)
+    orbit = rearrangement_count(pairs)
     rs = set(permutations([2 * v for v in dec.nu]))
-    ss = set(permutations([2 * v for v in dec.mu]))
+    paired: dict[int, list[int]] = {}
+    for x, y in pairs:
+        paired.setdefault(x, []).append(y)
+    # each way to order, per x exponent, the gammas c_sigma pairs with it
+    fills = [dict(zip(paired, order)) for order in product(*(set(permutations(g)) for g in paired.values()))]
+    completions: dict[tuple[int, ...], list[list[int]]] = {}
     out = {}
     for w in columns:
-        count = 0
-        for r in rs:
-            dp = [a - b for a, b in zip(w.p, r)]
-            if sorted(dp) == xs:
-                count += sum(sorted(zip(dp, [a - b for a, b in zip(w.q, s)])) == pairs for s in ss)
-        if count:
-            out[w] = Fraction(count, orbit)
+        gs = completions.get(w.p)
+        if gs is None:
+            gs = completions[w.p] = []
+            for r in rs:
+                dp = [a - b for a, b in zip(w.p, r)]
+                if sorted(dp) == xs:
+                    for fill in fills:
+                        pending = {x: iter(gammas) for x, gammas in fill.items()}
+                        gs.append([next(pending[x]) for x in dp])
+        if gs:
+            count = sum(sorted([a - b for a, b in zip(w.q, g)]) == ys for g in gs)
+            if count:
+                out[w] = Fraction(count, orbit)
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -300,6 +301,12 @@ def rearrangements(m: Monomial) -> list[Monomial]:
     ]
 
 
+def rearrangement_count(items: Iterable) -> int:
+    """Number of distinct rearrangements of a finite sequence."""
+    counts = Counter(items)
+    return math.factorial(sum(counts.values())) // math.prod(math.factorial(k) for k in counts.values())
+
+
 def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
     """Average of ``f`` over the whole signed permutation group.
 
@@ -330,20 +337,36 @@ def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
 
 
 def find_violated_generator(f: Polynomial) -> Optional[SignedPermutation]:
-    """First group generator that moves ``f``, or None when invariant."""
+    """First group generator that moves ``f``, or None when invariant.
+
+    Invariance is decided by ``is_invariant``; only a polynomial that
+    fails it is acted on, to name the generator.
+    """
+    if is_invariant(f):
+        return None
     for g in generators(f.n):
         if act(g, f) != f:
             return g
-    return None
+    raise RuntimeError("no generator moves a polynomial that fails the orbit check; action bug")
 
 
 def is_invariant(f: Polynomial) -> bool:
     """True when ``f`` is fixed by the diagonal action of the whole group.
 
-    Checked on a generating set (adjacent transpositions plus one sign
-    flip), which is equivalent to checking all group elements.
+    Decided by orbits, with no polynomial acted on.  A term with an odd
+    total exponent in some slot is negated by that slot's sign flip.
+    When every slot is even, the group only rearranges the exponent
+    pairs, so each orbit must appear in full with one coefficient.
     """
-    return find_violated_generator(f) is None
+    orbits: dict[tuple[tuple[int, int], ...], list[Fraction]] = {}
+    for m, c in f._terms.items():
+        if any((pi + qi) % 2 for pi, qi in zip(m.p, m.q)):
+            return False
+        orbits.setdefault(tuple(sorted(zip(m.p, m.q))), []).append(c)
+    for key, coeffs in orbits.items():
+        if len(coeffs) != rearrangement_count(key) or any(c != coeffs[0] for c in coeffs):
+            return False
+    return True
 
 
 def is_separately_invariant(f: Polynomial) -> bool:

@@ -21,7 +21,7 @@ from signsym.poly import (
     monomial_sym_squares,
     rho,
 )
-from signsym.signed_perm import SignedPermutation, enumerate_group, group_order, statistics
+from signsym.signed_perm import SignedPermutation, enumerate_group, generators, group_order, statistics
 from signsym.straighten import BasisExpansion
 
 
@@ -52,6 +52,15 @@ def rho_bruteforce(f: Polynomial) -> Polynomial:
     for sigma in enumerate_group(f.n):
         total = total + act(sigma, f)
     return total * Fraction(1, group_order(f.n))
+
+
+def generator_invariant(f: Polynomial) -> bool:
+    """Invariance oracle: every group generator fixes ``f`` under the action.
+
+    Independent of the production path, which decides invariance by
+    orbits and acts on nothing.
+    """
+    return all(act(g, f) == f for g in generators(f.n))
 
 
 def inversion_count(window) -> int:

@@ -16,7 +16,7 @@ from helpers import (
     rational_rank,
     rho_bruteforce,
 )
-from signsym.descent_basis import decompose, order_key, ordered_monomials
+from signsym.descent_basis import decompose, diagonal_signed_descent_monomial, order_key, ordered_monomials
 from signsym.hilbert import (
     BiSeries,
     _leading_column_rank,
@@ -209,7 +209,8 @@ def test_candidates_in_orbit_coordinates_against_full_products():
     # each yielded candidate is the full product restricted to the ordered
     # monomials, and the rank over those columns is the full-support rank
     cells = [(n, a, total - a) for n in (1, 2, 3) for total in range(9) for a in range(total + 1)]
-    cells += [(4, 4, 4), (4, 6, 6), (4, 8, 4)]
+    cells += [(4, 4, 4), (4, 6, 6), (4, 8, 4), (5, 4, 4), (5, 6, 4)]
+    ties = 0
     for n, a, b in cells:
         columns = list(ordered_monomials(n, a, b))
         products = []
@@ -217,7 +218,12 @@ def test_candidates_in_orbit_coordinates_against_full_products():
             full = full_candidate(sigma, nu, mu)
             assert poly == Polynomial(n, {w: full.coefficient(w) for w in columns}), (sigma, nu, mu)
             products.append(full)
+            # c_sigma pairing one x exponent with two y exponents gives the
+            # kernel more than one y completion per x-exponent group
+            c = diagonal_signed_descent_monomial(sigma)
+            ties += any(len({y for x2, y in zip(c.p, c.q) if x2 == x}) > 1 for x in c.p)
         assert verify_basis_rank(n, a, b).rank == full_support_rank(products), (n, a, b)
+    assert ties
 
 
 def test_verify_basis_rank_examples():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mono, poly, rho_bruteforce, sp
+from helpers import generator_invariant, mono, poly, random_invariant, rho_bruteforce, sp
+import signsym.poly as poly_module
 from signsym.poly import (
     Bidegree,
     Monomial,
@@ -14,12 +15,13 @@ from signsym.poly import (
     act,
     bidegree_components,
     elementary_sym_squares,
+    find_violated_generator,
     is_invariant,
     is_separately_invariant,
     monomial_sym_squares,
     rho,
 )
-from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group
+from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group, generators
 
 
 def random_polynomial(rng, n, terms=4, max_exp=3):
@@ -196,6 +198,47 @@ def test_is_invariant_examples():
     for _ in range(5):
         m = mono([rng.randint(0, 3) for _ in range(3)], [rng.randint(0, 3) for _ in range(3)])
         assert is_invariant(rho(Polynomial.from_monomial(m)))
+
+
+def _perturbed_invariants(rng, n):
+    # an invariant, then that invariant with one coefficient changed, one
+    # term dropped and one term with an odd slot added, then sparse noise
+    f = random_invariant(rng, n, max_total=8)
+    yield f
+    terms = dict(f.items())
+    if terms:
+        m = rng.choice(list(terms))
+        yield Polynomial(n, {**terms, m: terms[m] + 1})
+        yield Polynomial(n, {u: c for u, c in terms.items() if u != m})
+    p = [rng.randint(0, 3) for _ in range(n)]
+    q = [rng.randint(0, 3) for _ in range(n)]
+    k = rng.randrange(n)
+    q[k] = p[k] % 2 + 1 + 2 * rng.randint(0, 1)  # p_k + q_k odd
+    yield f + Polynomial.from_monomial(mono(p, q), Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+    yield random_polynomial(rng, n, terms=rng.randint(1, 4))
+
+
+def test_is_invariant_agrees_with_generator_action():
+    # the orbit check against acting with every generator, and the named
+    # generator is the first one that moves the polynomial
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(40):
+        for n in (1, 2, 3, 4):
+            for f in _perturbed_invariants(rng, n):
+                expected = generator_invariant(f)
+                assert is_invariant(f) == expected, f
+                first = next((g for g in generators(n) if act(g, f) != f), None)
+                assert find_violated_generator(f) == first, f
+                seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_find_violated_generator_refuses_disagreement(monkeypatch):
+    # an action that fixes everything contradicts the orbit check
+    monkeypatch.setattr(poly_module, "act", lambda g, f: f)
+    with pytest.raises(RuntimeError, match="orbit check"):
+        find_violated_generator(poly(2, (1, (1, 0), (0, 0))))
 
 
 def test_is_separately_invariant():
