@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -95,10 +96,12 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v.strip()) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"exponent list {text!r} must be comma-separated integers") from None
+    # ASCII digits only, as in window and coefficient input: int() alone
+    # also takes "1_0" and non-ASCII digits.
+    entries = [v.strip() for v in text.split(",")]
+    if not all(re.fullmatch(r"[+-]?[0-9]+", v) for v in entries):
+        raise ValueError(f"exponent list {text!r} must be comma-separated integers")
+    values = tuple(int(v) for v in entries)
     if any(v < 0 for v in values):
         raise ValueError(f"exponents must be non-negative, got {text!r}")
     return values
@@ -131,27 +134,25 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     guard = args.rank_guard or VERIFY_GUARD
-    max_degree = args.max_degree if args.max_degree is not None else TRUNCATION_DEGREE
     reports = []
-    for total in range(max_degree + 1):
+    for total in range(args.max_degree + 1):
         for a in range(total + 1):
             reports.append(hilbert.verify_basis_rank(args.n, a, total - a, guard=guard))
     reports.sort(key=lambda r: (r.a, r.b))
     all_pass = all(r.passed for r in reports)
     if args.output_format == "json":
-        print(json.dumps({"n": args.n, "max_degree": max_degree, "cells": [r.to_json() for r in reports], "pass": all_pass}, indent=2))
+        print(json.dumps({"n": args.n, "max_degree": args.max_degree, "cells": [r.to_json() for r in reports], "pass": all_pass}, indent=2))
     else:
         header = f"{'a':>3} {'b':>3} {'rank':>5} {'dim':>5} {'series':>7} {'gens':>5}  status"
         print(header)
         for r in reports:
             status = "ok" if r.passed else "FAIL"
             print(f"{r.a:>3} {r.b:>3} {r.rank:>5} {r.dim:>5} {r.series:>7} {r.generators:>5}  {status}")
-        print(f"{'all cells pass' if all_pass else 'FAILURES PRESENT'} (n={args.n}, total degree <= {max_degree})")
+        print(f"{'all cells pass' if all_pass else 'FAILURES PRESENT'} (n={args.n}, total degree <= {args.max_degree})")
     return 0 if all_pass else 1
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    max_degree = args.max_degree if args.max_degree is not None else TRUNCATION_DEGREE
     guard = args.rank_guard or ENUMERATION_GUARD
     if args.numerator:
         series = hilbert.fmaj_numerator(args.n, guard=guard)
@@ -164,13 +165,13 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
         _emit(args, data, "\n".join(lines))
         return 0
     cells = []
-    for total in range(max_degree + 1):
+    for total in range(args.max_degree + 1):
         for a in range(total + 1):
             b = total - a
             value = hilbert.series_coefficient(args.n, a, b, guard=guard)
             if value:
                 cells.append({"a": a, "b": b, "value": value})
-    data = {"n": args.n, "max_degree": max_degree, "coefficients": cells}
+    data = {"n": args.n, "max_degree": args.max_degree, "coefficients": cells}
     lines = [f"s^{c['a']} t^{c['b']}: {c['value']}" for c in cells]
     _emit(args, data, "\n".join(lines) if lines else "0")
     return 0
@@ -223,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument(
-        "--max-degree", type=int, default=None, help="total-degree bound for the cell table"
+        "--max-degree", type=int, default=TRUNCATION_DEGREE, help="total-degree bound for the cell table"
     )
     p_ver.set_defaults(handler=_cmd_verify)
 
@@ -232,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_hil.add_argument("--n", type=int, required=True)
     p_hil.add_argument(
-        "--max-degree", type=int, default=None, help="total-degree bound for the coefficient table"
+        "--max-degree", type=int, default=TRUNCATION_DEGREE, help="total-degree bound for the coefficient table"
     )
     p_hil.add_argument(
         "--numerator", action="store_true", help="print the flag-major numerator instead"

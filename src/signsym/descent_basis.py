@@ -33,37 +33,32 @@ def _require_positive(pi: SignedPermutation, kind: str) -> None:
             )
 
 
+def _placed(sigma: SignedPermutation, values: tuple[int, ...]) -> tuple[int, ...]:
+    # values[i] placed at slot |sigma(i)|
+    out = [0] * sigma.n
+    for i, v in enumerate(sigma.window):
+        out[abs(v) - 1] = values[i]
+    return tuple(out)
+
+
 def descent_monomial(pi: SignedPermutation) -> Monomial:
     """Product of x_{pi(i)}^{d_i(pi)} for a plain permutation pi.
 
     The total degree equals the major index of pi.
     """
     _require_positive(pi, "descent_monomial")
-    st = statistics(pi)
-    p = [0] * pi.n
-    for i, v in enumerate(pi.window):
-        p[v - 1] = st.d[i]
-    return Monomial(tuple(p), (0,) * pi.n)
+    return Monomial(_placed(pi, statistics(pi).d), (0,) * pi.n)
 
 
 def signed_descent_monomial(sigma: SignedPermutation) -> Monomial:
     """Product of x_{|sigma(i)|}^{f_i(sigma)}; total degree fmaj(sigma)."""
-    st = statistics(sigma)
-    p = [0] * sigma.n
-    for i, v in enumerate(sigma.window):
-        p[abs(v) - 1] = st.f[i]
-    return Monomial(tuple(p), (0,) * sigma.n)
+    return Monomial(_placed(sigma, statistics(sigma).f), (0,) * sigma.n)
 
 
 def diagonal_descent_monomial(pi: SignedPermutation) -> Monomial:
     """Product of x_i^{d_i(pi^-1)} y_{pi(i)}^{d_i(pi)} for plain pi."""
     _require_positive(pi, "diagonal_descent_monomial")
-    st = statistics(pi)
-    st_inv = statistics(pi.inverse())
-    q = [0] * pi.n
-    for i, v in enumerate(pi.window):
-        q[v - 1] = st.d[i]
-    return Monomial(st_inv.d, tuple(q))
+    return Monomial(statistics(pi.inverse()).d, _placed(pi, statistics(pi).d))
 
 
 def diagonal_signed_descent_monomial(sigma: SignedPermutation) -> Monomial:
@@ -72,12 +67,7 @@ def diagonal_signed_descent_monomial(sigma: SignedPermutation) -> Monomial:
     Total degree fmaj(sigma) + fmaj(sigma^-1); the result is always an
     ordered monomial, and matching x and y exponents share parity.
     """
-    st = statistics(sigma)
-    st_inv = statistics(sigma.inverse())
-    q = [0] * sigma.n
-    for i, v in enumerate(sigma.window):
-        q[abs(v) - 1] = st.f[i]
-    return Monomial(st_inv.f, tuple(q))
+    return Monomial(statistics(sigma.inverse()).f, _placed(sigma, statistics(sigma).f))
 
 
 def sign_twist(v: int) -> int:
@@ -91,7 +81,7 @@ def is_ordered(m: Monomial) -> bool:
     Requires every p_k + q_k even and the pairs (p_k, sign_twist(q_k))
     weakly decreasing in lexicographic order.
     """
-    if any((pi + qi) % 2 for pi, qi in zip(m.p, m.q)):
+    if m.odd_slot() is not None:
         return False
     pairs = [(pi, sign_twist(qi)) for pi, qi in zip(m.p, m.q)]
     return all(pairs[i] >= pairs[i + 1] for i in range(len(pairs) - 1))
@@ -103,7 +93,7 @@ def ordered_representative(m: Monomial) -> Monomial:
     Obtained by sorting the exponent pairs (p_k, sign_twist(q_k)) in
     decreasing order; requires every p_k + q_k even.
     """
-    if any((pi + qi) % 2 for pi, qi in zip(m.p, m.q)):
+    if m.odd_slot() is not None:
         raise ValueError("monomial has a slot with odd total exponent; its average is zero")
     pairs = sorted(
         zip(m.p, m.q), key=lambda pq: (pq[0], sign_twist(pq[1])), reverse=True
@@ -189,15 +179,9 @@ def decompose(m: Monomial) -> Decomposition:
     if not is_ordered(m):
         raise ValueError("decompose is only defined for ordered monomials")
     sigma = signed_index_permutation(m)
-    st = statistics(sigma)
-    st_inv = statistics(sigma.inverse())
+    c_sigma = diagonal_signed_descent_monomial(sigma)
+    delta, gamma = c_sigma.p, c_sigma.q
     n = m.n
-
-    delta = st_inv.f
-    gamma = [0] * n
-    for i, v in enumerate(sigma.window):
-        gamma[abs(v) - 1] = st.f[i]
-    gamma = tuple(gamma)
 
     nu = []
     mu = []

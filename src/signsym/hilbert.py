@@ -239,8 +239,9 @@ def verify_basis_rank(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) ->
     denominator counts nu and mu.  Let D be the candidates built from the
     columns: ``decompose`` puts each in C, and |D| = dim.  rank = dim
     forces the elements of D to be distinct, and dim = series then gives
-    D = C, a basis of the cell.  ``generators`` equals dim by
-    construction.  Only the series scans the group, so ``guard`` bounds it.
+    D = C, a basis of the cell.  There is one candidate per column, so
+    ``dim`` and ``generators`` both count the columns.  Only the series
+    scans the group, so ``guard`` bounds it.
     """
     _check_rank(n, guard)
     candidates = [poly for _, _, _, poly in basis_candidates(n, a, b)]
@@ -249,7 +250,7 @@ def verify_basis_rank(n: int, a: int, b: int, guard: int = ENUMERATION_GUARD) ->
         a=a,
         b=b,
         rank=_leading_column_rank(candidates),
-        dim=invariant_dimension(n, a, b),
+        dim=len(candidates),
         series=series_coefficient(n, a, b, guard),
         generators=len(candidates),
     )

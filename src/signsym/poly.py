@@ -3,8 +3,10 @@
 Polynomials live in Q[x_1..x_n, y_1..y_n] with Fraction coefficients.  A
 signed permutation acts diagonally, sending x_i and y_i to
 sign(sigma(i)) * x_{|sigma(i)|} and sign(sigma(i)) * y_{|sigma(i)|}.
-The averaging operator projects onto the invariant ring by averaging the
-orbit of each monomial.
+Invariance is decided by orbits, without acting on anything: the group
+negates a term with an odd slot and otherwise only rearranges its
+exponent pairs.  The averaging operator projects onto the invariant
+ring by averaging the orbit of each monomial.
 """
 
 from __future__ import annotations
@@ -14,15 +16,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .signed_perm import (
-    ENUMERATION_GUARD,
-    RankGuardError,
-    SignedPermutation,
-    generators,
-)
+from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation
 
 Scalar = Union[int, Fraction]
 
@@ -65,6 +62,10 @@ class Monomial:
 
     def total_degree(self) -> int:
         return sum(self.p) + sum(self.q)
+
+    def odd_slot(self) -> Optional[int]:
+        """First slot k (from 1) with p_k + q_k odd, whose sign flip negates this monomial."""
+        return next((k for k, (a, b) in enumerate(zip(self.p, self.q), start=1) if (a + b) % 2), None)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -247,28 +248,6 @@ class Polynomial:
         return cls(n, terms)
 
 
-def _act_monomial(
-    sigma: SignedPermutation, m: Monomial, on_x: bool = True, on_y: bool = True
-) -> tuple[Monomial, int]:
-    """Image of a monomial under sigma acting on the selected families."""
-    n = m.n
-    p = [0] * n if on_x else list(m.p)
-    q = [0] * n if on_y else list(m.q)
-    sign = 1
-    for i, v in enumerate(sigma.window):
-        j = abs(v) - 1
-        moved = 0
-        if on_x:
-            p[j] = m.p[i]
-            moved += m.p[i]
-        if on_y:
-            q[j] = m.q[i]
-            moved += m.q[i]
-        if v < 0 and moved % 2:
-            sign = -sign
-    return Monomial(tuple(p), tuple(q)), sign
-
-
 def act(sigma: SignedPermutation, f: Polynomial) -> Polynomial:
     """Diagonal action of ``sigma`` on ``f``.
 
@@ -279,16 +258,15 @@ def act(sigma: SignedPermutation, f: Polynomial) -> Polynomial:
         raise ValueError(f"rank mismatch: {sigma.n} vs {f.n}")
     acc: dict[Monomial, Fraction] = {}
     for m, c in f._terms.items():
-        image, sign = _act_monomial(sigma, m)
-        acc[image] = acc.get(image, Fraction(0)) + sign * c
-    return Polynomial(f.n, acc)
-
-
-def _act_family(sigma: SignedPermutation, f: Polynomial, family: str) -> Polynomial:
-    on_x = family == "x"
-    acc: dict[Monomial, Fraction] = {}
-    for m, c in f._terms.items():
-        image, sign = _act_monomial(sigma, m, on_x=on_x, on_y=not on_x)
+        p = [0] * f.n
+        q = [0] * f.n
+        sign = 1
+        for i, v in enumerate(sigma.window):
+            p[abs(v) - 1] = m.p[i]
+            q[abs(v) - 1] = m.q[i]
+            if v < 0 and (m.p[i] + m.q[i]) % 2:
+                sign = -sign
+        image = Monomial(tuple(p), tuple(q))
         acc[image] = acc.get(image, Fraction(0)) + sign * c
     return Polynomial(f.n, acc)
 
@@ -326,7 +304,7 @@ def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
         )
     acc: dict[Monomial, Fraction] = {}
     for m, c in f._terms.items():
-        if any((pi + qi) % 2 for pi, qi in zip(m.p, m.q)):
+        if m.odd_slot() is not None:
             continue
         # The weight 1/|orbit| = |stabiliser|/n! is what averaging over
         # all n! plain permutations gives.
@@ -336,18 +314,27 @@ def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
     return Polynomial(f.n, acc)
 
 
-def find_violated_generator(f: Polynomial) -> Optional[SignedPermutation]:
-    """First group generator that moves ``f``, or None when invariant.
+def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) -> Optional[str]:
+    # Why the grouped terms of ``f`` are not whole orbits of ``size(key)``
+    # members with one coefficient each, or None.
+    for key, members in orbits.items():
+        first = members[0]
+        if len(members) != size(key):
+            return f"the orbit of {first.text()} has {len(members)} of its {size(key)} terms"
+        if any(f._terms[m] != f._terms[first] for m in members):
+            return f"the orbit of {first.text()} has unequal coefficients"
+    return None
 
-    Invariance is decided by ``is_invariant``; only a polynomial that
-    fails it is acted on, to name the generator.
-    """
-    if is_invariant(f):
-        return None
-    for g in generators(f.n):
-        if act(g, f) != f:
-            return g
-    raise RuntimeError("no generator moves a polynomial that fails the orbit check; action bug")
+
+def _invariance_failure(f: Polynomial) -> Optional[str]:
+    # Why ``f`` is not invariant, naming a term of ``f``, or None when it is.
+    orbits: dict[object, list[Monomial]] = {}
+    for m in f._terms:
+        odd = m.odd_slot()
+        if odd is not None:
+            return f"the term {m.text()} has an odd total exponent in slot {odd}"
+        orbits.setdefault(tuple(sorted(zip(m.p, m.q))), []).append(m)
+    return _orbit_failure(f, orbits, rearrangement_count)
 
 
 def is_invariant(f: Polynomial) -> bool:
@@ -358,15 +345,7 @@ def is_invariant(f: Polynomial) -> bool:
     When every slot is even, the group only rearranges the exponent
     pairs, so each orbit must appear in full with one coefficient.
     """
-    orbits: dict[tuple[tuple[int, int], ...], list[Fraction]] = {}
-    for m, c in f._terms.items():
-        if any((pi + qi) % 2 for pi, qi in zip(m.p, m.q)):
-            return False
-        orbits.setdefault(tuple(sorted(zip(m.p, m.q))), []).append(c)
-    for key, coeffs in orbits.items():
-        if len(coeffs) != rearrangement_count(key) or any(c != coeffs[0] for c in coeffs):
-            return False
-    return True
+    return _invariance_failure(f) is None
 
 
 def is_separately_invariant(f: Polynomial) -> bool:
@@ -374,31 +353,25 @@ def is_separately_invariant(f: Polynomial) -> bool:
 
     Such polynomials form the coefficient ring of the straightening
     expansion: symmetric functions of the squared x variables times
-    symmetric functions of the squared y variables.
+    symmetric functions of the squared y variables.  Decided by orbits:
+    every exponent is even, and the terms sharing sorted x and sorted y
+    exponents form a whole orbit with one coefficient.
     """
-    for family in ("x", "y"):
-        for g in generators(f.n):
-            if _act_family(g, f, family) != f:
-                return False
-    return True
+    orbits: dict[object, list[Monomial]] = {}
+    for m in f._terms:
+        if any(e % 2 for e in m.p + m.q):
+            return False
+        orbits.setdefault((tuple(sorted(m.p)), tuple(sorted(m.q))), []).append(m)
+    return _orbit_failure(
+        f, orbits, lambda key: rearrangement_count(key[0]) * rearrangement_count(key[1])
+    ) is None
 
 
 def elementary_sym_squares(k: int, family: str, n: int) -> Polynomial:
     """k-th elementary symmetric polynomial in the squared variables."""
-    if family not in ("x", "y"):
-        raise ValueError(f"family must be 'x' or 'y', got {family!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    terms: dict[Monomial, int] = {}
-    zero = (0,) * n
-    for idxs in combinations(range(n), k):
-        exps = [0] * n
-        for j in idxs:
-            exps[j] = 2
-        vec = tuple(exps)
-        m = Monomial(vec, zero) if family == "x" else Monomial(zero, vec)
-        terms[m] = 1
-    return Polynomial(n, terms)
+    return monomial_sym_squares((1,) * k + (0,) * (n - k), family, n)
 
 
 def monomial_sym_squares(lam: Iterable[int], family: str, n: int) -> Polynomial:

@@ -10,29 +10,12 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator
 
+from .signed_perm import window_fmaj, window_inverse
+
 #: Name of the scan implementation.  Benchmark results record it and
 #: refuse to compare runs that differ in it, so it stays even though
 #: there is only one implementation.
 BACKEND = "python"
-
-
-def window_fmaj(w: tuple[int, ...]) -> int:
-    """Flag-major index 2 * maj + neg of a window."""
-    n = len(w)
-    maj = sum(i for i in range(1, n) if w[i - 1] > w[i])
-    neg = sum(1 for v in w if v < 0)
-    return 2 * maj + neg
-
-
-def window_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    """Window of the inverse signed permutation."""
-    out = [0] * len(w)
-    for pos, v in enumerate(w, start=1):
-        if v > 0:
-            out[v - 1] = pos
-        else:
-            out[-v - 1] = -pos
-    return tuple(out)
 
 
 def windows(n: int) -> Iterator[tuple[int, ...]]:

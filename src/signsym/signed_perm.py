@@ -12,6 +12,7 @@ major and flag-major indices.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,6 +33,25 @@ class RankGuardError(ValueError):
 def group_order(n: int) -> int:
     """Order of the rank-n signed permutation group, 2^n * n!."""
     return (1 << n) * math.factorial(n)
+
+
+def window_fmaj(w: tuple[int, ...]) -> int:
+    """Flag-major index 2 * maj + neg of a window."""
+    n = len(w)
+    maj = sum(i for i in range(1, n) if w[i - 1] > w[i])
+    neg = sum(1 for v in w if v < 0)
+    return 2 * maj + neg
+
+
+def window_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Window of the inverse signed permutation."""
+    out = [0] * len(w)
+    for pos, v in enumerate(w, start=1):
+        if v > 0:
+            out[v - 1] = pos
+        else:
+            out[-v - 1] = -pos
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -92,13 +112,7 @@ class SignedPermutation:
         return SignedPermutation(tuple(self(v) for v in other.window))
 
     def inverse(self) -> "SignedPermutation":
-        out = [0] * self.n
-        for pos, value in enumerate(self.window, start=1):
-            if value > 0:
-                out[value - 1] = pos
-            else:
-                out[-value - 1] = -pos
-        return SignedPermutation(tuple(out))
+        return SignedPermutation(window_inverse(self.window))
 
     def is_positive(self) -> bool:
         """True when no window entry is negative, i.e. a plain permutation."""
@@ -112,6 +126,10 @@ class SignedPermutation:
 
     @classmethod
     def from_json(cls, data: dict) -> "SignedPermutation":
+        if not isinstance(data, dict) or not isinstance(data.get("window"), list):
+            raise ValueError('a signed permutation must be a JSON object with a "window" list')
+        if "n" in data and type(data["n"]) is not int:
+            raise ValueError(f"declared rank {data['n']!r} is not an integer")
         sigma = cls(tuple(data["window"]))
         if "n" in data and data["n"] != sigma.n:
             raise ValueError(f"declared rank {data['n']} does not match window length {sigma.n}")
@@ -162,15 +180,13 @@ def parse_window(text: str) -> SignedPermutation:
     body = s[1:-1].strip()
     if not body:
         raise ParseError("empty window")
-    values = []
-    for pos, entry in enumerate(body.split(","), start=1):
-        entry = entry.strip()
-        try:
-            values.append(int(entry))
-        except ValueError:
-            raise ParseError(f"entry {entry!r} at position {pos} is not an integer") from None
+    entries = [entry.strip() for entry in body.split(",")]
+    for pos, entry in enumerate(entries, start=1):
+        # ASCII digits only: int() alone also takes "1_0" and non-ASCII digits.
+        if not re.fullmatch(r"[+-]?[0-9]+", entry):
+            raise ParseError(f"entry {entry!r} at position {pos} is not an integer")
     try:
-        return SignedPermutation(tuple(values))
+        return SignedPermutation(tuple(int(entry) for entry in entries))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -200,16 +216,3 @@ def enumerate_group(n: int, guard: int = ENUMERATION_GUARD) -> Iterator[SignedPe
                 yield from rec(prefix + (v,), used | {abs(v)})
 
     return rec((), frozenset())
-
-
-def generators(n: int) -> list[SignedPermutation]:
-    """Adjacent transpositions plus one sign flip; they generate the group."""
-    gens = []
-    for i in range(1, n):
-        w = list(range(1, n + 1))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        gens.append(SignedPermutation(tuple(w)))
-    flip = list(range(1, n + 1))
-    flip[0] = -1
-    gens.append(SignedPermutation(tuple(flip)))
-    return gens

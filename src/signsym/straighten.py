@@ -32,8 +32,8 @@ from .poly import (
     Bidegree,
     Monomial,
     Polynomial,
+    _invariance_failure,
     bidegree_components,
-    find_violated_generator,
     is_separately_invariant,
     json_object,
     monomial_sym_squares,
@@ -101,9 +101,9 @@ def leading_term(
     """Largest ordered monomial of a bihomogeneous invariant, with coefficient."""
     if f.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    violated = find_violated_generator(f)
-    if violated is not None:
-        raise ValueError(f"polynomial is not invariant: it changes under {violated}")
+    reason = _invariance_failure(f)
+    if reason is not None:
+        raise ValueError(f"polynomial is not invariant: {reason}")
     components = bidegree_components(f)
     if len(components) != 1:
         raise ValueError("polynomial is not bihomogeneous")
@@ -115,7 +115,7 @@ def leading_term(
     # over ordered monomials is the true leading term.
     best = max((m for m in f.monomials() if is_ordered(m)), key=order_key, default=None)
     if best is None:
-        raise RuntimeError("invariant polynomial without an ordered monomial; action bug")
+        raise RuntimeError("invariant polynomial without an ordered monomial; orbit check bug")
     return best, f.coefficient(best)
 
 
@@ -176,9 +176,9 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
             f"rank {f.n} exceeds the straightening guard {guard}: "
             f"each monomial has up to {math.factorial(f.n)} rearrangements of its exponent pairs"
         )
-    violated = find_violated_generator(f)
-    if violated is not None:
-        raise ValueError(f"input is not invariant: it changes under generator {violated}")
+    reason = _invariance_failure(f)
+    if reason is not None:
+        raise ValueError(f"input is not invariant: {reason}")
     expansion = BasisExpansion(f.n)
     for bd, component in bidegree_components(f).items():
         columns = sorted(ordered_monomials(f.n, bd.a, bd.b), key=order_key, reverse=True)

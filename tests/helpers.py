@@ -21,7 +21,7 @@ from signsym.poly import (
     monomial_sym_squares,
     rho,
 )
-from signsym.signed_perm import SignedPermutation, enumerate_group, generators, group_order, statistics
+from signsym.signed_perm import SignedPermutation, enumerate_group, group_order, statistics
 from signsym.straighten import BasisExpansion
 
 
@@ -54,6 +54,19 @@ def rho_bruteforce(f: Polynomial) -> Polynomial:
     return total * Fraction(1, group_order(f.n))
 
 
+def generators(n: int) -> list[SignedPermutation]:
+    """Adjacent transpositions plus one sign flip; they generate the group."""
+    gens = []
+    for i in range(1, n):
+        w = list(range(1, n + 1))
+        w[i - 1], w[i] = w[i], w[i - 1]
+        gens.append(SignedPermutation(tuple(w)))
+    flip = list(range(1, n + 1))
+    flip[0] = -1
+    gens.append(SignedPermutation(tuple(flip)))
+    return gens
+
+
 def generator_invariant(f: Polynomial) -> bool:
     """Invariance oracle: every group generator fixes ``f`` under the action.
 
@@ -61,6 +74,30 @@ def generator_invariant(f: Polynomial) -> bool:
     orbits and acts on nothing.
     """
     return all(act(g, f) == f for g in generators(f.n))
+
+
+def act_on_family(sigma: SignedPermutation, f: Polynomial, family: str) -> Polynomial:
+    """Image of ``f`` under ``sigma`` acting on the x or the y variables alone."""
+    acc: dict[Monomial, Fraction] = {}
+    for m, c in f.items():
+        exps = m.p if family == "x" else m.q
+        moved = [0] * f.n
+        sign = 1
+        for i, v in enumerate(sigma.window):
+            moved[abs(v) - 1] = exps[i]
+            if v < 0 and exps[i] % 2:
+                sign = -sign
+        image = Monomial(tuple(moved), m.q) if family == "x" else Monomial(m.p, tuple(moved))
+        acc[image] = acc.get(image, Fraction(0)) + sign * c
+    return Polynomial(f.n, acc)
+
+
+def family_invariant(f: Polynomial) -> bool:
+    """Separate-invariance oracle: every generator fixes ``f`` acting on x alone and on y alone.
+
+    Independent of the production path, which decides it by orbits.
+    """
+    return all(act_on_family(g, f, family) == f for family in "xy" for g in generators(f.n))
 
 
 def inversion_count(window) -> int:

@@ -50,6 +50,11 @@ def test_stats_parse_error(capsys):
     code, _, err = run(capsys, "stats", "[0,1]")
     assert code != 0
     assert "zero entry" in err
+    # int() would read the Arabic-Indic digit two as 2 and 1_0 as 10
+    for window in ("[\u0662,1]", "[2,1_0]"):
+        code, out, err = run(capsys, "stats", window)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: entry ") and "is not an integer" in err
 
 
 @pytest.mark.parametrize(
@@ -87,6 +92,11 @@ def test_rho_bad_exponents(capsys):
     code, _, err = run(capsys, "rho", "--p", "2", "--q", "0,0")
     assert code != 0
     assert "length" in err
+    # int() would read the first two as x1^10 and x1^2
+    for p in ("1_0", "\u0662", "1.0", "+ 1"):
+        code, out, err = run(capsys, "rho", "--p", p, "--q", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exponent list") and "comma-separated integers" in err
 
 
 def test_straighten_pipeline(capsys, monkeypatch):
@@ -111,7 +121,7 @@ def test_straighten_rejects_non_invariant(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(f.to_json())))
     code, _, err = run(capsys, "straighten")
     assert code != 0
-    assert "not invariant" in err
+    assert err == "error: input is not invariant: the term x1 has an odd total exponent in slot 1\n"
 
 
 def test_straighten_rejects_malformed_json(capsys, monkeypatch):

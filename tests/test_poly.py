@@ -2,26 +2,36 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import generator_invariant, mono, poly, random_invariant, rho_bruteforce, sp
-import signsym.poly as poly_module
+from helpers import (
+    family_invariant,
+    generator_invariant,
+    mono,
+    poly,
+    random_even_monomial,
+    random_invariant,
+    rho_bruteforce,
+    sp,
+)
+from signsym.descent_basis import partitions_fixed_length
 from signsym.poly import (
     Bidegree,
     Monomial,
     Polynomial,
+    _invariance_failure,
     act,
     bidegree_components,
     elementary_sym_squares,
-    find_violated_generator,
     is_invariant,
     is_separately_invariant,
     monomial_sym_squares,
     rho,
 )
-from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group, generators
+from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group
 
 
 def random_polynomial(rng, n, terms=4, max_exp=3):
@@ -219,8 +229,8 @@ def _perturbed_invariants(rng, n):
 
 
 def test_is_invariant_agrees_with_generator_action():
-    # the orbit check against acting with every generator, and the named
-    # generator is the first one that moves the polynomial
+    # the orbit check against acting with every generator; the reason is
+    # None exactly for invariants and otherwise names a term of the input
     rng = random.Random(31)
     seen = set()
     for _ in range(40):
@@ -228,17 +238,62 @@ def test_is_invariant_agrees_with_generator_action():
             for f in _perturbed_invariants(rng, n):
                 expected = generator_invariant(f)
                 assert is_invariant(f) == expected, f
-                first = next((g for g in generators(n) if act(g, f) != f), None)
-                assert find_violated_generator(f) == first, f
+                reason = _invariance_failure(f)
+                assert (reason is None) == expected, f
+                if reason is not None:
+                    named = re.fullmatch(r"the (?:term|orbit of) (.+?) has .+", reason).group(1)
+                    assert named in {m.text() for m in f.monomials()}, reason
                 seen.add(expected)
     assert seen == {True, False}
 
 
-def test_find_violated_generator_refuses_disagreement(monkeypatch):
-    # an action that fixes everything contradicts the orbit check
-    monkeypatch.setattr(poly_module, "act", lambda g, f: f)
-    with pytest.raises(RuntimeError, match="orbit check"):
-        find_violated_generator(poly(2, (1, (1, 0), (0, 0))))
+def test_invariance_failure_reasons():
+    assert _invariance_failure(poly(2, (1, (1, 2), (0, 0)))) == (
+        "the term x1 x2^2 has an odd total exponent in slot 1"
+    )
+    assert _invariance_failure(poly(2, (1, (2, 0), (0, 0)))) == "the orbit of x1^2 has 1 of its 2 terms"
+    assert _invariance_failure(poly(2, (1, (2, 0), (0, 0)), (2, (0, 2), (0, 0)))) == (
+        "the orbit of x1^2 has unequal coefficients"
+    )
+    assert _invariance_failure(Polynomial.one(3)) is None
+
+
+def _separately_perturbed(rng, n):
+    # a sum of products m_lam(x^2) m_mu(y^2), then that sum with one
+    # coefficient bumped, with an odd-exponent term added and with a
+    # diagonal average added
+    f = Polynomial.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        lam = rng.choice(list(partitions_fixed_length(rng.randint(0, 3), n)))
+        mu = rng.choice(list(partitions_fixed_length(rng.randint(0, 3), n)))
+        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        f = f + monomial_sym_squares(lam, "x", n) * monomial_sym_squares(mu, "y", n) * coeff
+    yield f
+    terms = dict(f.items())
+    if terms:
+        m = rng.choice(list(terms))
+        yield Polynomial(n, {**terms, m: terms[m] + 1})
+    p = [2 * rng.randint(0, 2) for _ in range(n)]
+    q = [2 * rng.randint(0, 2) for _ in range(n)]
+    k = rng.randrange(n)
+    if rng.random() < 0.5:
+        p[k] += 1
+    else:
+        q[k] += 1
+    yield f + Polynomial.from_monomial(mono(p, q), rng.randint(1, 3))
+    yield f + rho(Polynomial.from_monomial(random_even_monomial(rng, n, 8)))
+
+
+def test_is_separately_invariant_agrees_with_family_action():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(30):
+        for n in (1, 2, 3):
+            for f in _separately_perturbed(rng, n):
+                expected = family_invariant(f)
+                assert is_separately_invariant(f) == expected, f
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_is_separately_invariant():

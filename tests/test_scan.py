@@ -4,7 +4,14 @@ import pytest
 
 from helpers import inversion_count
 from signsym import scan
-from signsym.signed_perm import enumerate_group, group_order, statistics
+from signsym.signed_perm import (
+    SignedPermutation,
+    enumerate_group,
+    group_order,
+    statistics,
+    window_fmaj,
+    window_inverse,
+)
 
 
 def pair_counts_oracle(n):
@@ -43,9 +50,13 @@ def test_maj_and_inv_counts_against_object_oracle(n):
 
 
 def test_window_helpers_against_objects():
+    # the inverse is checked by composition, since SignedPermutation.inverse
+    # is built on window_inverse
+    identity = SignedPermutation.identity(3)
     for sigma in enumerate_group(3):
-        assert scan.window_fmaj(sigma.window) == statistics(sigma).fmaj
-        assert scan.window_inverse(sigma.window) == sigma.inverse().window
+        assert window_fmaj(sigma.window) == statistics(sigma).fmaj
+        inverse = SignedPermutation(window_inverse(sigma.window))
+        assert inverse * sigma == sigma * inverse == identity
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

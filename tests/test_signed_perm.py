@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from helpers import sp
+from helpers import generators, sp
 from signsym.signed_perm import (
     ParseError,
     RankGuardError,
     SignedPermutation,
     enumerate_group,
-    generators,
     group_order,
     parse_window,
     statistics,
@@ -41,6 +40,12 @@ def test_parse_tolerates_spaces():
         ("2,-1", "bracketed"),
         ("[2,x]", "not an integer"),
         ("[]", "empty"),
+        # int() would read the first two as 10 and 2
+        ("[1_0]", "entry '1_0' at position 1 is not an integer"),
+        ("[\u0662,1]", "at position 1 is not an integer"),
+        ("[2,+ 1]", "not an integer"),
+        ("[2,1.0]", "not an integer"),
+        ("[" + "9" * 5000 + "]", "integer"),  # past int()'s digit limit
     ],
 )
 def test_parse_errors(text, fragment):
@@ -59,6 +64,23 @@ def test_from_json_refuses_non_integer_entries():
         SignedPermutation.from_json({"window": [True, 2]})
     with pytest.raises(ValueError, match="not an integer"):
         SignedPermutation.from_json({"n": 2, "window": [2, 1.0]})
+
+
+@pytest.mark.parametrize(
+    "data,fragment",
+    [
+        ({"n": True, "window": [1]}, "declared rank True is not an integer"),
+        ({"n": 1.0, "window": [1]}, "declared rank 1.0 is not an integer"),
+        ({"n": "1", "window": [1]}, "not an integer"),
+        ({"window": "12"}, '"window" list'),
+        ({"window": (1,)}, '"window" list'),
+        ({"n": 1}, '"window" list'),
+        ([1], '"window" list'),
+    ],
+)
+def test_from_json_refuses_ill_typed_rank_and_window(data, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        SignedPermutation.from_json(data)
 
 
 def test_compose_with_inverse_is_identity():
