@@ -121,12 +121,11 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 def _cmd_straighten(args: argparse.Namespace) -> int:
     payload = json.load(sys.stdin)
     f = Polynomial.from_json(payload)
-    expansion = straighten(f, guard=args.rank_guard or ENUMERATION_GUARD)
-    if args.verify:
-        again = evaluate(expansion)
-        if again != f:
-            print("verification failed: expansion does not evaluate back to the input", file=sys.stderr)
-            return 1
+    guard = args.rank_guard or ENUMERATION_GUARD
+    expansion = straighten(f, guard=guard)
+    if args.verify and evaluate(expansion, guard=guard) != f:
+        print("verification failed: expansion does not evaluate back to the input", file=sys.stderr)
+        return 1
     lines = [f"{sigma}: {coeff.text()}" for sigma, coeff in expansion.items()]
     _emit(args, expansion.to_json(), "\n".join(lines) if lines else "0")
     return 0

@@ -295,22 +295,23 @@ def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
     exponent in some slot averages to 0, because flipping the sign of
     that slot negates it; any other monomial averages to its orbit sum
     over the distinct rearrangements of its (x, y) exponent pairs,
-    divided by the orbit size.
+    divided by the orbit size; the terms of one orbit are summed first.
     """
     if f.n > guard:
         raise RankGuardError(
             f"rank {f.n} exceeds the averaging guard {guard}: "
             f"each monomial has up to {math.factorial(f.n)} rearrangements of its exponent pairs"
         )
-    acc: dict[Monomial, Fraction] = {}
+    sums: Counter = Counter()  # keyed by sorted exponent pairs, one key per orbit
     for m, c in f._terms.items():
-        if m.odd_slot() is not None:
-            continue
+        if m.odd_slot() is None:
+            sums[tuple(sorted(zip(m.p, m.q)))] += c
+    acc: dict[Monomial, Fraction] = {}
+    for key, c in sums.items():
         # The weight 1/|orbit| = |stabiliser|/n! is what averaging over
         # all n! plain permutations gives.
-        orbit = rearrangements(m)
-        for image in orbit:
-            acc[image] = acc.get(image, Fraction(0)) + c / len(orbit)
+        orbit = rearrangements(Monomial(*zip(*key)))
+        acc.update(dict.fromkeys(orbit, c / len(orbit)))
     return Polynomial(f.n, acc)
 
 
@@ -386,15 +387,9 @@ def monomial_sym_squares(lam: Iterable[int], family: str, n: int) -> Polynomial:
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError(f"expected {n} entries, got {len(lam)}")
-    if any(v < 0 for v in lam):
-        raise ValueError("entries must be non-negative")
-    zero = (0,) * n
-    terms: dict[Monomial, int] = {}
-    for arrangement in set(permutations(lam)):
-        vec = tuple(2 * v for v in arrangement)
-        m = Monomial(vec, zero) if family == "x" else Monomial(zero, vec)
-        terms[m] = 1
-    return Polynomial(n, terms)
+    doubled = tuple(2 * v for v in lam)
+    exponents = (doubled, (0,) * n) if family == "x" else ((0,) * n, doubled)
+    return Polynomial(n, dict.fromkeys(rearrangements(Monomial(*exponents)), 1))
 
 
 def bidegree_components(f: Polynomial) -> dict[Bidegree, Polynomial]:

@@ -8,8 +8,10 @@ those columns alone, walking them once in decreasing order.  A nonzero
 column w decomposes as x^(2 nu) y^(2 mu) c_sigma, and m_nu(x^2)
 m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger
 column, so subtracting its matching multiple clears w for good.
-``evaluate`` multiplies an expansion out in full, independently of
-``product_coefficients``, so comparing it with the input checks the walk.
+``rho`` is linear over invariants, so ``evaluate`` sums an expansion back
+as one average of coefficient * c_sigma, independently of
+``product_coefficients`` and ``decompose``; comparing it with the input
+checks the walk.
 """
 
 from __future__ import annotations
@@ -196,9 +198,13 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
     return expansion
 
 
-def evaluate(expansion: BasisExpansion) -> Polynomial:
-    """Sum of coefficient * rho(c_sigma) over all entries, multiplied out in full."""
-    total = Polynomial.zero(expansion.n)
+def evaluate(expansion: BasisExpansion, guard: int = ENUMERATION_GUARD) -> Polynomial:
+    """rho(sum of coefficient * c_sigma): the expansion's value, once ``validate`` passes."""
+    expansion.validate()
+    acc: dict[Monomial, Fraction] = {}
     for sigma, coeff in expansion.entries.items():
-        total = total + coeff * rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
-    return total
+        c = diagonal_signed_descent_monomial(sigma)
+        for m in coeff.monomials():
+            u = m * c
+            acc[u] = acc.get(u, Fraction(0)) + coeff.coefficient(m)
+    return rho(Polynomial(expansion.n, acc), guard)

@@ -154,6 +154,18 @@ def averaged_basis(sigma: SignedPermutation) -> Polynomial:
     return rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
 
 
+def evaluate_full(expansion: BasisExpansion) -> Polynomial:
+    """Evaluation oracle: every coefficient times its rho(c_sigma), multiplied out in full.
+
+    Independent of the production path, which multiplies each
+    coefficient by c_sigma alone and averages the sum once.
+    """
+    total = Polynomial.zero(expansion.n)
+    for sigma, coeff in expansion.entries.items():
+        total = total + coeff * averaged_basis(sigma)
+    return total
+
+
 @cache
 def _flag_bidegrees(n: int) -> tuple[tuple[SignedPermutation, int, int], ...]:
     return tuple(

@@ -11,6 +11,7 @@ import time
 
 from helpers import (
     averaged_basis,
+    evaluate_full,
     inversion_count,
     random_invariant,
     rho_bruteforce,
@@ -147,7 +148,7 @@ def test_criterion_4_free_basis_round_trip():
         for _ in range(count):
             f = random_invariant(rng, n, max_total=10)
             expansion = straighten(f)
-            assert evaluate(expansion) == f
+            assert evaluate(expansion) == evaluate_full(expansion) == f
             assert expansion.entries == straighten_full(f).entries
             total += 1
     assert total == 100

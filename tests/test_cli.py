@@ -1,5 +1,6 @@
 """Command-line interface behavior and schema round trips."""
 
+import importlib
 import io
 import json
 import os
@@ -107,6 +108,38 @@ def test_straighten_pipeline(capsys, monkeypatch):
     expansion = BasisExpansion.from_json(json.loads(out))
     assert len(expansion.entries) == 2
     assert evaluate(expansion) == f
+
+
+def test_straighten_verify_honours_rank_guard(capsys, monkeypatch):
+    # the check averages under the same guard as the expansion
+    zeros = ",".join(["0"] * 9)
+    code, out, _ = run(capsys, "rho", "--rank-guard", "9", "--format", "json", "--p", "2" + zeros[1:], "--q", zeros)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, err = run(capsys, "straighten", "--rank-guard", "9", "--verify")
+    assert (code, err) == (0, "")
+    assert out.startswith("[1,2,3,4,5,6,7,8,9]: ")
+
+
+def test_straighten_verify_catches_a_scaled_kernel(capsys, monkeypatch):
+    # doubling every product coefficient still clears each column, so
+    # only the independent check sees the expansion is half what it
+    # should be
+    module = importlib.import_module("signsym.straighten")  # the package exports a function of that name
+    kernel = module.product_coefficients
+
+    def doubled(dec, columns):
+        return {w: 2 * c for w, c in kernel(dec, columns).items()}
+
+    monkeypatch.setattr(module, "product_coefficients", doubled)
+    payload = json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, _ = run(capsys, "straighten")
+    assert code == 0 and out
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "straighten", "--verify")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: expansion does not evaluate back to the input\n"
 
 
 def test_straighten_constant(capsys, monkeypatch):

@@ -153,6 +153,22 @@ def test_rho_matches_bruteforce():
     ):
         f = Polynomial.from_monomial(mono(p, q), Fraction(5, 3))
         assert rho(f) == rho_bruteforce(f)
+    # several terms of one orbit, whose coefficients must add before the
+    # orbit is averaged: unequal members, a whole orbit, two members that
+    # cancel, and odd-slot terms mixed in
+    whole = rho(poly(3, (1, (2, 1, 0), (0, 1, 2)))) * Fraction(7, 2)
+    assert len(whole) == 6
+    unequal = poly(
+        3, (2, (2, 1, 0), (0, 1, 2)), (Fraction(-1, 3), (0, 1, 2), (2, 1, 0)), (5, (1, 0, 2), (1, 2, 0))
+    )
+    opposite = poly(2, (Fraction(3, 4), (2, 0), (0, 2)), (Fraction(-3, 4), (0, 2), (2, 0)))
+    mixed = poly(
+        3, (1, (2, 0, 0), (0, 2, 0)), (3, (0, 2, 0), (2, 0, 0)), (4, (1, 0, 0), (0, 2, 0)), (-2, (0, 1, 1), (2, 0, 0))
+    )
+    for f in (unequal, whole, opposite, mixed):
+        assert rho(f) == rho_bruteforce(f)
+    assert rho(whole) == whole
+    assert rho(opposite).is_zero()
 
 
 def test_rho_idempotent_linear_fixes_invariants():
@@ -332,6 +348,8 @@ def test_monomial_sym_squares_examples():
     assert all(sorted(m.p) == [2, 4, 4, 4, 4, 4] for m, _ in six.items())
     with pytest.raises(ValueError, match="expected 2"):
         monomial_sym_squares((1,), "x", 2)
+    with pytest.raises(ValueError):
+        monomial_sym_squares((1, -1), "y", 2)
 
 
 def test_bidegree_components_examples():

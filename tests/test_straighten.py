@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     averaged_basis,
+    evaluate_full,
     mono,
     poly,
     random_even_monomial,
@@ -14,7 +15,7 @@ from helpers import (
     sp,
     straighten_full,
 )
-from signsym.descent_basis import order_key
+from signsym.descent_basis import order_key, partitions_fixed_length
 from signsym.poly import (
     Bidegree,
     Polynomial,
@@ -206,6 +207,70 @@ def test_evaluate_unit_and_empty():
     assert evaluate(BasisExpansion(2)).is_zero()
 
 
+def built_expansion(rng, n):
+    # A few sigma whose coefficients are rational combinations of
+    # m_nu(x^2) m_mu(y^2), each drawing two of one shared pool of three
+    # (nu, mu), so the coefficient supports overlap across sigma.
+    labels = [
+        (nu, mu)
+        for a in range(3)
+        for b in range(3)
+        for nu in partitions_fixed_length(a, n)
+        for mu in partitions_fixed_length(b, n)
+    ]
+    shared = rng.sample(labels, 3)
+    expansion = BasisExpansion(n)
+    for sigma in rng.sample(list(enumerate_group(n)), min(4, 2 ** n)):
+        for nu, mu in rng.sample(shared, 2):
+            scalar = Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 3))
+            expansion.add(sigma, monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * scalar)
+    return expansion
+
+
+def test_evaluate_matches_full_products():
+    # one average of the summed products equals every rho(c_sigma)
+    # multiplied out in full
+    rng = random.Random(71)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            expansion = built_expansion(rng, n)
+            assert len(expansion.entries) >= 2
+            assert evaluate(expansion) == evaluate_full(expansion)
+
+
+def test_evaluate_detects_mutated_expansions():
+    rng = random.Random(73)
+    cases = [(straighten(f), f) for f in (random_invariant(rng, n) for n in (1, 2, 3) for _ in range(5))]
+    cases += [(e, evaluate_full(e)) for e in (built_expansion(rng, n) for n in (1, 2, 3) for _ in range(4))]
+    swapped = refused = 0
+    for expansion, f in cases:
+        n, entries = expansion.n, expansion.entries
+        assert evaluate(expansion) == f
+        sigma = rng.choice(sorted(entries, key=lambda s: s.window))
+        coeff = entries[sigma]
+        assert evaluate(BasisExpansion(n, {**entries, sigma: coeff * 2})) != f
+        for tau, other in entries.items():
+            if other != coeff:
+                assert evaluate(BasisExpansion(n, {**entries, sigma: other, tau: coeff})) != f
+                swapped += 1
+                break
+        m, c = rng.choice(coeff.items())
+        # one term, and the whole separate orbit of that term, moved off c
+        term = Polynomial.from_monomial(m, abs(c) + 1)
+        orbit = monomial_sym_squares([e // 2 for e in m.p], "x", n) * monomial_sym_squares(
+            [e // 2 for e in m.q], "y", n
+        ) * (abs(c) + 1)
+        for changed in (coeff + term, coeff + orbit):
+            mutated = BasisExpansion(n, {**entries, sigma: changed})
+            if is_separately_invariant(changed):
+                assert evaluate(mutated) != f
+            else:
+                with pytest.raises(ValueError, match="separately invariant"):
+                    evaluate(mutated)
+                refused += 1
+    assert swapped > 10 and refused > 5
+
+
 def test_expansion_json_round_trip():
     f = averaged(mono((2, 0), (2, 0)))
     expansion = straighten(f)
@@ -249,3 +314,6 @@ def test_validate_flags_bad_coefficient():
     bad = BasisExpansion(2, {sp(2, 1): poly(2, (1, (1, 0), (0, 0)))})
     with pytest.raises(ValueError, match="separately invariant"):
         bad.validate()
+    # the one average holds only for separately invariant coefficients
+    with pytest.raises(ValueError, match="separately invariant"):
+        evaluate(bad)
