@@ -9,11 +9,12 @@ straighten inputs never have to be written by hand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import hilbert
 from .descent_basis import (
@@ -47,11 +48,12 @@ MONOMIAL_KINDS = {
 }
 
 
-def _emit(args: argparse.Namespace, data: dict, text: str) -> None:
+def _emit(args: argparse.Namespace, data: dict, text: Callable[[], str]) -> None:
+    # ``text`` is called only for text output, so JSON never builds it.
     if args.output_format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -70,20 +72,23 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "fmaj": st.fmaj,
         "inverse": list(inverse.window),
     }
-    text = "\n".join(
-        [
-            f"window:  {sigma}",
-            f"Des:     {{{','.join(str(i) for i in sorted(st.descent_set))}}}",
-            f"d:       {st.d}",
-            f"eps:     {st.eps}",
-            f"f:       {st.f}",
-            f"maj:     {st.maj}",
-            f"neg:     {st.neg}",
-            f"fmaj:    {st.fmaj}",
-            f"inverse: {inverse}",
-        ]
+    _emit(
+        args,
+        data,
+        lambda: "\n".join(
+            [
+                f"window:  {sigma}",
+                f"Des:     {{{','.join(str(i) for i in sorted(st.descent_set))}}}",
+                f"d:       {st.d}",
+                f"eps:     {st.eps}",
+                f"f:       {st.f}",
+                f"maj:     {st.maj}",
+                f"neg:     {st.neg}",
+                f"fmaj:    {st.fmaj}",
+                f"inverse: {inverse}",
+            ]
+        ),
     )
-    _emit(args, data, text)
     return 0
 
 
@@ -91,7 +96,7 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
     sigma = parse_window(args.window)
     m = MONOMIAL_KINDS[args.kind](sigma)
     data = {"kind": args.kind, "window": list(sigma.window), "p": list(m.p), "q": list(m.q), "text": m.text()}
-    _emit(args, data, m.text())
+    _emit(args, data, m.text)
     return 0
 
 
@@ -114,7 +119,7 @@ def _cmd_rho(args: argparse.Namespace) -> int:
         raise ValueError(f"exponent lists differ in length: {len(p)} vs {len(q)}")
     m = Monomial(p, q)
     averaged = rho(Polynomial.from_monomial(m), guard=args.rank_guard or ENUMERATION_GUARD)
-    _emit(args, averaged.to_json(), averaged.text())
+    _emit(args, averaged.to_json(), averaged.text)
     return 0
 
 
@@ -126,8 +131,11 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
     if args.verify and evaluate(expansion, guard=guard) != f:
         print("verification failed: expansion does not evaluate back to the input", file=sys.stderr)
         return 1
-    lines = [f"{sigma}: {coeff.text()}" for sigma, coeff in expansion.items()]
-    _emit(args, expansion.to_json(), "\n".join(lines) if lines else "0")
+    _emit(
+        args,
+        expansion.to_json(),
+        lambda: "\n".join(f"{sigma}: {coeff.text()}" for sigma, coeff in expansion.items()) or "0",
+    )
     return 0
 
 
@@ -151,6 +159,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
+def _cell_text(cells: list[dict]) -> str:
+    return "\n".join(f"s^{c['a']} t^{c['b']}: {c['value']}" for c in cells)
+
+
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     guard = args.rank_guard or ENUMERATION_GUARD
     if args.numerator:
@@ -160,8 +172,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
             for (a, b), c in sorted(series.coefficients.items())
         ]
         data = {"n": args.n, "numerator": cells, "total_mass": series.total_mass()}
-        lines = [f"s^{c['a']} t^{c['b']}: {c['value']}" for c in cells]
-        _emit(args, data, "\n".join(lines))
+        _emit(args, data, lambda: _cell_text(cells))
         return 0
     cells = []
     for total in range(args.max_degree + 1):
@@ -171,12 +182,14 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
             if value:
                 cells.append({"a": a, "b": b, "value": value})
     data = {"n": args.n, "max_degree": args.max_degree, "coefficients": cells}
-    lines = [f"s^{c['a']} t^{c['b']}: {c['value']}" for c in cells]
-    _emit(args, data, "\n".join(lines) if lines else "0")
+    _emit(args, data, lambda: _cell_text(cells) or "0")
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first ``main`` call and reused: nothing in it depends
+    # on the call, and parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="signsym",
         description="Signed-permutation statistics, descent monomials, averaging, "

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, Iterator
 
-from .poly import Monomial, rearrangement_count
+from .poly import Monomial, distinct_permutations, rearrangement_count
 from .signed_perm import SignedPermutation, statistics
 
 
@@ -282,12 +282,13 @@ def product_coefficients(dec: Decomposition, columns: Iterable[Monomial]) -> dic
     xs = sorted(dec.delta)
     ys = sorted(2 * v for v in dec.mu)
     orbit = rearrangement_count(pairs)
-    rs = set(permutations([2 * v for v in dec.nu]))
+    rs = list(distinct_permutations(2 * v for v in dec.nu))
     paired: dict[int, list[int]] = {}
     for x, y in pairs:
         paired.setdefault(x, []).append(y)
     # each way to order, per x exponent, the gammas c_sigma pairs with it
-    fills = [dict(zip(paired, order)) for order in product(*(set(permutations(g)) for g in paired.values()))]
+    orders = product(*(distinct_permutations(g) for g in paired.values()))
+    fills = [dict(zip(paired, order)) for order in orders]
     completions: dict[tuple[int, ...], list[list[int]]] = {}
     out = {}
     for w in columns:

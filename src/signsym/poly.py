@@ -16,7 +16,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation
@@ -45,8 +44,9 @@ class Monomial:
         object.__setattr__(self, "q", q)
         if len(p) == 0 or len(p) != len(q):
             raise ValueError("exponent vectors must be nonempty and of equal length")
-        # ``type(e) is int`` refuses floats, bools and strings alike.
-        if not all(type(e) is int and e >= 0 for e in p + q):
+        # Exact type int refuses floats, bools and strings alike; ``min``
+        # runs only once every entry is an int.
+        if set(map(type, p + q)) != {int} or min(p + q) < 0:
             raise ValueError(f"exponents must be non-negative integers, got {p} and {q}")
 
     @property
@@ -117,7 +117,8 @@ class Polynomial:
         for m, c in (terms or {}).items():
             if m.n != n:
                 raise ValueError(f"monomial rank {m.n} does not match polynomial rank {n}")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[m] = c
         self.n = n
@@ -271,12 +272,33 @@ def act(sigma: SignedPermutation, f: Polynomial) -> Polynomial:
     return Polynomial(f.n, acc)
 
 
+def distinct_permutations(items: Iterable) -> Iterator[tuple]:
+    """The distinct rearrangements of ``items``, in increasing lexicographic order.
+
+    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) for multisets: from the
+    sorted sequence, each step finds the last j with a[j] < a[j+1],
+    swaps a[j] with the last entry above it and reverses the tail after
+    j.  No duplicate is ever built, so the cost is the number of
+    distinct rearrangements, not n!.
+    """
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
 def rearrangements(m: Monomial) -> list[Monomial]:
     """The distinct monomials whose exponent pairs (p_k, q_k) rearrange those of ``m``."""
-    return [
-        Monomial(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
-        for pairs in set(permutations(zip(m.p, m.q)))
-    ]
+    return [Monomial(*zip(*pairs)) for pairs in distinct_permutations(zip(m.p, m.q))]
 
 
 def rearrangement_count(items: Iterable) -> int:

@@ -16,9 +16,11 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-#: Largest rank for which full-group enumeration is allowed by default.
-#: 2^8 * 8! is about ten million elements; anything past that is refused
-#: loudly instead of silently burning time.
+#: Default rank cap of ``enumerate_group``, the Hilbert numerator scan,
+#: ``rho`` and ``straighten``.  Only the first two walk the group, whose
+#: 2^8 * 8! elements are about ten million; ``rho`` and ``straighten``
+#: walk one orbit of exponent pairs per monomial, at most 8! members.
+#: Past the cap a call is refused loudly instead of silently burning time.
 ENUMERATION_GUARD = 8
 
 

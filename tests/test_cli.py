@@ -11,10 +11,17 @@ from pathlib import Path
 import pytest
 
 import signsym
+import signsym.cli as cli
 from helpers import mono
 from signsym.cli import main
 from signsym.poly import Polynomial, rho
 from signsym.straighten import BasisExpansion, evaluate
+
+
+def fresh_env():
+    # The environment of a ``python -m signsym.cli`` subprocess that imports this checkout.
+    src = str(Path(signsym.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -240,16 +247,47 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
+def test_one_parser_serves_many_calls(capsys, monkeypatch):
+    # In one process the parser is built once; each call must still read
+    # exactly like a fresh ``python -m signsym.cli`` with the same input.
+    payload = json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())
+    calls = [
+        (["straighten", "--verify"], payload),
+        (["straighten"], payload),
+        (["verify", "--n", "2", "--max-degree", "4"], ""),
+        (["verify", "--n", "2"], ""),
+        (["rho", "--format", "json", "--p", "2,0", "--q", "0,2"], ""),
+        (["rho", "--p", "2,0", "--q", "0,2"], ""),
+        (["verify", "--n", "2", "--max-degree", "x"], ""),
+        (["straighten", "--verify"], payload),
+    ]
+    parser = cli._build_parser()
+    codes = []
+    for argv, stdin in calls:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "signsym.cli", *argv],
+            input=stdin, capture_output=True, text=True, env=fresh_env(), timeout=60,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert cli._build_parser() is parser
+
+
 def test_closed_pipe_exits_without_traceback():
     # About 159 KB of output overfills the pipe buffer, so the command is
     # still writing when the reader closes its end after one line.
-    src = str(Path(signsym.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "signsym.cli", "hilbert", "--n", "2", "--max-degree", "200"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=fresh_env(),
     )
     try:
         assert proc.stdout.readline() == b"s^0 t^0: 1\n"

@@ -25,10 +25,12 @@ from signsym.poly import (
     _invariance_failure,
     act,
     bidegree_components,
+    distinct_permutations,
     elementary_sym_squares,
     is_invariant,
     is_separately_invariant,
     monomial_sym_squares,
+    rearrangement_count,
     rho,
 )
 from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group
@@ -49,15 +51,23 @@ def test_monomial_validation():
     with pytest.raises(ValueError):
         Monomial((1,), (0, 0))
     with pytest.raises(ValueError):
-        Monomial((-1,), (0,))
-    with pytest.raises(ValueError):
         Monomial((), ())
-    # non-integer exponents: floats, bools and strings are all refused
-    for bad in ((1.5,), (2.0,), (True,), ("1",)):
-        with pytest.raises(ValueError, match="non-negative integers"):
-            Monomial(bad, (0,))
-        with pytest.raises(ValueError, match="non-negative integers"):
-            Monomial((0,), bad)
+    # floats, bools, strings and negatives are all refused with one
+    # message, in either family, alone and after valid entries
+    for bad in (1.5, 2.0, 1.0, True, "1", -1):
+        for p, q in (((bad,), (0,)), ((0,), (bad,)), ((3, bad), (1, 0)), ((3, 1), (0, bad))):
+            message = f"exponents must be non-negative integers, got {p} and {q}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Monomial(p, q)
+
+
+def test_coefficients_are_fractions():
+    m = mono((2, 0), (0, 0))
+    for c in (1, Fraction(1, 2), Fraction(4, 2)):
+        assert type(Polynomial(2, {m: c}).coefficient(m)) is Fraction
+    f = Polynomial(2, {m: 3})
+    for g in (f + f, f * f, 2 * f, rho(f)):
+        assert all(type(c) is Fraction for _, c in g.items())
 
 
 def test_monomial_text():
@@ -121,6 +131,18 @@ def test_act_is_a_ring_map():
         g = random_polynomial(rng, 3, terms=3, max_exp=2)
         assert act(sigma, f * g) == act(sigma, f) * act(sigma, g)
         assert act(sigma, f + g) == act(sigma, f) + act(sigma, g)
+
+
+def test_distinct_permutations_match_the_set_of_permutations():
+    # every multiset of length 0-6 over two alphabets, fed unsorted
+    rng = random.Random(7)
+    for alphabet in ((0, 1, 2), ((0, 0), (0, 2), (1, 1), (2, 0))):
+        for length in range(7):
+            for s in itertools.combinations_with_replacement(alphabet, length):
+                shuffled = rng.sample(s, len(s))
+                out = list(distinct_permutations(shuffled))
+                assert out == sorted(set(itertools.permutations(s)))
+                assert len(out) == rearrangement_count(s)
 
 
 def test_rho_examples():
