@@ -54,14 +54,7 @@ from .signed_perm import (
     parse_window,
     statistics,
 )
-from .straighten import (
-    BasisExpansion,
-    ReduceStep,
-    evaluate,
-    leading_term,
-    reduce_step,
-    straighten,
-)
+from .straighten import BasisExpansion, evaluate, straighten
 
 __version__ = "0.1.0"
 
@@ -76,7 +69,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "RankGuardError",
-    "ReduceStep",
     "SignedPermutation",
     "StatisticsProfile",
     "act",
@@ -96,14 +88,12 @@ __all__ = [
     "is_invariant",
     "is_ordered",
     "is_separately_invariant",
-    "leading_term",
     "maj_inv_equidistribution",
     "monomial_sym_squares",
     "order_key",
     "ordered_monomials",
     "ordered_representative",
     "parse_window",
-    "reduce_step",
     "rho",
     "series_coefficient",
     "sign_twist",

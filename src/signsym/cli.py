@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from typing import Callable, Optional
 
@@ -24,7 +23,7 @@ from .descent_basis import (
     signed_descent_monomial,
 )
 from .poly import Monomial, Polynomial, rho
-from .signed_perm import ENUMERATION_GUARD, parse_window, statistics
+from .signed_perm import ASCII_INTEGER, ENUMERATION_GUARD, parse_window, statistics
 from .straighten import evaluate, straighten
 
 #: Default rank cap for the rank/series verification suite.  The cost
@@ -48,10 +47,10 @@ MONOMIAL_KINDS = {
 }
 
 
-def _emit(args: argparse.Namespace, data: dict, text: Callable[[], str]) -> None:
-    # ``text`` is called only for text output, so JSON never builds it.
+def _emit(args: argparse.Namespace, data: Callable[[], dict], text: Callable[[], str]) -> None:
+    # Only the requested form is built: ``data`` for JSON, ``text`` otherwise.
     if args.output_format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(data(), indent=2, sort_keys=True))
     else:
         print(text())
 
@@ -60,21 +59,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     sigma = parse_window(args.window)
     st = statistics(sigma)
     inverse = sigma.inverse()
-    data = {
-        "n": sigma.n,
-        "window": list(sigma.window),
-        "descent_set": sorted(st.descent_set),
-        "d": list(st.d),
-        "eps": list(st.eps),
-        "f": list(st.f),
-        "maj": st.maj,
-        "neg": st.neg,
-        "fmaj": st.fmaj,
-        "inverse": list(inverse.window),
-    }
     _emit(
         args,
-        data,
+        lambda: {
+            "n": sigma.n,
+            "window": list(sigma.window),
+            "descent_set": sorted(st.descent_set),
+            "d": list(st.d),
+            "eps": list(st.eps),
+            "f": list(st.f),
+            "maj": st.maj,
+            "neg": st.neg,
+            "fmaj": st.fmaj,
+            "inverse": list(inverse.window),
+        },
         lambda: "\n".join(
             [
                 f"window:  {sigma}",
@@ -95,16 +93,24 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_monomial(args: argparse.Namespace) -> int:
     sigma = parse_window(args.window)
     m = MONOMIAL_KINDS[args.kind](sigma)
-    data = {"kind": args.kind, "window": list(sigma.window), "p": list(m.p), "q": list(m.q), "text": m.text()}
-    _emit(args, data, m.text)
+    _emit(
+        args,
+        lambda: {"kind": args.kind, "window": list(sigma.window), "p": list(m.p), "q": list(m.q), "text": m.text()},
+        m.text,
+    )
     return 0
 
 
+def _integer_option(text: str) -> int:
+    # A refusal reads and exits (status 2) as argparse's own for type=int.
+    if not ASCII_INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_exponents(text: str) -> tuple[int, ...]:
-    # ASCII digits only, as in window and coefficient input: int() alone
-    # also takes "1_0" and non-ASCII digits.
     entries = [v.strip() for v in text.split(",")]
-    if not all(re.fullmatch(r"[+-]?[0-9]+", v) for v in entries):
+    if not all(ASCII_INTEGER.fullmatch(v) for v in entries):
         raise ValueError(f"exponent list {text!r} must be comma-separated integers")
     values = tuple(int(v) for v in entries)
     if any(v < 0 for v in values):
@@ -119,7 +125,7 @@ def _cmd_rho(args: argparse.Namespace) -> int:
         raise ValueError(f"exponent lists differ in length: {len(p)} vs {len(q)}")
     m = Monomial(p, q)
     averaged = rho(Polynomial.from_monomial(m), guard=args.rank_guard or ENUMERATION_GUARD)
-    _emit(args, averaged.to_json(), averaged.text)
+    _emit(args, averaged.to_json, averaged.text)
     return 0
 
 
@@ -133,7 +139,7 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
         return 1
     _emit(
         args,
-        expansion.to_json(),
+        expansion.to_json,
         lambda: "\n".join(f"{sigma}: {coeff.text()}" for sigma, coeff in expansion.items()) or "0",
     )
     return 0
@@ -171,8 +177,11 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
             {"a": a, "b": b, "value": c}
             for (a, b), c in sorted(series.coefficients.items())
         ]
-        data = {"n": args.n, "numerator": cells, "total_mass": series.total_mass()}
-        _emit(args, data, lambda: _cell_text(cells))
+        _emit(
+            args,
+            lambda: {"n": args.n, "numerator": cells, "total_mass": series.total_mass()},
+            lambda: _cell_text(cells),
+        )
         return 0
     cells = []
     for total in range(args.max_degree + 1):
@@ -181,8 +190,11 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
             value = hilbert.series_coefficient(args.n, a, b, guard=guard)
             if value:
                 cells.append({"a": a, "b": b, "value": value})
-    data = {"n": args.n, "max_degree": args.max_degree, "coefficients": cells}
-    _emit(args, data, lambda: _cell_text(cells) or "0")
+    _emit(
+        args,
+        lambda: {"n": args.n, "max_degree": args.max_degree, "coefficients": cells},
+        lambda: _cell_text(cells) or "0",
+    )
     return 0
 
 
@@ -199,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("text", "json"), default="text", dest="output_format")
     guarded = argparse.ArgumentParser(add_help=False)
     guarded.add_argument(
-        "--rank-guard", type=int, default=None, help="override the rank guard of the subcommand"
+        "--rank-guard", type=_integer_option, default=None, help="override the rank guard of the subcommand"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -234,18 +246,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser(
         "verify", parents=[fmt, guarded], help="degreewise freeness and series checks"
     )
-    p_ver.add_argument("--n", type=int, required=True)
+    p_ver.add_argument("--n", type=_integer_option, required=True)
     p_ver.add_argument(
-        "--max-degree", type=int, default=TRUNCATION_DEGREE, help="total-degree bound for the cell table"
+        "--max-degree", type=_integer_option, default=TRUNCATION_DEGREE, help="total-degree bound for the cell table"
     )
     p_ver.set_defaults(handler=_cmd_verify)
 
     p_hil = sub.add_parser(
         "hilbert", parents=[fmt, guarded], help="bigraded Hilbert series coefficients"
     )
-    p_hil.add_argument("--n", type=int, required=True)
+    p_hil.add_argument("--n", type=_integer_option, required=True)
     p_hil.add_argument(
-        "--max-degree", type=int, default=TRUNCATION_DEGREE, help="total-degree bound for the coefficient table"
+        "--max-degree", type=_integer_option, default=TRUNCATION_DEGREE, help="total-degree bound for the coefficient table"
     )
     p_hil.add_argument(
         "--numerator", action="store_true", help="print the flag-major numerator instead"

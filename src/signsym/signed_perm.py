@@ -16,6 +16,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+#: An integer in ASCII digits, as window entries and CLI integers are
+#: written: int() alone also reads "1_0" and non-ASCII digits.
+ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 #: Default rank cap of ``enumerate_group``, the Hilbert numerator scan,
 #: ``rho`` and ``straighten``.  Only the first two walk the group, whose
 #: 2^8 * 8! elements are about ten million; ``rho`` and ``straighten``
@@ -184,8 +188,7 @@ def parse_window(text: str) -> SignedPermutation:
         raise ParseError("empty window")
     entries = [entry.strip() for entry in body.split(",")]
     for pos, entry in enumerate(entries, start=1):
-        # ASCII digits only: int() alone also takes "1_0" and non-ASCII digits.
-        if not re.fullmatch(r"[+-]?[0-9]+", entry):
+        if not ASCII_INTEGER.fullmatch(entry):
             raise ParseError(f"entry {entry!r} at position {pos} is not an integer")
     try:
         return SignedPermutation(tuple(int(entry) for entry in entries))

@@ -19,19 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .descent_basis import (
-    Decomposition,
     decompose,
     diagonal_signed_descent_monomial,
-    is_ordered,
     order_key,
     ordered_monomials,
     product_coefficients,
 )
 from .poly import (
-    Bidegree,
     Monomial,
     Polynomial,
     _invariance_failure,
@@ -39,7 +35,6 @@ from .poly import (
     is_separately_invariant,
     json_object,
     monomial_sym_squares,
-    rearrangements,
     rho,
 )
 from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation
@@ -97,74 +92,6 @@ class BasisExpansion:
         return exp
 
 
-def leading_term(
-    f: Polynomial, bidegree: Optional[Bidegree] = None
-) -> tuple[Monomial, Fraction]:
-    """Largest ordered monomial of a bihomogeneous invariant, with coefficient."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no leading term")
-    reason = _invariance_failure(f)
-    if reason is not None:
-        raise ValueError(f"polynomial is not invariant: {reason}")
-    components = bidegree_components(f)
-    if len(components) != 1:
-        raise ValueError("polynomial is not bihomogeneous")
-    (actual,) = components
-    if bidegree is not None and Bidegree(*bidegree) != actual:
-        raise ValueError(f"expected bidegree {tuple(bidegree)}, found {tuple(actual)}")
-    # Every orbit contributing to an invariant polynomial contains its
-    # ordered representative with the same coefficient, so the maximum
-    # over ordered monomials is the true leading term.
-    best = max((m for m in f.monomials() if is_ordered(m)), key=order_key, default=None)
-    if best is None:
-        raise RuntimeError("invariant polynomial without an ordered monomial; orbit check bug")
-    return best, f.coefficient(best)
-
-
-class ReduceStep(NamedTuple):
-    """One straightening step: f = scalar * m_nu(x^2) m_mu(y^2) rho(c_sigma) + remainder."""
-
-    sigma: SignedPermutation
-    nu: tuple[int, ...]
-    mu: tuple[int, ...]
-    scalar: Fraction
-    remainder: Polynomial
-
-
-def _step(
-    remainder: dict[Monomial, Fraction], w: Monomial, columns: list[Monomial]
-) -> tuple[Decomposition, Fraction]:
-    # Clears column w of ``remainder``, which is keyed by every column.
-    dec = decompose(w)
-    product = product_coefficients(dec, columns)
-    lead = product.get(w, Fraction(0))
-    if lead <= 0:
-        raise RuntimeError(
-            "leading coefficient of the reduction product must be positive; "
-            f"got {lead} for {w.text()}"
-        )
-    scalar = remainder[w] / lead
-    for v, coeff in product.items():
-        remainder[v] -= scalar * coeff
-    return dec, scalar
-
-
-def reduce_step(f: Polynomial, bidegree: Optional[Bidegree] = None) -> ReduceStep:
-    """Strip the leading ordered monomial of a bihomogeneous invariant.
-
-    Subtracts scalar * m_nu(x^2) * m_mu(y^2) * rho(c_sigma), chosen so the
-    leading ordered monomial cancels; every ordered monomial of the
-    remainder is strictly smaller.  The step is taken at the ordered
-    monomials, and the remainder, an invariant, is expanded from them.
-    """
-    m, _ = leading_term(f, bidegree)
-    columns = list(ordered_monomials(f.n, *m.bidegree()))
-    remainder = {w: f.coefficient(w) for w in columns}
-    dec, scalar = _step(remainder, m, columns)
-    full = {u: c for w, c in remainder.items() if c for u in rearrangements(w)}
-    return ReduceStep(dec.sigma, dec.nu, dec.mu, scalar, Polynomial(f.n, full))
-
-
 def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
     """Expand an invariant polynomial over the averaged descent basis.
 
@@ -187,7 +114,17 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
         remainder = {w: component.coefficient(w) for w in columns}
         for w in columns:
             if remainder[w]:
-                dec, scalar = _step(remainder, w, columns)
+                dec = decompose(w)
+                product = product_coefficients(dec, columns)
+                lead = product.get(w, Fraction(0))
+                if lead <= 0:
+                    raise RuntimeError(
+                        "leading coefficient of the reduction product must be positive; "
+                        f"got {lead} for {w.text()}"
+                    )
+                scalar = remainder[w] / lead
+                for v, c in product.items():
+                    remainder[v] -= scalar * c
                 coeff = monomial_sym_squares(dec.nu, "x", f.n) * monomial_sym_squares(dec.mu, "y", f.n)
                 expansion.add(dec.sigma, coeff * scalar)
         if any(remainder.values()):

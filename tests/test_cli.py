@@ -240,6 +240,44 @@ def test_hilbert_numerator(capsys):
     assert cells[(2, 2)] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        # int() would read the Arabic-Indic digits as 2 and 3 and 1_0 as 10
+        (["verify", "--n", "\u0662"], 2, "error: argument --n: invalid int value: '\u0662'\n"),
+        (["hilbert", "--n", "1_0"], 2, "error: argument --n: invalid int value: '1_0'\n"),
+        (["verify", "--n", "2", "--max-degree", "1_2"], 2, "error: argument --max-degree: invalid int value: '1_2'\n"),
+        (["hilbert", "--n", "2", "--rank-guard", "\u0663"], 2, "error: argument --rank-guard: invalid int value: '\u0663'\n"),
+        (["hilbert", "--n", "2", "--rank-guard", "0"], 1, "error: --rank-guard must be positive\n"),
+        (["verify", "--n", "2", "--max-degree", "-1"], 1, "error: --max-degree must be non-negative\n"),
+    ],
+)
+def test_integer_options_refuse_inexact_and_out_of_range_values(capsys, argv, code, err):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's refusal; any other exception fails the test
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    assert captured.err.endswith(err) and "Traceback" not in captured.err
+
+
+def test_text_output_builds_no_json(capsys, monkeypatch):
+    payload = json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())
+
+    def refuse(self):
+        raise AssertionError("text output built the JSON form")
+
+    monkeypatch.setattr(Polynomial, "to_json", refuse)
+    monkeypatch.setattr(BasisExpansion, "to_json", refuse)
+    code, out, err = run(capsys, "rho", "--p", "2,0", "--q", "2,0")
+    assert (code, out, err) == (0, "1/2 x1^2 y1^2 + 1/2 x2^2 y2^2\n", "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "straighten", "--verify")
+    assert (code, err) == (0, "")
+    assert out == "[1,2]: 1/2 x1^2 y1^2 + 1/2 x1^2 y2^2 + 1/2 x2^2 y1^2 + 1/2 x2^2 y2^2\n[2,1]: -1\n"
+
+
 def test_deterministic_output(capsys):
     code1, out1, _ = run(capsys, "rho", "--format", "json", "--p", "2,0", "--q", "0,2")
     code2, out2, _ = run(capsys, "rho", "--format", "json", "--p", "2,0", "--q", "0,2")

@@ -1,4 +1,9 @@
-"""Leading-term reduction and the basis expansion round trip."""
+"""Straightening over the averaged descent basis and the expansion round trip.
+
+``straighten`` is checked on worked examples, against the full-product
+oracle ``helpers.straighten_full`` (which asserts strict descent of the
+leading term at every step) and by evaluating expansions back.
+"""
 
 import random
 from fractions import Fraction
@@ -15,9 +20,8 @@ from helpers import (
     sp,
     straighten_full,
 )
-from signsym.descent_basis import order_key, partitions_fixed_length
+from signsym.descent_basis import partitions_fixed_length
 from signsym.poly import (
-    Bidegree,
     Polynomial,
     bidegree_components,
     is_separately_invariant,
@@ -25,71 +29,11 @@ from signsym.poly import (
     rho,
 )
 from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group, statistics
-from signsym.straighten import (
-    BasisExpansion,
-    evaluate,
-    leading_term,
-    reduce_step,
-    straighten,
-)
+from signsym.straighten import BasisExpansion, evaluate, straighten
 
 
 def averaged(m):
     return rho(Polynomial.from_monomial(m))
-
-
-def test_leading_term_examples():
-    m, c = leading_term(averaged(mono((2, 0), (2, 0))))
-    assert (m, c) == (mono((2, 0), (2, 0)), Fraction(1, 2))
-    m, c = leading_term(averaged_basis(sp(-1)))
-    assert (m, c) == (mono((1,), (1,)), Fraction(1))
-    m, c = leading_term(averaged(mono((2, 0), (0, 2))), bidegree=Bidegree(2, 2))
-    assert (m, c) == (mono((2, 0), (0, 2)), Fraction(1, 2))
-
-
-def test_leading_term_rejections():
-    with pytest.raises(ValueError, match="zero polynomial"):
-        leading_term(Polynomial.zero(2))
-    with pytest.raises(ValueError, match="not invariant"):
-        leading_term(poly(2, (1, (1, 0), (0, 0))))
-    mixed = averaged(mono((2, 0), (2, 0))) + Polynomial.one(2)
-    with pytest.raises(ValueError, match="bihomogeneous"):
-        leading_term(mixed)
-    with pytest.raises(ValueError, match="expected bidegree"):
-        leading_term(averaged(mono((2, 0), (2, 0))), bidegree=Bidegree(0, 0))
-
-
-def test_reduce_step_worked_example():
-    f = averaged(mono((2, 0), (2, 0)))
-    step = reduce_step(f)
-    assert step.sigma == SignedPermutation.identity(2)
-    assert step.nu == (1, 0)
-    assert step.mu == (1, 0)
-    assert step.scalar == Fraction(1, 2)
-    expected_remainder = averaged_basis(sp(2, 1)) * Fraction(-1)
-    assert step.remainder == expected_remainder
-    assert step.remainder == poly(
-        2, (Fraction(-1, 2), (2, 0), (0, 2)), (Fraction(-1, 2), (0, 2), (2, 0))
-    )
-
-
-def test_reduce_step_on_basis_elements():
-    # an averaged descent monomial reduces in one step with unit scalar
-    for sigma in enumerate_group(2):
-        step = reduce_step(averaged_basis(sigma))
-        assert step.sigma == sigma
-        assert step.nu == (0, 0)
-        assert step.mu == (0, 0)
-        assert step.scalar == 1
-        assert step.remainder.is_zero()
-
-
-def test_reduce_step_even_power_example():
-    step = reduce_step(averaged(mono((3,), (1,))))
-    assert step.sigma == sp(-1)
-    assert step.nu == (1,)
-    assert step.mu == (0,)
-    assert step.remainder.is_zero()
 
 
 def test_straighten_worked_example():
@@ -104,6 +48,9 @@ def test_straighten_worked_example():
     )
     assert expansion.entries[sp(2, 1)] == Polynomial.one(2) * Fraction(-1)
     assert evaluate(expansion) == f
+    # n=1: x1^3 y1 = x1^2 * c_[-1], so sigma = [-1], nu = (1,), mu = (0,)
+    f = averaged(mono((3,), (1,)))
+    assert straighten(f).entries == {sp(-1): poly(1, (1, (2,), (0,)))}
 
 
 def test_straighten_constant():
@@ -170,21 +117,6 @@ def test_support_bound_and_parity():
                 assert st_inv.fmaj <= bd.a and st.fmaj <= bd.b
                 assert st_inv.fmaj % 2 == bd.a % 2
                 assert st.fmaj % 2 == bd.b % 2
-
-
-def test_strict_descent_across_reduce_steps():
-    f = averaged(mono((4, 2), (2, 4))) + averaged(mono((6, 0), (0, 6)))
-    previous = None
-    remainder = f
-    while not remainder.is_zero():
-        m, _ = leading_term(remainder)
-        key = order_key(m)
-        if previous is not None:
-            assert key < previous
-        previous = key
-        step = reduce_step(remainder)
-        assert step.scalar != 0
-        remainder = step.remainder
 
 
 def test_invariant_support_contains_ordered_representatives():
