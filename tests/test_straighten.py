@@ -48,9 +48,14 @@ def test_straighten_worked_example():
     )
     assert expansion.entries[sp(2, 1)] == Polynomial.one(2) * Fraction(-1)
     assert evaluate(expansion) == f
+
+
+def test_reduce_step_even_power_example():
     # n=1: x1^3 y1 = x1^2 * c_[-1], so sigma = [-1], nu = (1,), mu = (0,)
     f = averaged(mono((3,), (1,)))
-    assert straighten(f).entries == {sp(-1): poly(1, (1, (2,), (0,)))}
+    expansion = straighten(f)
+    assert expansion.entries == {sp(-1): poly(1, (1, (2,), (0,)))}
+    assert evaluate(expansion) == f
 
 
 def test_straighten_constant():
