@@ -24,7 +24,7 @@ from .descent_basis import (
 )
 from .poly import Monomial, Polynomial, rho
 from .signed_perm import ASCII_INTEGER, ENUMERATION_GUARD, parse_window, statistics
-from .straighten import evaluate, straighten
+from .straighten import evaluates_to, straighten
 
 #: Default rank cap for the rank/series verification suite.  The cost
 #: that grows with rank is the series numerator, which scans the 2^n * n!
@@ -48,9 +48,10 @@ MONOMIAL_KINDS = {
 
 
 def _emit(args: argparse.Namespace, data: Callable[[], dict], text: Callable[[], str]) -> None:
-    # Only the requested form is built: ``data`` for JSON, ``text`` otherwise.
+    # Only the requested form is built: ``data`` for JSON, ``text``
+    # otherwise.  JSON is one compact line, which the C encoder writes.
     if args.output_format == "json":
-        print(json.dumps(data(), indent=2, sort_keys=True))
+        print(json.dumps(data(), sort_keys=True))
     else:
         print(text())
 
@@ -102,7 +103,7 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
 
 
 def _integer_option(text: str) -> int:
-    # A refusal reads and exits (status 2) as argparse's own for type=int.
+    # A refusal reads as argparse's own for type=int.
     if not ASCII_INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
@@ -132,9 +133,8 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 def _cmd_straighten(args: argparse.Namespace) -> int:
     payload = json.load(sys.stdin)
     f = Polynomial.from_json(payload)
-    guard = args.rank_guard or ENUMERATION_GUARD
-    expansion = straighten(f, guard=guard)
-    if args.verify and evaluate(expansion, guard=guard) != f:
+    expansion = straighten(f, guard=args.rank_guard or ENUMERATION_GUARD)
+    if args.verify and not evaluates_to(expansion, f):
         print("verification failed: expansion does not evaluate back to the input", file=sys.stderr)
         return 1
     _emit(
@@ -153,15 +153,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             reports.append(hilbert.verify_basis_rank(args.n, a, total - a, guard=guard))
     reports.sort(key=lambda r: (r.a, r.b))
     all_pass = all(r.passed for r in reports)
-    if args.output_format == "json":
-        print(json.dumps({"n": args.n, "max_degree": args.max_degree, "cells": [r.to_json() for r in reports], "pass": all_pass}, indent=2))
-    else:
-        header = f"{'a':>3} {'b':>3} {'rank':>5} {'dim':>5} {'series':>7} {'gens':>5}  status"
-        print(header)
-        for r in reports:
-            status = "ok" if r.passed else "FAIL"
-            print(f"{r.a:>3} {r.b:>3} {r.rank:>5} {r.dim:>5} {r.series:>7} {r.generators:>5}  {status}")
-        print(f"{'all cells pass' if all_pass else 'FAILURES PRESENT'} (n={args.n}, total degree <= {args.max_degree})")
+    _emit(
+        args,
+        lambda: {"n": args.n, "max_degree": args.max_degree, "cells": [r.to_json() for r in reports], "pass": all_pass},
+        lambda: "\n".join(
+            [f"{'a':>3} {'b':>3} {'rank':>5} {'dim':>5} {'series':>7} {'gens':>5}  status"]
+            + [
+                f"{r.a:>3} {r.b:>3} {r.rank:>5} {r.dim:>5} {r.series:>7} {r.generators:>5}  {'ok' if r.passed else 'FAIL'}"
+                for r in reports
+            ]
+            + [f"{'all cells pass' if all_pass else 'FAILURES PRESENT'} (n={args.n}, total degree <= {args.max_degree})"]
+        ),
+    )
     return 0 if all_pass else 1
 
 
@@ -198,11 +201,20 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals raise ValueError, so that ``main`` reports
+    them as one ``error:`` line with exit status 1, like every other
+    refusal.  Subcommand parsers are built from the same class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built on the first ``main`` call and reused: nothing in it depends
     # on the call, and parse_args leaves the parser unchanged.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="signsym",
         description="Signed-permutation statistics, descent monomials, averaging, "
         "straightening over the averaged descent basis, and Hilbert-series checks.",
@@ -268,17 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    rank_guard = getattr(args, "rank_guard", None)
-    max_degree = getattr(args, "max_degree", None)
-    if rank_guard is not None and rank_guard < 1:
-        print("error: --rank-guard must be positive", file=sys.stderr)
-        return 1
-    if max_degree is not None and max_degree < 0:
-        print("error: --max-degree must be non-negative", file=sys.stderr)
-        return 1
     try:
+        args = _build_parser().parse_args(argv)
+        rank_guard = getattr(args, "rank_guard", None)
+        max_degree = getattr(args, "max_degree", None)
+        if rank_guard is not None and rank_guard < 1:
+            raise ValueError("--rank-guard must be positive")
+        if max_degree is not None and max_degree < 0:
+            raise ValueError("--max-degree must be non-negative")
         code = args.handler(args)
         sys.stdout.flush()
         return code

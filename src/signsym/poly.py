@@ -12,13 +12,12 @@ ring by averaging the orbit of each monomial.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation
+from .signed_perm import ASCII_FRACTION, ENUMERATION_GUARD, RankGuardError, SignedPermutation
 
 Scalar = Union[int, Fraction]
 
@@ -227,8 +226,9 @@ class Polynomial:
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
         # Exponents must be ints too; coefficients may also be exact
-        # fraction strings.  Those are matched before ``Fraction`` sees
-        # them, because it would expand a decimal exponent such as
+        # fraction strings.  The fraction is built from the integers that
+        # ``ASCII_FRACTION`` matched, never by ``Fraction`` parsing the
+        # string, which would expand a decimal exponent such as
         # "1e10000000" in full.
         n, entries = json_object(data, "a polynomial", "terms")
         terms: dict[Monomial, Fraction] = {}
@@ -236,16 +236,17 @@ class Polynomial:
             p, q, c = entry.get("p"), entry.get("q"), entry.get("coeff")
             if not all(isinstance(v, list) and all(type(e) is int for e in v) for v in (p, q)):
                 raise ValueError(f"term exponents p and q must be lists of integers, got {entry!r}")
-            if type(c) is not int and not (
-                isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", c)
-            ):
-                raise ValueError(f"a coefficient must be an integer or a fraction string, got {c!r}")
-            try:
-                coeff = Fraction(c)
-            except ZeroDivisionError:
-                raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+            if type(c) is int:
+                num, den = c, 1
+            else:
+                match = ASCII_FRACTION.fullmatch(c) if isinstance(c, str) else None
+                if match is None:
+                    raise ValueError(f"a coefficient must be an integer or a fraction string, got {c!r}")
+                num, den = int(match[1]), int(match[2] or 1)
+            if not den:
+                raise ValueError(f"coefficient {c!r} has a zero denominator")
             m = Monomial(tuple(p), tuple(q))
-            terms[m] = terms.get(m, Fraction(0)) + coeff
+            terms[m] = terms.get(m, Fraction(0)) + Fraction(num, den)
         return cls(n, terms)
 
 
@@ -307,33 +308,43 @@ def rearrangement_count(items: Iterable) -> int:
     return math.factorial(sum(counts.values())) // math.prod(math.factorial(k) for k in counts.values())
 
 
+def orbit_averages(f: Polynomial) -> dict[tuple[tuple[int, int], ...], Fraction]:
+    """The nonzero averages of ``f`` over its orbits, keyed by sorted exponent pairs.
+
+    A monomial with an odd total exponent in some slot averages to 0,
+    because flipping the sign of that slot negates it; the terms of any
+    other orbit average to their coefficient sum divided by the orbit
+    size.  ``rho`` puts each average on every member of its orbit, so
+    two polynomials have equal averages exactly when ``rho`` maps them
+    to the same polynomial.  No orbit is expanded.
+    """
+    sums: Counter = Counter()
+    for m, c in f._terms.items():
+        if m.odd_slot() is None:
+            sums[tuple(sorted(zip(m.p, m.q)))] += c
+    # The weight 1/|orbit| = |stabiliser|/n! is what averaging over all
+    # n! plain permutations gives.
+    return {key: c / rearrangement_count(key) for key, c in sums.items() if c}
+
+
 def rho(f: Polynomial, guard: int = ENUMERATION_GUARD) -> Polynomial:
     """Average of ``f`` over the whole signed permutation group.
 
     The result is invariant, the operator is linear and idempotent, and
     it fixes every invariant polynomial.  Coefficients stay exact.
 
-    No group element is enumerated.  A monomial with an odd total
-    exponent in some slot averages to 0, because flipping the sign of
-    that slot negates it; any other monomial averages to its orbit sum
-    over the distinct rearrangements of its (x, y) exponent pairs,
-    divided by the orbit size; the terms of one orbit are summed first.
+    No group element is enumerated: each orbit average of
+    ``orbit_averages`` goes to the distinct rearrangements of the
+    orbit's (x, y) exponent pairs, so each orbit is walked once.
     """
     if f.n > guard:
         raise RankGuardError(
             f"rank {f.n} exceeds the averaging guard {guard}: "
             f"each monomial has up to {math.factorial(f.n)} rearrangements of its exponent pairs"
         )
-    sums: Counter = Counter()  # keyed by sorted exponent pairs, one key per orbit
-    for m, c in f._terms.items():
-        if m.odd_slot() is None:
-            sums[tuple(sorted(zip(m.p, m.q)))] += c
     acc: dict[Monomial, Fraction] = {}
-    for key, c in sums.items():
-        # The weight 1/|orbit| = |stabiliser|/n! is what averaging over
-        # all n! plain permutations gives.
-        orbit = rearrangements(Monomial(*zip(*key)))
-        acc.update(dict.fromkeys(orbit, c / len(orbit)))
+    for key, c in orbit_averages(f).items():
+        acc.update(dict.fromkeys(rearrangements(Monomial(*zip(*key))), c))
     return Polynomial(f.n, acc)
 
 

@@ -20,6 +20,10 @@ from typing import Iterator
 #: written: int() alone also reads "1_0" and non-ASCII digits.
 ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 
+#: An exact coefficient string of the polynomial JSON schema: an
+#: ASCII integer, optionally over an ASCII denominator.
+ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 #: Default rank cap of ``enumerate_group``, the Hilbert numerator scan,
 #: ``rho`` and ``straighten``.  Only the first two walk the group, whose
 #: 2^8 * 8! elements are about ten million; ``rho`` and ``straighten``

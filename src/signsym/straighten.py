@@ -8,10 +8,11 @@ those columns alone, walking them once in decreasing order.  A nonzero
 column w decomposes as x^(2 nu) y^(2 mu) c_sigma, and m_nu(x^2)
 m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger
 column, so subtracting its matching multiple clears w for good.
-``rho`` is linear over invariants, so ``evaluate`` sums an expansion back
-as one average of coefficient * c_sigma, independently of
-``product_coefficients`` and ``decompose``; comparing it with the input
-checks the walk.
+The walk keeps one scalar per (sigma, nu, mu) and builds each coefficient
+once at the end.  ``rho`` is linear over invariants, so ``evaluate`` sums
+an expansion back as one average of coefficient * c_sigma, independently
+of ``product_coefficients`` and ``decompose``; ``evaluates_to`` compares
+that average with the input's orbit by orbit, which checks the walk.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from .poly import (
     Polynomial,
     _invariance_failure,
     bidegree_components,
+    distinct_permutations,
     is_separately_invariant,
     json_object,
-    monomial_sym_squares,
+    orbit_averages,
     rho,
 )
 from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation
@@ -108,7 +110,10 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
     reason = _invariance_failure(f)
     if reason is not None:
         raise ValueError(f"input is not invariant: {reason}")
-    expansion = BasisExpansion(f.n)
+    # The scalar of m_nu(x^2) m_mu(y^2) in each sigma's coefficient.  A
+    # column names its (sigma, nu, sorted mu) uniquely and is visited
+    # once, so each key is set once.
+    scalars: dict[SignedPermutation, dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]] = {}
     for bd, component in bidegree_components(f).items():
         columns = sorted(ordered_monomials(f.n, bd.a, bd.b), key=order_key, reverse=True)
         remainder = {w: component.coefficient(w) for w in columns}
@@ -125,18 +130,31 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
                 scalar = remainder[w] / lead
                 for v, c in product.items():
                     remainder[v] -= scalar * c
-                coeff = monomial_sym_squares(dec.nu, "x", f.n) * monomial_sym_squares(dec.mu, "y", f.n)
-                expansion.add(dec.sigma, coeff * scalar)
+                scalars.setdefault(dec.sigma, {})[dec.nu, tuple(sorted(dec.mu))] = scalar
         if any(remainder.values()):
             raise RuntimeError(
                 f"straightening of bidegree {tuple(bd)} left a nonzero remainder; "
                 "the reduction products are not triangular"
             )
-    return expansion
+    return BasisExpansion(
+        f.n, {sigma: _coefficient(f.n, labels) for sigma, labels in scalars.items()}
+    )
 
 
-def evaluate(expansion: BasisExpansion, guard: int = ENUMERATION_GUARD) -> Polynomial:
-    """rho(sum of coefficient * c_sigma): the expansion's value, once ``validate`` passes."""
+def _coefficient(n: int, labels: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]) -> Polynomial:
+    # The sum of scalar * m_nu(x^2) m_mu(y^2): each term is one distinct
+    # rearrangement of 2*nu in x times one of 2*mu in y, and distinct
+    # (nu, mu) share no term, so no coefficient is added to another.
+    terms: dict[Monomial, Fraction] = {}
+    for (nu, mu), scalar in labels.items():
+        ys = list(distinct_permutations(2 * v for v in mu))
+        for xs in distinct_permutations(2 * v for v in nu):
+            terms.update(dict.fromkeys((Monomial(xs, s) for s in ys), scalar))
+    return Polynomial(n, terms)
+
+
+def _combination(expansion: BasisExpansion) -> Polynomial:
+    # The sum of coefficient * c_sigma, once ``validate`` passes.
     expansion.validate()
     acc: dict[Monomial, Fraction] = {}
     for sigma, coeff in expansion.entries.items():
@@ -144,4 +162,20 @@ def evaluate(expansion: BasisExpansion, guard: int = ENUMERATION_GUARD) -> Polyn
         for m in coeff.monomials():
             u = m * c
             acc[u] = acc.get(u, Fraction(0)) + coeff.coefficient(m)
-    return rho(Polynomial(expansion.n, acc), guard)
+    return Polynomial(expansion.n, acc)
+
+
+def evaluate(expansion: BasisExpansion, guard: int = ENUMERATION_GUARD) -> Polynomial:
+    """rho(sum of coefficient * c_sigma): the expansion's value, once ``validate`` passes."""
+    return rho(_combination(expansion), guard)
+
+
+def evaluates_to(expansion: BasisExpansion, f: Polynomial) -> bool:
+    """True when ``evaluate(expansion)`` equals ``rho(f)``, which is ``f`` for invariant ``f``.
+
+    Compares the orbit averages of the sum of coefficient * c_sigma with
+    those of ``f``, so no orbit is expanded and no guard applies.  Like
+    ``evaluate`` it runs ``validate`` first and calls neither
+    ``decompose`` nor ``product_coefficients``.
+    """
+    return orbit_averages(_combination(expansion)) == orbit_averages(f)

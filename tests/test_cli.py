@@ -15,7 +15,8 @@ import signsym.cli as cli
 from helpers import mono
 from signsym.cli import main
 from signsym.poly import Polynomial, rho
-from signsym.straighten import BasisExpansion, evaluate
+from signsym.hilbert import verify_basis_rank
+from signsym.straighten import BasisExpansion, evaluate, straighten
 
 
 def fresh_env():
@@ -118,7 +119,8 @@ def test_straighten_pipeline(capsys, monkeypatch):
 
 
 def test_straighten_verify_honours_rank_guard(capsys, monkeypatch):
-    # the check averages under the same guard as the expansion
+    # the check compares orbit averages and expands no orbit, so the
+    # expansion's guard is the only one that applies
     zeros = ",".join(["0"] * 9)
     code, out, _ = run(capsys, "rho", "--rank-guard", "9", "--format", "json", "--p", "2" + zeros[1:], "--q", zeros)
     assert code == 0
@@ -244,22 +246,26 @@ def test_hilbert_numerator(capsys):
     "argv,code,err",
     [
         # int() would read the Arabic-Indic digits as 2 and 3 and 1_0 as 10
-        (["verify", "--n", "\u0662"], 2, "error: argument --n: invalid int value: '\u0662'\n"),
-        (["hilbert", "--n", "1_0"], 2, "error: argument --n: invalid int value: '1_0'\n"),
-        (["verify", "--n", "2", "--max-degree", "1_2"], 2, "error: argument --max-degree: invalid int value: '1_2'\n"),
-        (["hilbert", "--n", "2", "--rank-guard", "\u0663"], 2, "error: argument --rank-guard: invalid int value: '\u0663'\n"),
+        (["verify", "--n", "\u0662"], 1, "error: argument --n: invalid int value: '\u0662'\n"),
+        (["hilbert", "--n", "1_0"], 1, "error: argument --n: invalid int value: '1_0'\n"),
+        (["verify", "--n", "2", "--max-degree", "1_2"], 1, "error: argument --max-degree: invalid int value: '1_2'\n"),
+        (["hilbert", "--n", "2", "--rank-guard", "\u0663"], 1, "error: argument --rank-guard: invalid int value: '\u0663'\n"),
         (["hilbert", "--n", "2", "--rank-guard", "0"], 1, "error: --rank-guard must be positive\n"),
         (["verify", "--n", "2", "--max-degree", "-1"], 1, "error: --max-degree must be non-negative\n"),
     ],
 )
 def test_integer_options_refuse_inexact_and_out_of_range_values(capsys, argv, code, err):
-    try:
-        got = main(argv)
-    except SystemExit as exc:  # argparse's refusal; any other exception fails the test
-        got = exc.code
+    got = main(argv)
     captured = capsys.readouterr()
-    assert (got, captured.out) == (code, "")
-    assert captured.err.endswith(err) and "Traceback" not in captured.err
+    assert (got, captured.out, captured.err) == (code, "", err)
+
+
+def test_help_exits_zero(capsys):
+    # refusals exit 1 through ``main``; asking for help is not a refusal
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.out.startswith("usage: signsym verify") and captured.err == ""
 
 
 def test_text_output_builds_no_json(capsys, monkeypatch):
@@ -276,6 +282,35 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
     code, out, err = run(capsys, "straighten", "--verify")
     assert (code, err) == (0, "")
     assert out == "[1,2]: 1/2 x1^2 y1^2 + 1/2 x1^2 y2^2 + 1/2 x2^2 y1^2 + 1/2 x2^2 y2^2\n[2,1]: -1\n"
+
+
+def test_json_output_is_one_line(capsys, monkeypatch):
+    # every subcommand prints JSON as one compact line; where the library
+    # has a JSON form, the line parses to exactly that
+    f = rho(Polynomial.from_monomial(mono((2, 1, 0), (0, 1, 2))))
+    cells = [verify_basis_rank(2, a, total - a) for total in range(4) for a in range(total + 1)]
+    cases = [
+        (["rho", "--p", "2,1,0", "--q", "0,1,2"], "", f.to_json()),
+        (["straighten", "--verify"], json.dumps(f.to_json()), straighten(f).to_json()),
+        (
+            ["verify", "--n", "2", "--max-degree", "3"],
+            "",
+            {"n": 2, "max_degree": 3, "cells": [r.to_json() for r in sorted(cells, key=lambda r: (r.a, r.b))], "pass": True},
+        ),
+        (["hilbert", "--n", "2", "--max-degree", "4"], "", None),
+        (["hilbert", "--n", "2", "--numerator"], "", None),
+        (["stats", "[2,-1]"], "", None),
+        (["monomial", "c", "[2,-1]"], "", None),
+    ]
+    for argv, stdin, expected in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        data = json.loads(out)
+        assert isinstance(data, dict), argv
+        if expected is not None:
+            assert data == expected, argv
 
 
 def test_deterministic_output(capsys):
@@ -303,10 +338,7 @@ def test_one_parser_serves_many_calls(capsys, monkeypatch):
     codes = []
     for argv, stdin in calls:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         fresh = subprocess.run(
             [sys.executable, "-m", "signsym.cli", *argv],
@@ -314,7 +346,7 @@ def test_one_parser_serves_many_calls(capsys, monkeypatch):
         )
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
-    assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 0]
     assert cli._build_parser() is parser
 
 

@@ -30,6 +30,7 @@ from signsym.poly import (
     is_invariant,
     is_separately_invariant,
     monomial_sym_squares,
+    orbit_averages,
     rearrangement_count,
     rho,
 )
@@ -191,6 +192,22 @@ def test_rho_matches_bruteforce():
         assert rho(f) == rho_bruteforce(f)
     assert rho(whole) == whole
     assert rho(opposite).is_zero()
+
+
+def test_orbit_averages_expand_to_the_group_average():
+    # each nonzero orbit average, put on every rearrangement of the
+    # orbit's exponent pairs, gives the brute-force average; the cases
+    # have odd slots, partial orbits and unequal coefficients
+    rng = random.Random(31)
+    cases = [random_polynomial(rng, n, terms=rng.randint(1, 5)) for n in (1, 2, 3) for _ in range(8)]
+    cases += [f for n in (1, 2, 3) for _ in range(3) for f in _perturbed_invariants(rng, n)]
+    for f in cases:
+        averages = orbit_averages(f)
+        assert 0 not in averages.values()
+        expanded = {
+            mono(*zip(*pairs)): c for key, c in averages.items() for pairs in set(itertools.permutations(key))
+        }
+        assert Polynomial(f.n, expanded) == rho_bruteforce(f)
 
 
 def test_rho_idempotent_linear_fixes_invariants():
@@ -401,8 +418,14 @@ def test_polynomial_json_coefficient_strings():
     assert parse("+2") == parse(2) == poly(1, (2, (1,), (1,)))
     # only what to_json emits; a decimal exponent is refused before
     # Fraction would expand it
-    for coeff in ("1e10000000", "0.5", " 1", "1/-2", "1_000", "inf"):
-        with pytest.raises(ValueError, match="fraction string"):
+    for coeff in ("1e10000000", "0.5", " 1", "1/-2", "1_000", "inf", "٣", True, 0.5, None):
+        with pytest.raises(ValueError, match=re.escape(f"an integer or a fraction string, got {coeff!r}")):
+            parse(coeff)
+    # the matched integers make the fraction, in lowest terms
+    assert parse("-6/4") == parse("-3/2") == poly(1, (Fraction(-3, 2), (1,), (1,)))
+    assert parse("0/7").is_zero()
+    for coeff in ("1/0", "-3/00"):
+        with pytest.raises(ValueError, match=re.escape(f"coefficient {coeff!r} has a zero denominator")):
             parse(coeff)
 
 

@@ -29,7 +29,7 @@ from signsym.poly import (
     rho,
 )
 from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group, statistics
-from signsym.straighten import BasisExpansion, evaluate, straighten
+from signsym.straighten import BasisExpansion, evaluate, evaluates_to, straighten
 
 
 def averaged(m):
@@ -180,15 +180,23 @@ def test_evaluate_detects_mutated_expansions():
     cases = [(straighten(f), f) for f in (random_invariant(rng, n) for n in (1, 2, 3) for _ in range(5))]
     cases += [(e, evaluate_full(e)) for e in (built_expansion(rng, n) for n in (1, 2, 3) for _ in range(4))]
     swapped = refused = 0
+
+    def evaluates_to_f(expansion, f):
+        # the orbit-average comparison of ``straighten --verify`` agrees
+        # with evaluating in full
+        value = evaluate(expansion) == f
+        assert evaluates_to(expansion, f) == value
+        return value
+
     for expansion, f in cases:
         n, entries = expansion.n, expansion.entries
-        assert evaluate(expansion) == f
+        assert evaluates_to_f(expansion, f)
         sigma = rng.choice(sorted(entries, key=lambda s: s.window))
         coeff = entries[sigma]
-        assert evaluate(BasisExpansion(n, {**entries, sigma: coeff * 2})) != f
+        assert not evaluates_to_f(BasisExpansion(n, {**entries, sigma: coeff * 2}), f)
         for tau, other in entries.items():
             if other != coeff:
-                assert evaluate(BasisExpansion(n, {**entries, sigma: other, tau: coeff})) != f
+                assert not evaluates_to_f(BasisExpansion(n, {**entries, sigma: other, tau: coeff}), f)
                 swapped += 1
                 break
         m, c = rng.choice(coeff.items())
@@ -200,10 +208,11 @@ def test_evaluate_detects_mutated_expansions():
         for changed in (coeff + term, coeff + orbit):
             mutated = BasisExpansion(n, {**entries, sigma: changed})
             if is_separately_invariant(changed):
-                assert evaluate(mutated) != f
+                assert not evaluates_to_f(mutated, f)
             else:
-                with pytest.raises(ValueError, match="separately invariant"):
-                    evaluate(mutated)
+                for check in (evaluate, lambda e: evaluates_to(e, f)):
+                    with pytest.raises(ValueError, match="separately invariant"):
+                        check(mutated)
                 refused += 1
     assert swapped > 10 and refused > 5
 
