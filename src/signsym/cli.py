@@ -31,9 +31,10 @@ from .straighten import evaluates_to, straighten
 #: group elements once per total degree: rank 6 at the default degree 12
 #: takes about 4 to 4.5 s, and rank 7 would spend 45 s or more in its 13
 #: scans alone.  The candidate products, which dominate at rank 4, are
-#: cheap since they are counted by x groups and y completions: rank 4
-#: at degree 16 takes about 1.5 s and rank 5 at the default degree about
-#: 0.9 s.  --rank-guard raises the cap deliberately.
+#: cheap since each cell shares one column index of its x-exponent
+#: splits across all its candidates and counts y completions per group:
+#: rank 4 at degree 16 takes about 0.9 to 1 s and rank 5 at the default
+#: degree about 0.7 s.  --rank-guard raises the cap deliberately.
 VERIFY_GUARD = 6
 
 #: Default total-degree bound of the verify and hilbert tables.

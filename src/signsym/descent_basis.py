@@ -6,23 +6,27 @@ pair statistics of an element with statistics of its inverse across the
 two variable families.  The ordered monomials form a transversal of the
 averaging orbits; every ordered monomial decomposes as an even part
 times a diagonal signed descent monomial.  ``product_coefficients``
-builds the basis product named by such a decomposition at a list of
-ordered monomials, the one kernel behind straightening and the
-freeness check.  It counts each coefficient from the exponent pairs of
-c_sigma: the x side once per distinct x-exponent vector among the
-columns, then the y exponents as completions within each group of equal
-x exponent, so no rearrangement of 2*mu is tried against a column.
+builds the basis product named by such a decomposition at the ordered
+monomials of one bidegree, the one kernel behind straightening and the
+freeness check.  It reads those columns through a ``column_index``,
+built once per bidegree: the columns grouped by x exponent p, each
+group listing every split of p into an even part and a remainder, keyed
+by both parts sorted.  A product looks its (2*nu, delta) up in each
+group, and counts the y exponents as completions within each group of
+equal x exponent, so no rearrangement of 2*nu or 2*mu is tried against
+a column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from operator import sub
 from typing import Iterable, Iterator
 
 from .poly import Monomial, distinct_permutations, rearrangement_count
-from .signed_perm import SignedPermutation, statistics
+from .signed_perm import SignedPermutation, statistics, window_descent_counts, window_inverse
 
 
 def _require_positive(pi: SignedPermutation, kind: str) -> None:
@@ -110,9 +114,17 @@ def signed_index_permutation(m: Monomial) -> SignedPermutation:
     """
     if not is_ordered(m):
         raise ValueError("signed index permutation is only defined for ordered monomials")
+    return SignedPermutation(_index_window(m))
+
+
+def _index_window(m: Monomial) -> tuple[int, ...]:
     signed = [j if m.q[j - 1] % 2 == 0 else -j for j in range(1, m.n + 1)]
-    window = tuple(sorted(signed, key=lambda s: (-m.q[abs(s) - 1], s)))
-    return SignedPermutation(window)
+    return tuple(sorted(signed, key=lambda s: (-m.q[abs(s) - 1], s)))
+
+
+def _flags(w: tuple[int, ...]) -> tuple[int, ...]:
+    # f_i = 2*d_i + eps_i of a window, in O(n)
+    return tuple(2 * d + (v < 0) for d, v in zip(window_descent_counts(w), w))
 
 
 def order_key(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -175,12 +187,15 @@ def decompose(m: Monomial) -> Decomposition:
     All structural facts (evenness and non-negativity of the halved
     parts, the monotonicity of each sequence, and the tie conditions)
     are revalidated at runtime and raise RuntimeError on violation.
+    delta and gamma are read from the windows of sigma and its inverse,
+    as ``diagonal_signed_descent_monomial(sigma)`` defines them.
     """
     if not is_ordered(m):
         raise ValueError("decompose is only defined for ordered monomials")
-    sigma = signed_index_permutation(m)
-    c_sigma = diagonal_signed_descent_monomial(sigma)
-    delta, gamma = c_sigma.p, c_sigma.q
+    window = _index_window(m)
+    sigma = SignedPermutation(window)
+    delta = _flags(window_inverse(window))
+    gamma = _placed(sigma, _flags(window))
     n = m.n
 
     nu = []
@@ -197,7 +212,7 @@ def decompose(m: Monomial) -> Decomposition:
 
     _check(all(nu[i] >= nu[i + 1] for i in range(n - 1)), "nu not weakly decreasing")
     _check(all(delta[i] >= delta[i + 1] for i in range(n - 1)), "delta not weakly decreasing")
-    along_sigma = [abs(v) - 1 for v in sigma.window]
+    along_sigma = [abs(v) - 1 for v in window]
     _check(
         all(mu[along_sigma[i]] >= mu[along_sigma[i + 1]] for i in range(n - 1)),
         "mu not weakly decreasing along sigma",
@@ -206,18 +221,20 @@ def decompose(m: Monomial) -> Decomposition:
         all(gamma[along_sigma[i]] >= gamma[along_sigma[i + 1]] for i in range(n - 1)),
         "gamma not weakly decreasing along sigma",
     )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if delta[i] == delta[j]:
+    # Within each value of delta, and of gamma, the twisted q must weakly
+    # decrease; checking each slot against the previous slot of its value
+    # covers every pair.
+    twisted = [sign_twist(v) for v in m.q]
+    for name, seq in (("delta", delta), ("gamma", gamma)):
+        previous: dict[int, int] = {}
+        for j, v in enumerate(seq):
+            i = previous.get(v)
+            if i is not None:
                 _check(
-                    sign_twist(m.q[i]) >= sign_twist(m.q[j]),
-                    f"delta tie at slots {i + 1},{j + 1} breaks the twist order",
+                    twisted[i] >= twisted[j],
+                    f"{name} tie at slots {i + 1},{j + 1} breaks the twist order",
                 )
-            if gamma[i] == gamma[j]:
-                _check(
-                    sign_twist(m.q[i]) >= sign_twist(m.q[j]),
-                    f"gamma tie at slots {i + 1},{j + 1} breaks the twist order",
-                )
+            previous[v] = j
     return Decomposition(sigma, nu, delta, mu, gamma)
 
 
@@ -236,31 +253,74 @@ def partitions_fixed_length(total: int, length: int, cap: int | None = None) -> 
             yield (first,) + rest
 
 
-def _parity_compositions(total: int, parities: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # Compositions of `total` with slot i congruent to parities[i] mod 2.
-    if not parities:
-        if total == 0:
+def _tie_block_fills(free: int, blocks: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    # The y exponents over consecutive tie blocks (length, parity) of an
+    # ordered x exponent: even on an even block and weakly decreasing,
+    # odd on an odd block and weakly increasing, so that the twisted
+    # pairs decrease.  ``free`` is half of what the y degree leaves once
+    # every odd slot holds 1; each block takes a partition of its share.
+    if not blocks:
+        if free == 0:
             yield ()
         return
-    start = parities[0] % 2
-    for v in range(start, total + 1, 2):
-        for rest in _parity_compositions(total - v, parities[1:]):
-            yield (v,) + rest
+    (length, odd), rest = blocks[0], blocks[1:]
+    for share in range(free + 1) if rest else (free,):
+        tails = list(_tie_block_fills(free - share, rest))
+        for part in partitions_fixed_length(share, length):
+            head = tuple(2 * v + 1 for v in reversed(part)) if odd else tuple(2 * v for v in part)
+            for tail in tails:
+                yield head + tail
 
 
 def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
-    """All ordered monomials of rank n with x-degree a and y-degree b."""
+    """All ordered monomials of rank n with x-degree a and y-degree b.
+
+    p runs over the partitions of a; each tie block of p takes its y
+    exponents directly in the order the transversal needs, so no
+    exponent pair is built and then refused.
+    """
     if a < 0 or b < 0:
         return
     for p in partitions_fixed_length(a, n):
-        for q in _parity_compositions(b, p):
-            m = Monomial(p, q)
-            if is_ordered(m):
-                yield m
+        odd = sum(v % 2 for v in p)
+        if b < odd or (b - odd) % 2:
+            continue
+        blocks = [(len(list(tie)), v % 2) for v, tie in groupby(p)]
+        for q in _tie_block_fills((b - odd) // 2, blocks):
+            yield Monomial(p, q)
 
 
-def product_coefficients(dec: Decomposition, columns: Iterable[Monomial]) -> dict[Monomial, Fraction]:
-    """Nonzero coefficients of m_nu(x^2) m_mu(y^2) rho(c_sigma) at ``columns``.
+#: The splits p = r + dp (r even, dp >= 0) of one x exponent p, as
+#: (sorted r, sorted dp) -> the dp vectors under that key.
+Splits = dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]]
+
+#: ``column_index`` output: per distinct x exponent, its columns and splits.
+ColumnIndex = list[tuple[list[Monomial], Splits]]
+
+
+def column_index(columns: Iterable[Monomial]) -> ColumnIndex:
+    """The columns of one bidegree grouped by x exponent, with every even split.
+
+    For each distinct x exponent p the group maps (sorted r, sorted dp)
+    to the dp vectors of the splits p = r + dp with r even and dp >= 0.
+    Every product of the bidegree shares these splits, so
+    ``product_coefficients`` finds the x side of a column by one lookup.
+    """
+    groups: dict[tuple[int, ...], list[Monomial]] = {}
+    for w in columns:
+        groups.setdefault(w.p, []).append(w)
+    index = []
+    for p, members in groups.items():
+        splits: Splits = {}
+        for r in product(*(range(0, v + 1, 2) for v in p)):
+            dp = tuple(a - b for a, b in zip(p, r))
+            splits.setdefault((tuple(sorted(r)), tuple(sorted(dp))), []).append(dp)
+        index.append((members, splits))
+    return index
+
+
+def product_coefficients(dec: Decomposition, index: ColumnIndex) -> dict[Monomial, Fraction]:
+    """Nonzero coefficients of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the indexed columns.
 
     ``dec`` gives sigma's flag numbers directly: c_sigma is x^delta
     y^gamma, and nu and mu are the even parts.  rho(c_sigma) puts 1/|O|
@@ -270,39 +330,38 @@ def product_coefficients(dec: Decomposition, columns: Iterable[Monomial]) -> dic
     (w.p - r, w.q - s) rearrange those of c_sigma.
 
     The pairs are counted from c_sigma's side.  The x condition reads
-    only w.p: dp = w.p - r must rearrange delta, and the admissible dp
-    are found once per distinct w.p.  Each dp then fixes the y exponents
-    g = w.q - s up to the order within its groups of equal x exponent:
-    the slots where dp equals x take a distinct rearrangement of the
-    gamma values that c_sigma pairs with x, so a delta without ties
-    leaves exactly one g.  Distinct (r, g) give distinct (r, s), and a
-    (r, g) counts when w.q - g rearranges 2*mu.
+    only w.p: dp = w.p - r must rearrange delta, so the admissible dp
+    of a group of ``index`` are the splits under the key (sorted 2*nu,
+    sorted delta), and a group without that key is skipped.  Each dp
+    then fixes the y exponents g = w.q - s up to the order within its
+    groups of equal x exponent: the slots where dp equals x take a
+    distinct rearrangement of the gamma values that c_sigma pairs with
+    x, so a delta without ties leaves exactly one g.  Distinct (r, g)
+    give distinct (r, s), and a (r, g) counts when w.q - g rearranges
+    2*mu.
     """
     pairs = sorted(zip(dec.delta, dec.gamma))
-    xs = sorted(dec.delta)
+    key = (tuple(sorted(2 * v for v in dec.nu)), tuple(sorted(dec.delta)))
     ys = sorted(2 * v for v in dec.mu)
     orbit = rearrangement_count(pairs)
-    rs = list(distinct_permutations(2 * v for v in dec.nu))
     paired: dict[int, list[int]] = {}
     for x, y in pairs:
         paired.setdefault(x, []).append(y)
     # each way to order, per x exponent, the gammas c_sigma pairs with it
     orders = product(*(distinct_permutations(g) for g in paired.values()))
     fills = [dict(zip(paired, order)) for order in orders]
-    completions: dict[tuple[int, ...], list[list[int]]] = {}
     out = {}
-    for w in columns:
-        gs = completions.get(w.p)
-        if gs is None:
-            gs = completions[w.p] = []
-            for r in rs:
-                dp = [a - b for a, b in zip(w.p, r)]
-                if sorted(dp) == xs:
-                    for fill in fills:
-                        pending = {x: iter(gammas) for x, gammas in fill.items()}
-                        gs.append([next(pending[x]) for x in dp])
-        if gs:
-            count = sum(sorted([a - b for a, b in zip(w.q, g)]) == ys for g in gs)
+    for members, splits in index:
+        dps = splits.get(key)
+        if dps is None:
+            continue
+        gs = []
+        for dp in dps:
+            for fill in fills:
+                pending = {x: iter(gammas) for x, gammas in fill.items()}
+                gs.append([next(pending[x]) for x in dp])
+        for w in members:
+            count = sum(sorted(map(sub, w.q, g)) == ys for g in gs)
             if count:
                 out[w] = Fraction(count, orbit)
     return out

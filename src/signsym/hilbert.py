@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from . import scan
-from .descent_basis import decompose, order_key, ordered_monomials, product_coefficients
+from .descent_basis import column_index, decompose, order_key, ordered_monomials, product_coefficients
 from .poly import Monomial, Polynomial
 from .signed_perm import (
     ENUMERATION_GUARD,
@@ -153,13 +153,15 @@ def _leading_column_rank(rows: list[Polynomial]) -> int:
     under ``order_key``.  While the lead belongs to a pivot, the matching
     multiple of that pivot row is subtracted, which only leaves smaller
     monomials; a row that empties is dependent, and otherwise it becomes
-    the pivot of its lead.
+    the pivot of its lead.  Subtraction brings in no new monomial, so each
+    column's key is computed once, up front.
     """
+    keys = {m: order_key(m) for m in {m for poly in rows for m in poly.monomials()}}
     pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
     for poly in rows:
         row = {m: poly.coefficient(m) for m in poly.monomials()}
         while row:
-            lead = max(row, key=order_key)
+            lead = max(row, key=keys.__getitem__)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
@@ -183,15 +185,17 @@ def basis_candidates(
     w as x^(2 nu) y^(2 mu) c_sigma, and that product is positive at w and
     zero at every larger ordered monomial.  The yielded polynomial is the
     product's restriction to the cell's ordered monomials, by
-    ``product_coefficients``; mu is yielded sorted, as a partition.
+    ``product_coefficients`` over one ``column_index`` of the cell; mu is
+    yielded sorted, as a partition.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
     columns = list(ordered_monomials(n, a, b))
+    index = column_index(columns)
     for w in columns:
         dec = decompose(w)
         mu = tuple(sorted(dec.mu, reverse=True))
-        yield dec.sigma, dec.nu, mu, Polynomial(n, product_coefficients(dec, columns))
+        yield dec.sigma, dec.nu, mu, Polynomial(n, product_coefficients(dec, index))
 
 
 @dataclass(frozen=True)

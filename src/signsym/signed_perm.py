@@ -53,6 +53,14 @@ def window_fmaj(w: tuple[int, ...]) -> int:
     return 2 * maj + neg
 
 
+def window_descent_counts(w: tuple[int, ...]) -> tuple[int, ...]:
+    """d_i, the number of descents of a window at positions >= i, by one suffix count."""
+    d = [0] * len(w)
+    for i in range(len(w) - 2, -1, -1):
+        d[i] = d[i + 1] + (w[i] > w[i + 1])
+    return tuple(d)
+
+
 def window_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     """Window of the inverse signed permutation."""
     out = [0] * len(w)
@@ -174,7 +182,7 @@ def statistics(sigma: SignedPermutation) -> StatisticsProfile:
     w = sigma.window
     n = sigma.n
     descents = frozenset(i for i in range(1, n) if w[i - 1] > w[i])
-    d = tuple(sum(1 for j in descents if j >= i) for i in range(1, n + 1))
+    d = window_descent_counts(w)
     eps = tuple(1 if v < 0 else 0 for v in w)
     f = tuple(2 * di + ei for di, ei in zip(d, eps))
     maj = sum(descents)

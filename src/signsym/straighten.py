@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .descent_basis import (
+    column_index,
     decompose,
     diagonal_signed_descent_monomial,
     order_key,
@@ -117,10 +118,11 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
     for bd, component in bidegree_components(f).items():
         columns = sorted(ordered_monomials(f.n, bd.a, bd.b), key=order_key, reverse=True)
         remainder = {w: component.coefficient(w) for w in columns}
+        index = column_index(columns)
         for w in columns:
             if remainder[w]:
                 dec = decompose(w)
-                product = product_coefficients(dec, columns)
+                product = product_coefficients(dec, index)
                 lead = product.get(w, Fraction(0))
                 if lead <= 0:
                     raise RuntimeError(

@@ -220,20 +220,29 @@ def test_decompose_descent_monomial_example():
 
 
 def test_decompose_reconstruction_small_grid():
-    # m = x^(2 nu) y^(2 mu) c_sigma, with the stated monotonicity and ties
-    for n in (1, 2):
-        for p in itertools.product(range(5), repeat=n):
-            for q in itertools.product(range(5), repeat=n):
-                m = mono(p, q)
-                if not is_ordered(m):
-                    continue
-                dec = decompose(m)
-                assert m.p == tuple(2 * v + d for v, d in zip(dec.nu, dec.delta))
-                assert m.q == tuple(2 * v + g for v, g in zip(dec.mu, dec.gamma))
-                c = diagonal_signed_descent_monomial(dec.sigma)
-                assert (c.p, c.q) == (dec.delta, dec.gamma)
-                even = mono([2 * v for v in dec.nu], [2 * v for v in dec.mu])
-                assert even * c == m
+    # m = x^(2 nu) y^(2 mu) c_sigma, with (delta, gamma) the exponents of
+    # c_sigma as diagonal_signed_descent_monomial builds them
+    pool = [
+        mono(p, q)
+        for n in (1, 2)
+        for p in itertools.product(range(5), repeat=n)
+        for q in itertools.product(range(5), repeat=n)
+    ]
+    pool += [m for a in range(7) for b in range(7) for m in ordered_monomials(3, a, b)]
+    pool += list(ordered_monomials(4, 4, 4)) + list(ordered_monomials(4, 6, 6))
+    checked = 0
+    for m in pool:
+        if not is_ordered(m):
+            continue
+        dec = decompose(m)
+        assert m.p == tuple(2 * v + d for v, d in zip(dec.nu, dec.delta))
+        assert m.q == tuple(2 * v + g for v, g in zip(dec.mu, dec.gamma))
+        c = diagonal_signed_descent_monomial(dec.sigma)
+        assert (c.p, c.q) == (dec.delta, dec.gamma), m
+        even = mono([2 * v for v in dec.nu], [2 * v for v in dec.mu])
+        assert even * c == m
+        checked += 1
+    assert checked > 350
 
 
 def test_decompose_flag_slack_properties():
@@ -268,11 +277,10 @@ def test_ordered_monomials_enumeration():
     assert cell == [((1, 1), (1, 1)), ((2, 0), (0, 2)), ((2, 0), (2, 0))]
     assert list(ordered_monomials(2, 1, 0)) == []
     # exhaustive cross-check against a plain filter over all exponent vectors
-    expected = sorted(
-        (p, q)
-        for p in itertools.product(range(7), repeat=2)
-        for q in itertools.product(range(7), repeat=2)
-        if sum(p) == 4 and sum(q) == 4 and is_ordered(mono(p, q))
-    )
-    got = sorted((m.p, m.q) for m in ordered_monomials(2, 4, 4))
-    assert got == expected
+    for n, a, b in ((2, 4, 4), (3, 5, 5), (3, 6, 3), (4, 4, 4)):
+        ps = [p for p in itertools.product(range(a + 1), repeat=n) if sum(p) == a]
+        qs = [q for q in itertools.product(range(b + 1), repeat=n) if sum(q) == b]
+        expected = sorted((p, q) for p in ps for q in qs if is_ordered(mono(p, q)))
+        got = [(m.p, m.q) for m in ordered_monomials(n, a, b)]
+        assert sorted(got) == expected, (n, a, b)
+        assert len(set(got)) == len(got)

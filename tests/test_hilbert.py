@@ -16,7 +16,13 @@ from helpers import (
     rational_rank,
     rho_bruteforce,
 )
-from signsym.descent_basis import decompose, diagonal_signed_descent_monomial, order_key, ordered_monomials
+from signsym.descent_basis import (
+    column_index,
+    decompose,
+    diagonal_signed_descent_monomial,
+    order_key,
+    ordered_monomials,
+)
 from signsym.hilbert import (
     BiSeries,
     _leading_column_rank,
@@ -209,12 +215,20 @@ def test_candidates_in_orbit_coordinates_against_full_products():
     # each yielded candidate is the full product restricted to the ordered
     # monomials, and the rank over those columns is the full-support rank
     cells = [(n, a, total - a) for n in (1, 2, 3) for total in range(9) for a in range(total + 1)]
-    cells += [(4, 4, 4), (4, 6, 6), (4, 8, 4), (5, 4, 4), (5, 6, 4)]
-    ties = 0
+    cells += [(4, 4, 4), (4, 6, 6), (4, 8, 4), (4, 10, 4), (5, 4, 4), (5, 6, 4), (6, 4, 4)]
+    ties = repeated_nu = shared_keys = 0
     for n, a, b in cells:
         columns = list(ordered_monomials(n, a, b))
+        index = column_index(columns)
         products = []
         for sigma, nu, mu, poly in basis_candidates(n, a, b):
+            # the column index must serve a nu with repeated nonzero parts,
+            # and keys under which one x exponent splits in several ways
+            key = (tuple(sorted(2 * v for v in nu)), tuple(sorted(statistics(sigma.inverse()).f)))
+            hits = [len(splits[key]) for _, splits in index if key in splits]
+            parts = [v for v in nu if v]
+            repeated_nu += bool(hits) and len(set(parts)) < len(parts)
+            shared_keys += any(h > 1 for h in hits)
             full = full_candidate(sigma, nu, mu)
             assert poly == Polynomial(n, {w: full.coefficient(w) for w in columns}), (sigma, nu, mu)
             products.append(full)
@@ -223,7 +237,7 @@ def test_candidates_in_orbit_coordinates_against_full_products():
             c = diagonal_signed_descent_monomial(sigma)
             ties += any(len({y for x2, y in zip(c.p, c.q) if x2 == x}) > 1 for x in c.p)
         assert verify_basis_rank(n, a, b).rank == full_support_rank(products), (n, a, b)
-    assert ties
+    assert ties and repeated_nu and shared_keys
 
 
 def test_verify_basis_rank_examples():
