@@ -28,13 +28,14 @@ from .straighten import evaluates_to, straighten
 
 #: Default rank cap for the rank/series verification suite.  The cost
 #: that grows with rank is the series numerator, which scans the 2^n * n!
-#: group elements once per total degree: rank 6 at the default degree 12
-#: takes about 4 to 4.5 s, and rank 7 would spend 45 s or more in its 13
-#: scans alone.  The candidate products, which dominate at rank 4, are
-#: cheap since each cell shares one column index of its x-exponent
-#: splits across all its candidates and counts y completions per group:
-#: rank 4 at degree 16 takes about 0.9 to 1 s and rank 5 at the default
-#: degree about 0.7 s.  --rank-guard raises the cap deliberately.
+#: group elements once per run, for the series table of the largest
+#: total: rank 6 at the default degree 12 takes about 0.45 s, and rank 7
+#: would spend about 4 s in its one scan.  The candidate products, which
+#: dominate at rank 4, are cheap since each cell shares one column index
+#: of its x-exponent splits across all its candidates and each sigma's
+#: descent data is computed once: rank 4 at degree 16 takes about 0.6 s
+#: and rank 5 at the default degree about 0.25 s.  --rank-guard raises
+#: the cap deliberately.
 VERIFY_GUARD = 6
 
 #: Default total-degree bound of the verify and hilbert tables.
@@ -149,7 +150,9 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     guard = args.rank_guard or VERIFY_GUARD
     reports = []
-    for total in range(args.max_degree + 1):
+    # The largest total first: its series table serves every cell, and
+    # its guards refuse the run before anything is built.
+    for total in range(args.max_degree, -1, -1):
         for a in range(total + 1):
             reports.append(hilbert.verify_basis_rank(args.n, a, total - a, guard=guard))
     reports.sort(key=lambda r: (r.a, r.b))
@@ -188,12 +191,15 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
         )
         return 0
     cells = []
-    for total in range(args.max_degree + 1):
-        for a in range(total + 1):
+    # The largest total first, as in verify, so that one series table
+    # serves the run; the cells print from the smallest total up.
+    for total in range(args.max_degree, -1, -1):
+        for a in range(total, -1, -1):
             b = total - a
             value = hilbert.series_coefficient(args.n, a, b, guard=guard)
             if value:
                 cells.append({"a": a, "b": b, "value": value})
+    cells.reverse()
     _emit(
         args,
         lambda: {"n": args.n, "max_degree": args.max_degree, "coefficients": cells},

@@ -9,21 +9,24 @@ times a diagonal signed descent monomial.  ``product_coefficients``
 builds the basis product named by such a decomposition at the ordered
 monomials of one bidegree, the one kernel behind straightening and the
 freeness check.  It reads those columns through a ``column_index``,
-built once per bidegree: the columns grouped by x exponent p, each
-group listing every split of p into an even part and a remainder, keyed
-by both parts sorted.  A product looks its (2*nu, delta) up in each
-group, and counts the y exponents as completions within each group of
-equal x exponent, so no rearrangement of 2*nu or 2*mu is tried against
-a column.
+built once per bidegree: every split of an x exponent p into an even
+part and a remainder, keyed by both parts sorted, lists the columns of
+that p with the remainders under the key.  A product looks its
+(2*nu, delta) up once, and counts the y exponents as completions within
+each group of equal x exponent, so no rearrangement of 2*nu or 2*mu is
+tried against a column.  What a product needs of sigma (its flags, the
+orbit size of c_sigma and the orders of its y exponents) is computed
+once per sigma by ``_descent_data``, which ``decompose`` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby, product
-from operator import sub
-from typing import Iterable, Iterator
+from operator import ge, sub
+from typing import Iterable, Iterator, NamedTuple
 
 from .poly import Monomial, distinct_permutations, rearrangement_count
 from .signed_perm import SignedPermutation, statistics, window_descent_counts, window_inverse
@@ -174,11 +177,40 @@ class Decomposition:
     gamma: tuple[int, ...]
 
 
-def _check(condition: bool, message: str) -> None:
+class DescentData(NamedTuple):
+    """What the kernel reads of one sigma, computed once by ``_descent_data``."""
+
+    sigma: SignedPermutation
+    #: flags of sigma^-1 and of sigma placed at |sigma(i)|: c_sigma = x^delta y^gamma
+    delta: tuple[int, ...]
+    gamma: tuple[int, ...]
+    sorted_delta: tuple[int, ...]
+    #: |O|, the number of distinct rearrangements of the pairs of c_sigma
+    orbit: int
+    #: each way to order, per x exponent, the gammas c_sigma pairs with it
+    fills: tuple[dict[int, tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=None)
+def _descent_data(window: tuple[int, ...]) -> DescentData:
+    sigma = SignedPermutation(window)
+    delta = _flags(window_inverse(window))
+    gamma = _placed(sigma, _flags(window))
+    pairs = sorted(zip(delta, gamma))
+    paired: dict[int, list[int]] = {}
+    for x, y in pairs:
+        paired.setdefault(x, []).append(y)
+    orders = product(*(distinct_permutations(g) for g in paired.values()))
+    fills = tuple(dict(zip(paired, order)) for order in orders)
+    return DescentData(sigma, delta, gamma, tuple(sorted(delta)), rearrangement_count(pairs), fills)
+
+
+def _check(condition: bool, message: str, *args: object) -> None:
     # The decomposition facts always hold for ordered inputs; a failure
     # here means a statistics bug upstream and must not be suppressed.
+    # The message is formatted with ``args`` only on failure.
     if not condition:
-        raise RuntimeError(f"internal decomposition invariant violated: {message}")
+        raise RuntimeError(f"internal decomposition invariant violated: {message.format(*args)}")
 
 
 def decompose(m: Monomial) -> Decomposition:
@@ -193,34 +225,27 @@ def decompose(m: Monomial) -> Decomposition:
     if not is_ordered(m):
         raise ValueError("decompose is only defined for ordered monomials")
     window = _index_window(m)
-    sigma = SignedPermutation(window)
-    delta = _flags(window_inverse(window))
-    gamma = _placed(sigma, _flags(window))
+    sigma, delta, gamma = _descent_data(window)[:3]
     n = m.n
 
     nu = []
     mu = []
     for i in range(n):
         rest_p = m.p[i] - delta[i]
-        _check(rest_p >= 0 and rest_p % 2 == 0, f"p - delta not even non-negative at slot {i + 1}")
+        _check(rest_p >= 0 and rest_p % 2 == 0, "p - delta not even non-negative at slot {}", i + 1)
         nu.append(rest_p // 2)
         rest_q = m.q[i] - gamma[i]
-        _check(rest_q >= 0 and rest_q % 2 == 0, f"q - gamma not even non-negative at slot {i + 1}")
+        _check(rest_q >= 0 and rest_q % 2 == 0, "q - gamma not even non-negative at slot {}", i + 1)
         mu.append(rest_q // 2)
     nu = tuple(nu)
     mu = tuple(mu)
 
-    _check(all(nu[i] >= nu[i + 1] for i in range(n - 1)), "nu not weakly decreasing")
-    _check(all(delta[i] >= delta[i + 1] for i in range(n - 1)), "delta not weakly decreasing")
-    along_sigma = [abs(v) - 1 for v in window]
-    _check(
-        all(mu[along_sigma[i]] >= mu[along_sigma[i + 1]] for i in range(n - 1)),
-        "mu not weakly decreasing along sigma",
-    )
-    _check(
-        all(gamma[along_sigma[i]] >= gamma[along_sigma[i + 1]] for i in range(n - 1)),
-        "gamma not weakly decreasing along sigma",
-    )
+    _check(all(map(ge, nu, nu[1:])), "nu not weakly decreasing")
+    _check(all(map(ge, delta, delta[1:])), "delta not weakly decreasing")
+    mu_along = [mu[abs(v) - 1] for v in window]
+    _check(all(map(ge, mu_along, mu_along[1:])), "mu not weakly decreasing along sigma")
+    gamma_along = [gamma[abs(v) - 1] for v in window]
+    _check(all(map(ge, gamma_along, gamma_along[1:])), "gamma not weakly decreasing along sigma")
     # Within each value of delta, and of gamma, the twisted q must weakly
     # decrease; checking each slot against the previous slot of its value
     # covers every pair.
@@ -232,7 +257,8 @@ def decompose(m: Monomial) -> Decomposition:
             if i is not None:
                 _check(
                     twisted[i] >= twisted[j],
-                    f"{name} tie at slots {i + 1},{j + 1} breaks the twist order",
+                    "{} tie at slots {},{} breaks the twist order",
+                    name, i + 1, j + 1,
                 )
             previous[v] = j
     return Decomposition(sigma, nu, delta, mu, gamma)
@@ -290,32 +316,34 @@ def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
             yield Monomial(p, q)
 
 
-#: The splits p = r + dp (r even, dp >= 0) of one x exponent p, as
-#: (sorted r, sorted dp) -> the dp vectors under that key.
-Splits = dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]]
-
-#: ``column_index`` output: per distinct x exponent, its columns and splits.
-ColumnIndex = list[tuple[list[Monomial], Splits]]
+#: ``column_index`` output: (sorted r, sorted dp) -> for each x exponent p
+#: with a split p = r + dp under that key, its columns and the dp vectors
+#: of those splits.
+ColumnIndex = dict[
+    tuple[tuple[int, ...], tuple[int, ...]], list[tuple[list[Monomial], list[tuple[int, ...]]]]
+]
 
 
 def column_index(columns: Iterable[Monomial]) -> ColumnIndex:
-    """The columns of one bidegree grouped by x exponent, with every even split.
+    """Every even split of the x exponents of one bidegree, keyed by both parts sorted.
 
-    For each distinct x exponent p the group maps (sorted r, sorted dp)
-    to the dp vectors of the splits p = r + dp with r even and dp >= 0.
-    Every product of the bidegree shares these splits, so
-    ``product_coefficients`` finds the x side of a column by one lookup.
+    The columns are grouped by x exponent p.  Each split p = r + dp with
+    r even and dp >= 0 files p's columns, with the dp vectors of p under
+    the same key, under (sorted r, sorted dp).  Every product of the
+    bidegree shares these splits, so ``product_coefficients`` finds the
+    x side of every column by one lookup.
     """
     groups: dict[tuple[int, ...], list[Monomial]] = {}
     for w in columns:
         groups.setdefault(w.p, []).append(w)
-    index = []
+    index: ColumnIndex = {}
     for p, members in groups.items():
-        splits: Splits = {}
+        splits: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
         for r in product(*(range(0, v + 1, 2) for v in p)):
-            dp = tuple(a - b for a, b in zip(p, r))
+            dp = tuple(map(sub, p, r))
             splits.setdefault((tuple(sorted(r)), tuple(sorted(dp))), []).append(dp)
-        index.append((members, splits))
+        for key, dps in splits.items():
+            index.setdefault(key, []).append((members, dps))
     return index
 
 
@@ -331,37 +359,26 @@ def product_coefficients(dec: Decomposition, index: ColumnIndex) -> dict[Monomia
 
     The pairs are counted from c_sigma's side.  The x condition reads
     only w.p: dp = w.p - r must rearrange delta, so the admissible dp
-    of a group of ``index`` are the splits under the key (sorted 2*nu,
-    sorted delta), and a group without that key is skipped.  Each dp
-    then fixes the y exponents g = w.q - s up to the order within its
-    groups of equal x exponent: the slots where dp equals x take a
-    distinct rearrangement of the gamma values that c_sigma pairs with
-    x, so a delta without ties leaves exactly one g.  Distinct (r, g)
-    give distinct (r, s), and a (r, g) counts when w.q - g rearranges
-    2*mu.
+    are the splits filed in ``index`` under (sorted 2*nu, sorted delta),
+    one lookup for the whole bidegree.  Each dp then fixes the y
+    exponents g = w.q - s up to the order within its groups of equal x
+    exponent: the slots where dp equals x take a distinct rearrangement
+    of the gamma values that c_sigma pairs with x, so a delta without
+    ties leaves exactly one g.  Distinct (r, g) give distinct (r, s),
+    and a (r, g) counts when w.q - g rearranges 2*mu.
     """
-    pairs = sorted(zip(dec.delta, dec.gamma))
-    key = (tuple(sorted(2 * v for v in dec.nu)), tuple(sorted(dec.delta)))
+    data = _descent_data(dec.sigma.window)
+    key = (tuple(sorted(2 * v for v in dec.nu)), data.sorted_delta)
     ys = sorted(2 * v for v in dec.mu)
-    orbit = rearrangement_count(pairs)
-    paired: dict[int, list[int]] = {}
-    for x, y in pairs:
-        paired.setdefault(x, []).append(y)
-    # each way to order, per x exponent, the gammas c_sigma pairs with it
-    orders = product(*(distinct_permutations(g) for g in paired.values()))
-    fills = [dict(zip(paired, order)) for order in orders]
     out = {}
-    for members, splits in index:
-        dps = splits.get(key)
-        if dps is None:
-            continue
+    for members, dps in index.get(key, ()):
         gs = []
         for dp in dps:
-            for fill in fills:
+            for fill in data.fills:
                 pending = {x: iter(gammas) for x, gammas in fill.items()}
                 gs.append([next(pending[x]) for x in dp])
         for w in members:
             count = sum(sorted(map(sub, w.q, g)) == ys for g in gs)
             if count:
-                out[w] = Fraction(count, orbit)
+                out[w] = Fraction(count, data.orbit)
     return out

@@ -246,7 +246,9 @@ class Polynomial:
             if not den:
                 raise ValueError(f"coefficient {c!r} has a zero denominator")
             m = Monomial(tuple(p), tuple(q))
-            terms[m] = terms.get(m, Fraction(0)) + Fraction(num, den)
+            if m in terms:
+                raise ValueError(f"monomial {m.text()} is listed twice")
+            terms[m] = Fraction(num, den)
         return cls(n, terms)
 
 

@@ -87,11 +87,16 @@ class BasisExpansion:
     def from_json(cls, data: dict) -> "BasisExpansion":
         n, entries = json_object(data, "an expansion", "entries")
         exp = cls(n)
+        seen: set[SignedPermutation] = set()
         for entry in entries:
             sigma, coeff = entry.get("sigma"), Polynomial.from_json(entry.get("coeff"))
             if not isinstance(sigma, list) or len(sigma) != n or coeff.n != n:
                 raise ValueError(f"entry {entry!r} needs a window list and a coefficient of rank {n}")
-            exp.add(SignedPermutation(tuple(sigma)), coeff)
+            sigma = SignedPermutation(tuple(sigma))
+            if sigma in seen:
+                raise ValueError(f"sigma {sigma} is listed twice")
+            seen.add(sigma)
+            exp.add(sigma, coeff)
         return exp
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import signsym.hilbert as hilbert_module
 from signsym.descent_basis import (
     decompose,
     diagonal_signed_descent_monomial,
@@ -23,6 +24,27 @@ from signsym.poly import (
 )
 from signsym.signed_perm import SignedPermutation, enumerate_group, group_order, statistics
 from signsym.straighten import BasisExpansion
+
+
+def clear_hilbert_caches() -> None:
+    """Clear every functools cache of ``signsym.hilbert``, as a fresh process starts."""
+    for value in vars(hilbert_module).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
+def record_table_builds(monkeypatch, build) -> list[int]:
+    """Replace the series table builder by ``build`` from cold caches; the
+    returned list collects the total of every table asked for."""
+    built = []
+
+    def recorded(n, max_total):
+        built.append(max_total)
+        return build(n, max_total)
+
+    monkeypatch.setattr(hilbert_module, "_series_table", recorded)
+    clear_hilbert_caches()
+    return built
 
 
 def sp(*window: int) -> SignedPermutation:

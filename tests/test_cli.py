@@ -12,7 +12,8 @@ import pytest
 
 import signsym
 import signsym.cli as cli
-from helpers import mono
+import signsym.hilbert as hilbert_module
+from helpers import clear_hilbert_caches, mono, record_table_builds
 from signsym.cli import main
 from signsym.poly import Polynomial, rho
 from signsym.hilbert import verify_basis_rank
@@ -151,6 +152,14 @@ def test_straighten_verify_catches_a_scaled_kernel(capsys, monkeypatch):
     assert err == "verification failed: expansion does not evaluate back to the input\n"
 
 
+def test_straighten_refuses_a_monomial_listed_twice(capsys, monkeypatch):
+    term = {"p": [2, 0], "q": [0, 0], "coeff": 1}
+    payload = {"n": 2, "terms": [term, {"p": [0, 2], "q": [0, 0], "coeff": 1}, term]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, "straighten")
+    assert (code, out, err) == (1, "", "error: monomial x1^2 is listed twice\n")
+
+
 def test_straighten_constant(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(Polynomial.one(2).to_json())))
     code, out, _ = run(capsys, "straighten")
@@ -222,6 +231,38 @@ def test_hilbert_series_table(capsys):
     cells = {(c["a"], c["b"]): c["value"] for c in data["coefficients"]}
     assert cells[(3, 1)] == 1
     assert (1, 0) not in cells
+
+
+@pytest.mark.parametrize("command", ["hilbert", "verify"])
+def test_one_series_table_per_run(capsys, monkeypatch, command):
+    # the largest total is asked for first, and its table serves the run
+    built = record_table_builds(monkeypatch, hilbert_module._series_table)
+    code, out, _ = run(capsys, command, "--n", "3", "--max-degree", "8", "--format", "json")
+    assert code == 0 and out
+    assert built == [8]
+    clear_hilbert_caches()
+
+
+class Built(Exception):
+    """Raised by a stand-in builder: the guard let the table through."""
+
+
+@pytest.mark.parametrize("command", ["hilbert", "verify"])
+def test_degree_guard_at_its_boundary(capsys, monkeypatch, command):
+    # (499 + 1)^2 entries is the cap: accepted, and the first thing asked
+    # for is the table; one past it is refused before anything is built
+    def refuse(n, max_total):
+        raise Built(max_total)
+
+    built = record_table_builds(monkeypatch, refuse)
+    with pytest.raises(Built, match="499"):
+        run(capsys, command, "--n", "1", "--max-degree", "499")
+    assert built == [499]
+    clear_hilbert_caches()
+    code, out, err = run(capsys, command, "--n", "1", "--max-degree", "500")
+    assert (code, out) == (1, "")
+    assert err == "error: total degree 500 needs a series table of 251001 entries, above the cap of 250000\n"
+    assert built == [499]
 
 
 @pytest.mark.parametrize("extra", [(), ("--numerator",)])

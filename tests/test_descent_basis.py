@@ -1,12 +1,14 @@
 """Descent monomial families, ordered monomials, and decomposition."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from helpers import mono, sp
 from signsym.descent_basis import (
+    _descent_data,
     compare,
     decompose,
     descent_monomial,
@@ -21,7 +23,7 @@ from signsym.descent_basis import (
     signed_descent_monomial,
     signed_index_permutation,
 )
-from signsym.poly import Monomial, Polynomial, rho
+from signsym.poly import Monomial, Polynomial, distinct_permutations, rearrangement_count, rho
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 
 
@@ -217,6 +219,30 @@ def test_decompose_descent_monomial_example():
     assert dec.nu == dec.mu == (0, 0, 0, 0)
     assert dec.delta == (3, 2, 2, 1)
     assert dec.gamma == (3, 4, 0, 1)
+
+
+def test_descent_data_of_every_window():
+    # what the kernel reads of sigma, against c_sigma built by its
+    # definition and the orbit size counted from c_sigma's pairs
+    counts = {n: 0 for n in (1, 2, 3, 4)}
+    for n in counts:
+        for sigma in enumerate_group(n):
+            data = _descent_data(sigma.window)
+            c = diagonal_signed_descent_monomial(sigma)
+            pairs = list(zip(c.p, c.q))
+            assert data.sigma == sigma
+            assert (data.delta, data.gamma) == (c.p, c.q), sigma
+            assert data.sorted_delta == tuple(sorted(c.p))
+            assert data.orbit == rearrangement_count(pairs), sigma
+            # each fill orders, per x exponent, the y exponents paired with it
+            paired = {x: sorted(y for x2, y in pairs if x2 == x) for x in c.p}
+            orders = {x: set(distinct_permutations(ys)) for x, ys in paired.items()}
+            fills = [tuple(sorted(fill.items())) for fill in data.fills]
+            assert len(set(fills)) == len(fills) == math.prod(len(o) for o in orders.values())
+            assert all(set(fill) == set(paired) for fill in data.fills)
+            assert all(fill[x] in orders[x] for fill in data.fills for x in fill)
+            counts[n] += 1
+    assert counts == {1: 2, 2: 8, 3: 48, 4: 384}
 
 
 def test_decompose_reconstruction_small_grid():

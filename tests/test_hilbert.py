@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+import signsym.hilbert as hilbert_module
 from helpers import (
+    clear_hilbert_caches,
     full_candidate,
     full_support_rank,
     group_candidates,
     inversion_count,
     mono,
     rational_rank,
+    record_table_builds,
     rho_bruteforce,
 )
 from signsym.descent_basis import (
@@ -34,6 +37,7 @@ from signsym.hilbert import (
     series_coefficient,
     verify_basis_rank,
 )
+from signsym import scan
 from signsym.poly import Polynomial
 from signsym.signed_perm import RankGuardError, enumerate_group, statistics
 
@@ -99,6 +103,86 @@ def test_series_coefficient_examples():
     assert series_coefficient(2, 0, 0) == 1
     with pytest.raises(ValueError):
         series_coefficient(1, -1, 0)
+
+
+def times_denominator(n, cells, max_total):
+    # the series times prod (1 - s^(2i)) (1 - t^(2i)) on a + b <= max_total
+    for i in range(1, n + 1):
+        step = 2 * i
+        cells = {(a, b): c - cells.get((a - step, b), 0) for (a, b), c in cells.items()}
+        cells = {(a, b): c - cells.get((a, b - step), 0) for (a, b), c in cells.items()}
+    return {k: c for k, c in cells.items() if c}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_grown_series_table_in_any_query_order(order):
+    # the widest table serves every smaller total, whatever order the
+    # totals come in; multiplying back by the denominator must give the
+    # numerator, which pins every coefficient of the triangle
+    max_total = 12
+    keys = [(a, total - a) for total in range(max_total + 1) for a in range(total + 1)]
+    if order == "descending":
+        keys.reverse()
+    elif order == "shuffled":
+        random.Random(16).shuffle(keys)
+    for n in (1, 2, 3, 4):
+        clear_hilbert_caches()
+        cells = {(a, b): series_coefficient(n, a, b) for a, b in keys}
+        expected = {k: c for k, c in scan.fmaj_pair_counts(n).items() if sum(k) <= max_total}
+        assert times_denominator(n, cells, max_total) == expected, (n, order)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    yield record_table_builds(monkeypatch, hilbert_module._series_table)
+    clear_hilbert_caches()
+
+
+def test_ascending_totals_build_once_per_total(builds):
+    for total in range(9):
+        for a in range(total + 1):
+            series_coefficient(3, a, total - a)
+    assert builds == list(range(9))
+
+
+def test_descending_totals_build_once(builds):
+    for total in range(8, -1, -1):
+        for a in range(total + 1):
+            series_coefficient(3, a, total - a)
+    assert builds == [8]
+    # each rank keeps its own table
+    series_coefficient(2, 3, 3)
+    series_coefficient(3, 0, 8)
+    assert builds == [8, 6]
+
+
+def test_cleared_caches_rebuild(builds):
+    series_coefficient(3, 4, 4)
+    series_coefficient(3, 2, 2)
+    assert builds == [8]
+    clear_hilbert_caches()
+    series_coefficient(3, 2, 2)
+    assert builds == [8, 4]
+
+
+def test_series_table_guard_refuses_before_building(monkeypatch):
+    # the cap is on the entries of the dense table, (total + 1)^2
+    def refuse(*args):
+        raise AssertionError("no table may be built past the cap")
+
+    def no_candidates(*args):
+        raise AssertionError("no candidate may be built past the cap")
+
+    record_table_builds(monkeypatch, refuse)
+    monkeypatch.setattr(hilbert_module, "basis_candidates", no_candidates)
+    assert hilbert_module.SERIES_TABLE_GUARD == 500 * 500
+    message = "total degree 500 needs a series table of 251001 entries, above the cap of 250000"
+    with pytest.raises(ValueError, match=message):
+        series_coefficient(1, 250, 250)
+    with pytest.raises(ValueError, match=message):
+        verify_basis_rank(1, 0, 500)
+    with pytest.raises(AssertionError, match="no table"):
+        series_coefficient(1, 499, 0)
 
 
 def test_invariant_dimension_examples():
@@ -225,7 +309,7 @@ def test_candidates_in_orbit_coordinates_against_full_products():
             # the column index must serve a nu with repeated nonzero parts,
             # and keys under which one x exponent splits in several ways
             key = (tuple(sorted(2 * v for v in nu)), tuple(sorted(statistics(sigma.inverse()).f)))
-            hits = [len(splits[key]) for _, splits in index if key in splits]
+            hits = [len(dps) for _, dps in index.get(key, ())]
             parts = [v for v in nu if v]
             repeated_nu += bool(hits) and len(set(parts)) < len(parts)
             shared_keys += any(h > 1 for h in hits)

@@ -429,6 +429,14 @@ def test_polynomial_json_coefficient_strings():
             parse(coeff)
 
 
+def test_polynomial_json_refuses_a_monomial_listed_twice():
+    # even when the two coefficients would cancel
+    for coeffs in ((1, 1), ("1/2", "-1/2")):
+        terms = [{"p": [1, 0], "q": [1, 0], "coeff": c} for c in coeffs]
+        with pytest.raises(ValueError, match=re.escape("monomial x1 y1 is listed twice")):
+            Polynomial.from_json({"n": 2, "terms": terms})
+
+
 def test_text_rendering():
     f = poly(2, (Fraction(1, 2), (2, 0), (2, 0)), (-1, (0, 2), (0, 2)), (-2, (0, 0), (0, 0)))
     assert f.text() == "1/2 x1^2 y1^2 - x2^2 y2^2 - 2"

@@ -6,6 +6,7 @@ leading term at every step) and by evaluating expansions back.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,16 @@ def test_expansion_from_json_refuses_malformed():
     ]
     for data in refused:
         with pytest.raises(ValueError):
+            BasisExpansion.from_json(data)
+
+
+def test_expansion_from_json_refuses_a_sigma_listed_twice():
+    # a zero coefficient is not stored, but its sigma still counts as listed
+    one = Polynomial.one(2).to_json()
+    for first in (one, Polynomial.zero(2).to_json()):
+        data = {"n": 2, "entries": [{"sigma": [2, 1], "coeff": first}, {"sigma": [1, 2], "coeff": one},
+                                    {"sigma": [2, 1], "coeff": one}]}
+        with pytest.raises(ValueError, match=re.escape("sigma [2,1] is listed twice")):
             BasisExpansion.from_json(data)
 
 
