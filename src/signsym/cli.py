@@ -31,11 +31,10 @@ from .straighten import evaluates_to, straighten
 #: group elements once per run, for the series table of the largest
 #: total: rank 6 at the default degree 12 takes about 0.45 s, and rank 7
 #: would spend about 4 s in its one scan.  The candidate products, which
-#: dominate at rank 4, are cheap since each cell shares one column index
-#: of its x-exponent splits across all its candidates and each sigma's
-#: descent data is computed once: rank 4 at degree 16 takes about 0.6 s
-#: and rank 5 at the default degree about 0.25 s.  --rank-guard raises
-#: the cap deliberately.
+#: dominate at rank 4, count the terms of each product per orbit of the
+#: cell's ordered monomials: rank 4 takes about 0.5 s at degree 16 and
+#: 1.4-2.3 s at degree 20, rank 5 about 0.2 s at the default degree
+#: (2-vCPU Xeon).  --rank-guard raises the cap deliberately.
 VERIFY_GUARD = 6
 
 #: Default total-degree bound of the verify and hilbert tables.

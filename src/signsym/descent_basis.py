@@ -8,15 +8,11 @@ averaging orbits; every ordered monomial decomposes as an even part
 times a diagonal signed descent monomial.  ``product_coefficients``
 builds the basis product named by such a decomposition at the ordered
 monomials of one bidegree, the one kernel behind straightening and the
-freeness check.  It reads those columns through a ``column_index``,
-built once per bidegree: every split of an x exponent p into an even
-part and a remainder, keyed by both parts sorted, lists the columns of
-that p with the remainders under the key.  A product looks its
-(2*nu, delta) up once, and counts the y exponents as completions within
-each group of equal x exponent, so no rearrangement of 2*nu or 2*mu is
-tried against a column.  What a product needs of sigma (its flags, the
-orbit size of c_sigma and the orders of its y exponents) is computed
-once per sigma by ``_descent_data``, which ``decompose`` shares.
+freeness check.  m_nu(x^2) m_mu(y^2) is invariant, so the product is
+the average of m_nu(x^2) m_mu(y^2) c_sigma, whose terms all have
+coefficient 1: its coefficient at a column counts the terms in the
+column's orbit over the orbit size.  ``column_index`` keys the columns
+of a bidegree by orbit, so each term is one lookup.
 """
 
 from __future__ import annotations
@@ -24,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
-from operator import ge, sub
-from typing import Iterable, Iterator, NamedTuple
+from itertools import groupby
+from operator import add, ge
+from typing import Iterable, Iterator
 
-from .poly import Monomial, distinct_permutations, rearrangement_count
-from .signed_perm import SignedPermutation, statistics, window_descent_counts, window_inverse
+from .poly import Monomial, distinct_permutations, orbit_key, rearrangement_count
+from .signed_perm import SignedPermutation, statistics
 
 
 def _require_positive(pi: SignedPermutation, kind: str) -> None:
@@ -125,11 +121,6 @@ def _index_window(m: Monomial) -> tuple[int, ...]:
     return tuple(sorted(signed, key=lambda s: (-m.q[abs(s) - 1], s)))
 
 
-def _flags(w: tuple[int, ...]) -> tuple[int, ...]:
-    # f_i = 2*d_i + eps_i of a window, in O(n)
-    return tuple(2 * d + (v < 0) for d, v in zip(window_descent_counts(w), w))
-
-
 def order_key(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sort key realizing the total order on ordered monomials.
 
@@ -177,32 +168,12 @@ class Decomposition:
     gamma: tuple[int, ...]
 
 
-class DescentData(NamedTuple):
-    """What the kernel reads of one sigma, computed once by ``_descent_data``."""
-
-    sigma: SignedPermutation
-    #: flags of sigma^-1 and of sigma placed at |sigma(i)|: c_sigma = x^delta y^gamma
-    delta: tuple[int, ...]
-    gamma: tuple[int, ...]
-    sorted_delta: tuple[int, ...]
-    #: |O|, the number of distinct rearrangements of the pairs of c_sigma
-    orbit: int
-    #: each way to order, per x exponent, the gammas c_sigma pairs with it
-    fills: tuple[dict[int, tuple[int, ...]], ...]
-
-
 @lru_cache(maxsize=None)
-def _descent_data(window: tuple[int, ...]) -> DescentData:
+def _descent_data(window: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int, ...], tuple[int, ...]]:
+    # sigma with the exponents (delta, gamma) of c_sigma, once per window
     sigma = SignedPermutation(window)
-    delta = _flags(window_inverse(window))
-    gamma = _placed(sigma, _flags(window))
-    pairs = sorted(zip(delta, gamma))
-    paired: dict[int, list[int]] = {}
-    for x, y in pairs:
-        paired.setdefault(x, []).append(y)
-    orders = product(*(distinct_permutations(g) for g in paired.values()))
-    fills = tuple(dict(zip(paired, order)) for order in orders)
-    return DescentData(sigma, delta, gamma, tuple(sorted(delta)), rearrangement_count(pairs), fills)
+    c = diagonal_signed_descent_monomial(sigma)
+    return sigma, c.p, c.q
 
 
 def _check(condition: bool, message: str, *args: object) -> None:
@@ -219,13 +190,13 @@ def decompose(m: Monomial) -> Decomposition:
     All structural facts (evenness and non-negativity of the halved
     parts, the monotonicity of each sequence, and the tie conditions)
     are revalidated at runtime and raise RuntimeError on violation.
-    delta and gamma are read from the windows of sigma and its inverse,
-    as ``diagonal_signed_descent_monomial(sigma)`` defines them.
+    delta and gamma are the exponents of
+    ``diagonal_signed_descent_monomial(sigma)``, built once per sigma.
     """
     if not is_ordered(m):
         raise ValueError("decompose is only defined for ordered monomials")
     window = _index_window(m)
-    sigma, delta, gamma = _descent_data(window)[:3]
+    sigma, delta, gamma = _descent_data(window)
     n = m.n
 
     nu = []
@@ -316,69 +287,65 @@ def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
             yield Monomial(p, q)
 
 
-#: ``column_index`` output: (sorted r, sorted dp) -> for each x exponent p
-#: with a split p = r + dp under that key, its columns and the dp vectors
-#: of those splits.
-ColumnIndex = dict[
-    tuple[tuple[int, ...], tuple[int, ...]], list[tuple[list[Monomial], list[tuple[int, ...]]]]
-]
+@lru_cache(maxsize=None)
+def doubled_rearrangements(part: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct rearrangements of 2*part, for a weakly decreasing ``part``.
 
-
-def column_index(columns: Iterable[Monomial]) -> ColumnIndex:
-    """Every even split of the x exponents of one bidegree, keyed by both parts sorted.
-
-    The columns are grouped by x exponent p.  Each split p = r + dp with
-    r even and dp >= 0 files p's columns, with the dp vectors of p under
-    the same key, under (sorted r, sorted dp).  Every product of the
-    bidegree shares these splits, so ``product_coefficients`` finds the
-    x side of every column by one lookup.
+    These are the exponents of m_part(x^2) or m_part(y^2).  Callers pass
+    each partition in that one order, so that it has one cache entry.
     """
-    groups: dict[tuple[int, ...], list[Monomial]] = {}
+    return tuple(distinct_permutations(2 * v for v in part))
+
+
+def column_index(columns: Iterable[Monomial]) -> dict[tuple[tuple[int, int], ...], tuple[Monomial, int]]:
+    """The columns of one bidegree with their orbit sizes, keyed by ``orbit_key``."""
+    index = {}
     for w in columns:
-        groups.setdefault(w.p, []).append(w)
-    index: ColumnIndex = {}
-    for p, members in groups.items():
-        splits: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
-        for r in product(*(range(0, v + 1, 2) for v in p)):
-            dp = tuple(map(sub, p, r))
-            splits.setdefault((tuple(sorted(r)), tuple(sorted(dp))), []).append(dp)
-        for key, dps in splits.items():
-            index.setdefault(key, []).append((members, dps))
+        key = orbit_key(w)
+        index[key] = (w, rearrangement_count(key))
     return index
 
 
-def product_coefficients(dec: Decomposition, index: ColumnIndex) -> dict[Monomial, Fraction]:
+def _classes(dec: Decomposition) -> dict[tuple[tuple[int, int], ...], int]:
+    # The distinct rearrangements r of 2*nu, counted by the sorted pairs
+    # (r_i + delta_i, gamma_i).  The pair sequences of two r in one class
+    # differ by a permutation of the slots; applied to s it permutes the
+    # rearrangements of 2*mu and keeps each term's orbit, so as s runs
+    # over all of them both r meet each orbit equally often.
+    classes: dict[tuple[tuple[int, int], ...], int] = {}
+    for r in doubled_rearrangements(dec.nu):
+        key = tuple(sorted(zip(map(add, r, dec.delta), dec.gamma)))
+        classes[key] = classes.get(key, 0) + 1
+    return classes
+
+
+def product_coefficients(
+    dec: Decomposition, index: dict[tuple[tuple[int, int], ...], tuple[Monomial, int]]
+) -> dict[Monomial, Fraction]:
     """Nonzero coefficients of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the indexed columns.
 
-    ``dec`` gives sigma's flag numbers directly: c_sigma is x^delta
-    y^gamma, and nu and mu are the even parts.  rho(c_sigma) puts 1/|O|
-    on each of the |O| distinct rearrangements of the exponent pairs of
-    c_sigma, so the coefficient at w is count/|O|, counting the distinct
-    rearrangements r of 2*nu and s of 2*mu for which the pairs of
-    (w.p - r, w.q - s) rearrange those of c_sigma.
-
-    The pairs are counted from c_sigma's side.  The x condition reads
-    only w.p: dp = w.p - r must rearrange delta, so the admissible dp
-    are the splits filed in ``index`` under (sorted 2*nu, sorted delta),
-    one lookup for the whole bidegree.  Each dp then fixes the y
-    exponents g = w.q - s up to the order within its groups of equal x
-    exponent: the slots where dp equals x take a distinct rearrangement
-    of the gamma values that c_sigma pairs with x, so a delta without
-    ties leaves exactly one g.  Distinct (r, g) give distinct (r, s),
-    and a (r, g) counts when w.q - g rearranges 2*mu.
+    c_sigma is x^delta y^gamma, and m_nu(x^2) m_mu(y^2) is invariant, so
+    the product is rho of the sum of x^(r + delta) y^(s + gamma) over the
+    distinct rearrangements r of 2*nu and s of 2*mu.  Those terms are
+    distinct, each has coefficient 1, and every slot has an even total
+    because delta_i and gamma_i share parity.  rho spreads each term
+    evenly over its orbit, so the coefficient at a column w is the
+    number of terms in the orbit of w over the orbit size.  The r are
+    walked once per class of ``_classes``, weighted by the class size.
+    ``index`` must hold every column of the product's bidegree; a term
+    outside it raises RuntimeError.
     """
-    data = _descent_data(dec.sigma.window)
-    key = (tuple(sorted(2 * v for v in dec.nu)), data.sorted_delta)
-    ys = sorted(2 * v for v in dec.mu)
+    counts: dict[tuple[tuple[int, int], ...], int] = {}
+    ss = doubled_rearrangements(tuple(sorted(dec.mu, reverse=True)))
+    for pairs, weight in _classes(dec).items():
+        xs, gs = zip(*pairs)
+        for s in ss:
+            key = tuple(sorted(zip(xs, map(add, gs, s))))
+            counts[key] = counts.get(key, 0) + weight
     out = {}
-    for members, dps in index.get(key, ()):
-        gs = []
-        for dp in dps:
-            for fill in data.fills:
-                pending = {x: iter(gammas) for x, gammas in fill.items()}
-                gs.append([next(pending[x]) for x in dp])
-        for w in members:
-            count = sum(sorted(map(sub, w.q, g)) == ys for g in gs)
-            if count:
-                out[w] = Fraction(count, data.orbit)
+    for key, count in counts.items():
+        entry = index.get(key)
+        _check(entry is not None, "a product term has the orbit {}, which is not a column", key)
+        w, size = entry
+        out[w] = Fraction(count, size)
     return out

@@ -304,6 +304,15 @@ def rearrangements(m: Monomial) -> list[Monomial]:
     return [Monomial(*zip(*pairs)) for pairs in distinct_permutations(zip(m.p, m.q))]
 
 
+def orbit_key(m: Monomial) -> tuple[tuple[int, int], ...]:
+    """The sorted exponent pairs (p_k, q_k) of ``m``.
+
+    Two monomials with every slot total even share an averaging orbit
+    exactly when their keys are equal.
+    """
+    return tuple(sorted(zip(m.p, m.q)))
+
+
 def rearrangement_count(items: Iterable) -> int:
     """Number of distinct rearrangements of a finite sequence."""
     counts = Counter(items)
@@ -323,7 +332,7 @@ def orbit_averages(f: Polynomial) -> dict[tuple[tuple[int, int], ...], Fraction]
     sums: Counter = Counter()
     for m, c in f._terms.items():
         if m.odd_slot() is None:
-            sums[tuple(sorted(zip(m.p, m.q)))] += c
+            sums[orbit_key(m)] += c
     # The weight 1/|orbit| = |stabiliser|/n! is what averaging over all
     # n! plain permutations gives.
     return {key: c / rearrangement_count(key) for key, c in sums.items() if c}
@@ -369,7 +378,7 @@ def _invariance_failure(f: Polynomial) -> Optional[str]:
         odd = m.odd_slot()
         if odd is not None:
             return f"the term {m.text()} has an odd total exponent in slot {odd}"
-        orbits.setdefault(tuple(sorted(zip(m.p, m.q))), []).append(m)
+        orbits.setdefault(orbit_key(m), []).append(m)
     return _orbit_failure(f, orbits, rearrangement_count)
 
 

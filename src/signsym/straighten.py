@@ -7,11 +7,14 @@ its coefficients at the ordered monomials, so the expansion works on
 those columns alone, walking them once in decreasing order.  A nonzero
 column w decomposes as x^(2 nu) y^(2 mu) c_sigma, and m_nu(x^2)
 m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger
-column, so subtracting its matching multiple clears w for good.
-The walk keeps one scalar per (sigma, nu, mu) and builds each coefficient
-once at the end.  ``rho`` is linear over invariants, so ``evaluate`` sums
-an expansion back as one average of coefficient * c_sigma, independently
-of ``product_coefficients`` and ``decompose``; ``evaluates_to`` compares
+column, so subtracting its matching multiple clears w for good.  That
+product is ``product_coefficients``: the average of m_nu(x^2) m_mu(y^2)
+c_sigma, read at the columns as term counts per orbit.  The walk keeps
+one scalar per (sigma, nu, mu) and builds each coefficient once at the
+end, from the same cached rearrangements of 2 nu and 2 mu.  ``rho`` is
+linear over invariants, so ``evaluate`` sums an expansion back as one
+average of coefficient * c_sigma, independently of
+``product_coefficients`` and ``decompose``; ``evaluates_to`` compares
 that average with the input's orbit by orbit, which checks the walk.
 """
 
@@ -25,6 +28,7 @@ from .descent_basis import (
     column_index,
     decompose,
     diagonal_signed_descent_monomial,
+    doubled_rearrangements,
     order_key,
     ordered_monomials,
     product_coefficients,
@@ -34,7 +38,6 @@ from .poly import (
     Polynomial,
     _invariance_failure,
     bidegree_components,
-    distinct_permutations,
     is_separately_invariant,
     json_object,
     orbit_averages,
@@ -137,7 +140,7 @@ def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
                 scalar = remainder[w] / lead
                 for v, c in product.items():
                     remainder[v] -= scalar * c
-                scalars.setdefault(dec.sigma, {})[dec.nu, tuple(sorted(dec.mu))] = scalar
+                scalars.setdefault(dec.sigma, {})[dec.nu, tuple(sorted(dec.mu, reverse=True))] = scalar
         if any(remainder.values()):
             raise RuntimeError(
                 f"straightening of bidegree {tuple(bd)} left a nonzero remainder; "
@@ -154,8 +157,8 @@ def _coefficient(n: int, labels: dict[tuple[tuple[int, ...], tuple[int, ...]], F
     # (nu, mu) share no term, so no coefficient is added to another.
     terms: dict[Monomial, Fraction] = {}
     for (nu, mu), scalar in labels.items():
-        ys = list(distinct_permutations(2 * v for v in mu))
-        for xs in distinct_permutations(2 * v for v in nu):
+        ys = doubled_rearrangements(mu)
+        for xs in doubled_rearrangements(nu):
             terms.update(dict.fromkeys((Monomial(xs, s) for s in ys), scalar))
     return Polynomial(n, terms)
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
+from operator import add
 
 import signsym.hilbert as hilbert_module
 from signsym.descent_basis import (
+    Decomposition,
     decompose,
     diagonal_signed_descent_monomial,
     is_ordered,
@@ -19,7 +21,9 @@ from signsym.poly import (
     Polynomial,
     act,
     bidegree_components,
+    distinct_permutations,
     monomial_sym_squares,
+    rearrangement_count,
     rho,
 )
 from signsym.signed_perm import SignedPermutation, enumerate_group, group_order, statistics
@@ -221,6 +225,27 @@ def full_candidate(sigma: SignedPermutation, nu, mu) -> Polynomial:
     """
     n = sigma.n
     return monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * averaged_basis(sigma)
+
+
+def counted_product(dec: Decomposition, columns: list[Monomial]) -> dict[Monomial, Fraction]:
+    """Product oracle: m_nu(x^2) m_mu(y^2) rho(c_sigma) at ``columns``, counting every term.
+
+    Each distinct rearrangement r of 2*nu and s of 2*mu gives one term
+    x^(r + delta) y^(s + gamma) of m_nu(x^2) m_mu(y^2) c_sigma, with
+    (delta, gamma) the exponents of c_sigma; the coefficient at a column
+    is the number of terms in its orbit over the orbit size.  Every
+    (r, s) is visited, so no two rearrangements of 2*nu are merged as
+    the production kernel merges them.  A term outside ``columns`` fails.
+    """
+    c = diagonal_signed_descent_monomial(dec.sigma)
+    hits: dict[tuple, int] = {}
+    for r in distinct_permutations(2 * v for v in dec.nu):
+        for s in distinct_permutations(2 * v for v in dec.mu):
+            pairs = tuple(sorted(zip(map(add, r, c.p), map(add, s, c.q))))
+            hits[pairs] = hits.get(pairs, 0) + 1
+    by_orbit = {tuple(sorted(zip(w.p, w.q))): w for w in columns}
+    assert set(hits) <= set(by_orbit), "a product term lies outside the columns"
+    return {by_orbit[key]: Fraction(k, rearrangement_count(key)) for key, k in hits.items()}
 
 
 def straighten_full(f: Polynomial) -> BasisExpansion:

@@ -1,14 +1,14 @@
 """Descent monomial families, ordered monomials, and decomposition."""
 
 import itertools
-import math
 import random
 
 import pytest
 
-from helpers import mono, sp
+from helpers import counted_product, mono, sp
 from signsym.descent_basis import (
-    _descent_data,
+    _classes,
+    column_index,
     compare,
     decompose,
     descent_monomial,
@@ -19,11 +19,12 @@ from signsym.descent_basis import (
     ordered_monomials,
     ordered_representative,
     partitions_fixed_length,
+    product_coefficients,
     sign_twist,
     signed_descent_monomial,
     signed_index_permutation,
 )
-from signsym.poly import Monomial, Polynomial, distinct_permutations, rearrangement_count, rho
+from signsym.poly import Monomial, Polynomial, rho
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 
 
@@ -221,28 +222,31 @@ def test_decompose_descent_monomial_example():
     assert dec.gamma == (3, 4, 0, 1)
 
 
-def test_descent_data_of_every_window():
-    # what the kernel reads of sigma, against c_sigma built by its
-    # definition and the orbit size counted from c_sigma's pairs
-    counts = {n: 0 for n in (1, 2, 3, 4)}
-    for n in counts:
-        for sigma in enumerate_group(n):
-            data = _descent_data(sigma.window)
-            c = diagonal_signed_descent_monomial(sigma)
-            pairs = list(zip(c.p, c.q))
-            assert data.sigma == sigma
-            assert (data.delta, data.gamma) == (c.p, c.q), sigma
-            assert data.sorted_delta == tuple(sorted(c.p))
-            assert data.orbit == rearrangement_count(pairs), sigma
-            # each fill orders, per x exponent, the y exponents paired with it
-            paired = {x: sorted(y for x2, y in pairs if x2 == x) for x in c.p}
-            orders = {x: set(distinct_permutations(ys)) for x, ys in paired.items()}
-            fills = [tuple(sorted(fill.items())) for fill in data.fills]
-            assert len(set(fills)) == len(fills) == math.prod(len(o) for o in orders.values())
-            assert all(set(fill) == set(paired) for fill in data.fills)
-            assert all(fill[x] in orders[x] for fill in data.fills for x in fill)
-            counts[n] += 1
-    assert counts == {1: 2, 2: 8, 3: 48, 4: 384}
+def test_class_walk_matches_a_plain_count_of_every_term():
+    # the kernel walks the rearrangements of 2*nu once per class of equal
+    # sorted pairs; a count over every (r, s) with no merging must agree
+    # at every column of cells too large for full products
+    cells = [(5, 6, 6), (6, 8, 4), (6, 10, 6), (8, 4, 4), (8, 6, 6), (8, 8, 8)]
+    merged = several = 0
+    for n, a, b in cells:
+        columns = list(ordered_monomials(n, a, b))
+        index = column_index(columns)
+        for w in columns:
+            dec = decompose(w)
+            assert product_coefficients(dec, index) == counted_product(dec, columns), w.text()
+            classes = _classes(dec)
+            merged += any(k > 1 for k in classes.values())
+            several += len(classes) > 1
+    assert merged and several
+
+
+def test_product_term_outside_the_index_raises():
+    # a term whose orbit is not a column is a broken invariant, not a KeyError
+    columns = list(ordered_monomials(3, 4, 4))
+    dec = decompose(columns[0])
+    index = column_index(columns[1:])
+    with pytest.raises(RuntimeError, match="internal decomposition invariant violated"):
+        product_coefficients(dec, index)
 
 
 def test_decompose_reconstruction_small_grid():

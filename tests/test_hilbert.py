@@ -20,7 +20,7 @@ from helpers import (
     rho_bruteforce,
 )
 from signsym.descent_basis import (
-    column_index,
+    _classes,
     decompose,
     diagonal_signed_descent_monomial,
     order_key,
@@ -300,28 +300,25 @@ def test_candidates_in_orbit_coordinates_against_full_products():
     # monomials, and the rank over those columns is the full-support rank
     cells = [(n, a, total - a) for n in (1, 2, 3) for total in range(9) for a in range(total + 1)]
     cells += [(4, 4, 4), (4, 6, 6), (4, 8, 4), (4, 10, 4), (5, 4, 4), (5, 6, 4), (6, 4, 4)]
-    ties = repeated_nu = shared_keys = 0
+    ties = merged = several = 0
     for n, a, b in cells:
         columns = list(ordered_monomials(n, a, b))
-        index = column_index(columns)
         products = []
         for sigma, nu, mu, poly in basis_candidates(n, a, b):
-            # the column index must serve a nu with repeated nonzero parts,
-            # and keys under which one x exponent splits in several ways
-            key = (tuple(sorted(2 * v for v in nu)), tuple(sorted(statistics(sigma.inverse()).f)))
-            hits = [len(dps) for _, dps in index.get(key, ())]
-            parts = [v for v in nu if v]
-            repeated_nu += bool(hits) and len(set(parts)) < len(parts)
-            shared_keys += any(h > 1 for h in hits)
+            # the kernel must merge rearrangements of 2*nu into a class of
+            # weight > 1, and walk products of several classes
+            classes = _classes(decompose(max(poly.monomials(), key=order_key)))
+            merged += any(k > 1 for k in classes.values())
+            several += len(classes) > 1
             full = full_candidate(sigma, nu, mu)
             assert poly == Polynomial(n, {w: full.coefficient(w) for w in columns}), (sigma, nu, mu)
             products.append(full)
-            # c_sigma pairing one x exponent with two y exponents gives the
-            # kernel more than one y completion per x-exponent group
+            # c_sigma pairing one x exponent with two y exponents: a class
+            # is named by its pairs, not by its x exponents alone
             c = diagonal_signed_descent_monomial(sigma)
             ties += any(len({y for x2, y in zip(c.p, c.q) if x2 == x}) > 1 for x in c.p)
         assert verify_basis_rank(n, a, b).rank == full_support_rank(products), (n, a, b)
-    assert ties and repeated_nu and shared_keys
+    assert ties and merged and several
 
 
 def test_verify_basis_rank_examples():
