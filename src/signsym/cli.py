@@ -3,7 +3,8 @@
 Subcommands: stats, monomial, rho, straighten, verify, hilbert.
 Polynomials enter on standard input in the documented JSON schema; the
 rho subcommand builds averaged invariants from exponent vectors so that
-straighten inputs never have to be written by hand.
+straighten inputs never have to be written by hand.  No subcommand takes
+a guard option: a request is refused by the size of what it would build.
 """
 
 from __future__ import annotations
@@ -23,19 +24,8 @@ from .descent_basis import (
     signed_descent_monomial,
 )
 from .poly import Monomial, Polynomial, rho
-from .signed_perm import ASCII_INTEGER, ENUMERATION_GUARD, parse_window, statistics
+from .signed_perm import ASCII_INTEGER, parse_window, statistics
 from .straighten import evaluates_to, straighten
-
-#: Default rank cap for the rank/series verification suite.  The cost
-#: that grows with rank is the series numerator, which scans the 2^n * n!
-#: group elements once per run, for the series table of the largest
-#: total: rank 6 at the default degree 12 takes about 0.45 s, and rank 7
-#: would spend about 4 s in its one scan.  The candidate products, which
-#: dominate at rank 4, count the terms of each product per orbit of the
-#: cell's ordered monomials: rank 4 takes about 0.5 s at degree 16 and
-#: 1.4-2.3 s at degree 20, rank 5 about 0.2 s at the default degree
-#: (2-vCPU Xeon).  --rank-guard raises the cap deliberately.
-VERIFY_GUARD = 6
 
 #: Default total-degree bound of the verify and hilbert tables.
 TRUNCATION_DEGREE = 12
@@ -126,15 +116,18 @@ def _cmd_rho(args: argparse.Namespace) -> int:
     if len(p) != len(q):
         raise ValueError(f"exponent lists differ in length: {len(p)} vs {len(q)}")
     m = Monomial(p, q)
-    averaged = rho(Polynomial.from_monomial(m), guard=args.rank_guard or ENUMERATION_GUARD)
+    averaged = rho(Polynomial.from_monomial(m))
     _emit(args, averaged.to_json, averaged.text)
     return 0
 
 
 def _cmd_straighten(args: argparse.Namespace) -> int:
-    payload = json.load(sys.stdin)
+    try:
+        payload = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply to read") from None
     f = Polynomial.from_json(payload)
-    expansion = straighten(f, guard=args.rank_guard or ENUMERATION_GUARD)
+    expansion = straighten(f)
     if args.verify and not evaluates_to(expansion, f):
         print("verification failed: expansion does not evaluate back to the input", file=sys.stderr)
         return 1
@@ -147,14 +140,15 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    guard = args.rank_guard or VERIFY_GUARD
-    reports = []
-    # The largest total first: its series table serves every cell, and
-    # its guards refuse the run before anything is built.
-    for total in range(args.max_degree, -1, -1):
-        for a in range(total + 1):
-            reports.append(hilbert.verify_basis_rank(args.n, a, total - a, guard=guard))
-    reports.sort(key=lambda r: (r.a, r.b))
+    # The largest total first: one series table serves every cell, and its
+    # guards and the sum of its columns refuse the run before any is built.
+    cells = [(a, total - a) for total in range(args.max_degree, -1, -1) for a in range(total + 1)]
+    columns = sum(hilbert.series_coefficient(args.n, a, b) for a, b in cells)
+    if columns > hilbert.COLUMN_GUARD:
+        raise ValueError(
+            f"total degree <= {args.max_degree} has {columns} ordered columns, above the cap of {hilbert.COLUMN_GUARD}"
+        )
+    reports = sorted((hilbert.verify_basis_rank(args.n, a, b) for a, b in cells), key=lambda r: (r.a, r.b))
     all_pass = all(r.passed for r in reports)
     _emit(
         args,
@@ -176,9 +170,8 @@ def _cell_text(cells: list[dict]) -> str:
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    guard = args.rank_guard or ENUMERATION_GUARD
     if args.numerator:
-        series = hilbert.fmaj_numerator(args.n, guard=guard)
+        series = hilbert.fmaj_numerator(args.n)
         cells = [
             {"a": a, "b": b, "value": c}
             for (a, b), c in sorted(series.coefficients.items())
@@ -195,7 +188,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     for total in range(args.max_degree, -1, -1):
         for a in range(total, -1, -1):
             b = total - a
-            value = hilbert.series_coefficient(args.n, a, b, guard=guard)
+            value = hilbert.series_coefficient(args.n, a, b)
             if value:
                 cells.append({"a": a, "b": b, "value": value})
     cells.reverse()
@@ -227,10 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text", dest="output_format")
-    guarded = argparse.ArgumentParser(add_help=False)
-    guarded.add_argument(
-        "--rank-guard", type=_integer_option, default=None, help="override the rank guard of the subcommand"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", parents=[fmt], help="descent statistics of a window")
@@ -245,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mono.set_defaults(handler=_cmd_monomial)
 
     p_rho = sub.add_parser(
-        "rho", parents=[fmt, guarded], help="average a monomial over the signed group"
+        "rho", parents=[fmt], help="average a monomial over the signed group"
     )
     p_rho.add_argument("--p", required=True, help="comma-separated x exponents")
     p_rho.add_argument("--q", required=True, help="comma-separated y exponents")
@@ -253,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_str = sub.add_parser(
         "straighten",
-        parents=[fmt, guarded],
+        parents=[fmt],
         help="expand polynomial JSON from stdin over the averaged descent basis",
     )
     p_str.add_argument(
@@ -262,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_str.set_defaults(handler=_cmd_straighten)
 
     p_ver = sub.add_parser(
-        "verify", parents=[fmt, guarded], help="degreewise freeness and series checks"
+        "verify", parents=[fmt], help="degreewise freeness and series checks"
     )
     p_ver.add_argument("--n", type=_integer_option, required=True)
     p_ver.add_argument(
@@ -271,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(handler=_cmd_verify)
 
     p_hil = sub.add_parser(
-        "hilbert", parents=[fmt, guarded], help="bigraded Hilbert series coefficients"
+        "hilbert", parents=[fmt], help="bigraded Hilbert series coefficients"
     )
     p_hil.add_argument("--n", type=_integer_option, required=True)
     p_hil.add_argument(
@@ -288,11 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        rank_guard = getattr(args, "rank_guard", None)
-        max_degree = getattr(args, "max_degree", None)
-        if rank_guard is not None and rank_guard < 1:
-            raise ValueError("--rank-guard must be positive")
-        if max_degree is not None and max_degree < 0:
+        if getattr(args, "max_degree", 0) < 0:
             raise ValueError("--max-degree must be non-negative")
         code = args.handler(args)
         sys.stdout.flush()

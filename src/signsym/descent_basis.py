@@ -239,9 +239,9 @@ def partitions_fixed_length(total: int, length: int, cap: int | None = None) -> 
     """Weakly decreasing tuples of ``length`` non-negative integers summing to ``total``."""
     if total < 0:
         return
-    if length == 0:
+    if length == 0 or total == 0:
         if total == 0:
-            yield ()
+            yield (0,) * length
         return
     hi = total if cap is None else min(total, cap)
     lo = -(-total // length)  # smallest feasible first part

@@ -24,11 +24,10 @@ ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 #: ASCII integer, optionally over an ASCII denominator.
 ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-#: Default rank cap of ``enumerate_group``, the Hilbert numerator scan,
-#: ``rho`` and ``straighten``.  Only the first two walk the group, whose
-#: 2^8 * 8! elements are about ten million; ``rho`` and ``straighten``
-#: walk one orbit of exponent pairs per monomial, at most 8! members.
-#: Past the cap a call is refused loudly instead of silently burning time.
+#: Rank cap of the group walks, ``enumerate_group`` and the Hilbert
+#: numerator scan, whose cost is the 2^n * n! group elements: about ten
+#: million at rank 8, where the scan takes about 100 s (2-vCPU Xeon).
+#: Past the cap a walk is refused loudly instead of silently burning time.
 ENUMERATION_GUARD = 8
 
 
@@ -37,7 +36,7 @@ class ParseError(ValueError):
 
 
 class RankGuardError(ValueError):
-    """Operation refused because it would enumerate too large a group."""
+    """A group walk refused because the group is too large to enumerate."""
 
 
 def group_order(n: int) -> int:
@@ -208,19 +207,18 @@ def parse_window(text: str) -> SignedPermutation:
         raise ParseError(str(exc)) from None
 
 
-def enumerate_group(n: int, guard: int = ENUMERATION_GUARD) -> Iterator[SignedPermutation]:
+def enumerate_group(n: int) -> Iterator[SignedPermutation]:
     """Yield every rank-n signed permutation exactly once.
 
     The stream is ordered lexicographically on windows under plain
-    integer order (so -k sorts before k).  Ranks above ``guard`` are
-    refused with the size that would have been generated.
+    integer order (so -k sorts before k).  Ranks above
+    ``ENUMERATION_GUARD`` are refused with the size they would stream.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    if n > guard:
+    if n > ENUMERATION_GUARD:
         raise RankGuardError(
-            f"rank {n} exceeds the enumeration guard {guard}: "
-            f"refusing to stream {group_order(n)} elements"
+            f"rank {n} exceeds the enumeration guard {ENUMERATION_GUARD}: refusing to stream {group_order(n)} elements"
         )
     values = [v for v in range(-n, n + 1) if v != 0]
 

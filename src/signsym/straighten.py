@@ -20,9 +20,9 @@ that average with the input's orbit by orbit, which checks the walk.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .descent_basis import (
     column_index,
@@ -33,7 +33,9 @@ from .descent_basis import (
     ordered_monomials,
     product_coefficients,
 )
+from .hilbert import COLUMN_GUARD
 from .poly import (
+    TERM_GUARD,
     Monomial,
     Polynomial,
     _invariance_failure,
@@ -41,9 +43,10 @@ from .poly import (
     is_separately_invariant,
     json_object,
     orbit_averages,
+    rearrangement_count,
     rho,
 )
-from .signed_perm import ENUMERATION_GUARD, RankGuardError, SignedPermutation
+from .signed_perm import SignedPermutation
 
 
 @dataclass
@@ -103,33 +106,38 @@ class BasisExpansion:
         return exp
 
 
-def straighten(f: Polynomial, guard: int = ENUMERATION_GUARD) -> BasisExpansion:
+def straighten(f: Polynomial) -> BasisExpansion:
     """Expand an invariant polynomial over the averaged descent basis.
 
     Each bihomogeneous component is restricted to the ordered monomials
     of its bidegree and reduced by one walk over them in decreasing
     order.  The products are triangular, so the walk must leave a zero
-    remainder at every column; anything else raises RuntimeError.
+    remainder at every column; anything else raises RuntimeError.  More
+    than ``COLUMN_GUARD`` columns or ``TERM_GUARD`` product terms are
+    refused before the walk or the product that would pass the cap.
     """
-    if f.n > guard:
-        raise RankGuardError(
-            f"rank {f.n} exceeds the straightening guard {guard}: "
-            f"each monomial has up to {math.factorial(f.n)} rearrangements of its exponent pairs"
-        )
     reason = _invariance_failure(f)
     if reason is not None:
         raise ValueError(f"input is not invariant: {reason}")
+    allowance, terms = COLUMN_GUARD, 0
     # The scalar of m_nu(x^2) m_mu(y^2) in each sigma's coefficient.  A
     # column names its (sigma, nu, sorted mu) uniquely and is visited
     # once, so each key is set once.
     scalars: dict[SignedPermutation, dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]] = {}
     for bd, component in bidegree_components(f).items():
-        columns = sorted(ordered_monomials(f.n, bd.a, bd.b), key=order_key, reverse=True)
+        columns = list(islice(ordered_monomials(f.n, bd.a, bd.b), allowance + 1))
+        allowance -= len(columns)
+        if allowance < 0:
+            raise ValueError(f"bidegree {tuple(bd)} takes the ordered columns past the cap of {COLUMN_GUARD}")
+        columns.sort(key=order_key, reverse=True)
         remainder = {w: component.coefficient(w) for w in columns}
         index = column_index(columns)
         for w in columns:
             if remainder[w]:
                 dec = decompose(w)
+                terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
+                if terms > TERM_GUARD:
+                    raise ValueError(f"products reach {terms} terms at bidegree {tuple(bd)}, above the cap of {TERM_GUARD}")
                 product = product_coefficients(dec, index)
                 lead = product.get(w, Fraction(0))
                 if lead <= 0:
@@ -175,16 +183,16 @@ def _combination(expansion: BasisExpansion) -> Polynomial:
     return Polynomial(expansion.n, acc)
 
 
-def evaluate(expansion: BasisExpansion, guard: int = ENUMERATION_GUARD) -> Polynomial:
+def evaluate(expansion: BasisExpansion) -> Polynomial:
     """rho(sum of coefficient * c_sigma): the expansion's value, once ``validate`` passes."""
-    return rho(_combination(expansion), guard)
+    return rho(_combination(expansion))
 
 
 def evaluates_to(expansion: BasisExpansion, f: Polynomial) -> bool:
     """True when ``evaluate(expansion)`` equals ``rho(f)``, which is ``f`` for invariant ``f``.
 
     Compares the orbit averages of the sum of coefficient * c_sigma with
-    those of ``f``, so no orbit is expanded and no guard applies.  Like
+    those of ``f``, so no orbit is expanded and no term cap applies.  Like
     ``evaluate`` it runs ``validate`` first and calls neither
     ``decompose`` nor ``product_coefficients``.
     """

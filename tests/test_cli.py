@@ -119,14 +119,14 @@ def test_straighten_pipeline(capsys, monkeypatch):
     assert evaluate(expansion) == f
 
 
-def test_straighten_verify_honours_rank_guard(capsys, monkeypatch):
-    # the check compares orbit averages and expands no orbit, so the
-    # expansion's guard is the only one that applies
+def test_straighten_verify_at_rank_nine(capsys, monkeypatch):
+    # rho and straighten are bounded by the terms and columns they build,
+    # not by the rank: rho(x1^2) has 9 terms and one column
     zeros = ",".join(["0"] * 9)
-    code, out, _ = run(capsys, "rho", "--rank-guard", "9", "--format", "json", "--p", "2" + zeros[1:], "--q", zeros)
+    code, out, _ = run(capsys, "rho", "--format", "json", "--p", "2" + zeros[1:], "--q", zeros)
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
-    code, out, err = run(capsys, "straighten", "--rank-guard", "9", "--verify")
+    code, out, err = run(capsys, "straighten", "--verify")
     assert (code, err) == (0, "")
     assert out.startswith("[1,2,3,4,5,6,7,8,9]: ")
 
@@ -188,6 +188,7 @@ def test_straighten_rejects_malformed_json(capsys, monkeypatch):
         term % ("[1]", '"1e10000000"'),  # decimal exponent Fraction would expand
         '{"n": 2}',  # no terms
         '{"n": 2, "entries": []}',  # an expansion's key, not a polynomial's
+        "[" * 100000 + "]" * 100000,  # nested past the decoder's recursion limit
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         code, _, err = run(capsys, "straighten")
@@ -217,11 +218,44 @@ def test_verify_rank_four_within_default_guard(capsys):
     assert "all cells pass" in out
 
 
-def test_verify_guard_refusal(capsys):
-    for n in ("9", "7"):
-        code, _, err = run(capsys, "verify", "--n", n)
-        assert code != 0, n
-        assert "guard" in err, n
+def test_verify_guard_refusal(capsys, monkeypatch):
+    # rank 9 is refused by the group order of the numerator scan, before
+    # it runs; a table of 586,651 columns is refused by its column count
+    def no_scan(n):
+        raise AssertionError("no scan may run past a guard")
+
+    monkeypatch.setattr(hilbert_module.scan, "fmaj_pair_counts", no_scan)
+    clear_hilbert_caches()
+    code, out, err = run(capsys, "verify", "--n", "9")
+    assert (code, out, err) == (1, "", "error: rank 9 exceeds the guard 8: the group has 185794560 elements\n")
+    monkeypatch.undo()
+    code, out, err = run(capsys, "verify", "--n", "2", "--max-degree", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: total degree <= 100 has 586651 ordered columns, above the cap of 100000\n"
+
+
+def test_verify_column_cap_at_its_boundary(capsys, monkeypatch):
+    # the run is refused by the sum of its cells' series coefficients,
+    # the columns it would build, before any candidate is built
+    def no_candidates(*args):
+        raise AssertionError("no candidate may be built past the cap")
+
+    assert hilbert_module.COLUMN_GUARD == 100_000
+    columns = sum(hilbert_module.series_coefficient(2, a, t - a) for t in range(7) for a in range(t + 1))
+    monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", columns)
+    code, out, _ = run(capsys, "verify", "--n", "2", "--max-degree", "6")
+    assert code == 0 and "all cells pass" in out
+    monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", columns - 1)
+    monkeypatch.setattr(hilbert_module, "basis_candidates", no_candidates)
+    code, out, err = run(capsys, "verify", "--n", "2", "--max-degree", "6")
+    assert (code, out) == (1, "")
+    assert err == f"error: total degree <= 6 has {columns} ordered columns, above the cap of {columns - 1}\n"
+    # the largest table the series cap admits, 62,500 columns at rank 1,
+    # passes the real column cap and goes on to build candidates
+    monkeypatch.undo()
+    monkeypatch.setattr(hilbert_module, "basis_candidates", no_candidates)
+    with pytest.raises(AssertionError, match="no candidate"):
+        run(capsys, "verify", "--n", "1", "--max-degree", "499")
 
 
 def test_hilbert_series_table(capsys):
@@ -266,12 +300,15 @@ def test_degree_guard_at_its_boundary(capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("extra", [(), ("--numerator",)])
-def test_hilbert_honours_rank_guard(capsys, extra):
-    # the series table and the numerator refuse alike
-    code, out, err = run(capsys, "hilbert", "--n", "3", "--max-degree", "2", "--rank-guard", "2", *extra)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: rank 3 exceeds the guard 2")
+def test_hilbert_honours_rank_guard(capsys, monkeypatch, extra):
+    # the series table and the numerator refuse alike, before the scan
+    def no_scan(n):
+        raise AssertionError("no scan may run past the rank guard")
+
+    monkeypatch.setattr(hilbert_module.scan, "fmaj_pair_counts", no_scan)
+    clear_hilbert_caches()
+    code, out, err = run(capsys, "hilbert", "--n", "9", "--max-degree", "2", *extra)
+    assert (code, out, err) == (1, "", "error: rank 9 exceeds the guard 8: the group has 185794560 elements\n")
 
 
 def test_hilbert_numerator(capsys):
@@ -290,8 +327,9 @@ def test_hilbert_numerator(capsys):
         (["verify", "--n", "\u0662"], 1, "error: argument --n: invalid int value: '\u0662'\n"),
         (["hilbert", "--n", "1_0"], 1, "error: argument --n: invalid int value: '1_0'\n"),
         (["verify", "--n", "2", "--max-degree", "1_2"], 1, "error: argument --max-degree: invalid int value: '1_2'\n"),
-        (["hilbert", "--n", "2", "--rank-guard", "\u0663"], 1, "error: argument --rank-guard: invalid int value: '\u0663'\n"),
-        (["hilbert", "--n", "2", "--rank-guard", "0"], 1, "error: --rank-guard must be positive\n"),
+        # no subcommand takes a guard option
+        (["hilbert", "--n", "2", "--rank-guard", "\u0663"], 1, "error: unrecognized arguments: --rank-guard \u0663\n"),
+        (["rho", "--p", "2", "--q", "0", "--rank-guard", "9"], 1, "error: unrecognized arguments: --rank-guard 9\n"),
         (["verify", "--n", "2", "--max-degree", "-1"], 1, "error: --max-degree must be non-negative\n"),
     ],
 )

@@ -39,7 +39,7 @@ from signsym.hilbert import (
 )
 from signsym import scan
 from signsym.poly import Polynomial
-from signsym.signed_perm import RankGuardError, enumerate_group, statistics
+from signsym.signed_perm import RankGuardError, enumerate_group, group_order, statistics
 
 
 def poincare_product(n):
@@ -78,8 +78,11 @@ def test_fmaj_numerator_mass_and_symmetry():
             assert series.coefficient(b, a) == c
 
 
-def test_fmaj_numerator_guard():
-    with pytest.raises(RankGuardError):
+def test_fmaj_numerator_guard(monkeypatch):
+    # rank 8 reaches the scan; rank 9 is refused before it
+    monkeypatch.setattr(scan, "fmaj_pair_counts", lambda n: {(0, 0): group_order(n)})
+    assert fmaj_numerator(8).total_mass() == group_order(8)
+    with pytest.raises(RankGuardError, match="^rank 9 exceeds the guard 8: the group has 185794560 elements$"):
         fmaj_numerator(9)
 
 
@@ -183,6 +186,22 @@ def test_series_table_guard_refuses_before_building(monkeypatch):
         verify_basis_rank(1, 0, 500)
     with pytest.raises(AssertionError, match="no table"):
         series_coefficient(1, 499, 0)
+
+
+def test_verify_cell_column_cap_at_its_boundary(monkeypatch):
+    # a cell is refused by its series coefficient, the columns it would
+    # build, before any candidate is built
+    def no_candidates(*args):
+        raise AssertionError("no candidate may be built past the cap")
+
+    assert hilbert_module.COLUMN_GUARD == 100_000
+    series = series_coefficient(3, 4, 4)
+    monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", series)
+    assert verify_basis_rank(3, 4, 4).passed
+    monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", series - 1)
+    monkeypatch.setattr(hilbert_module, "basis_candidates", no_candidates)
+    with pytest.raises(ValueError, match=f"^cell \\(4, 4\\) has {series} ordered columns, above the cap of {series - 1}$"):
+        verify_basis_rank(3, 4, 4)
 
 
 def test_invariant_dimension_examples():
@@ -342,7 +361,8 @@ def test_maj_inv_equidistribution_small():
     assert maj_inv_equidistribution(2)
     assert maj_inv_equidistribution(3)
     assert maj_inv_equidistribution(6)
-    with pytest.raises(RankGuardError):
+    assert maj_inv_equidistribution(7)
+    with pytest.raises(RankGuardError, match="^rank 8 exceeds the guard 7: 40320 permutations$"):
         maj_inv_equidistribution(8)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import signsym.poly as poly_module
 from helpers import (
     family_invariant,
     generator_invariant,
@@ -154,10 +155,24 @@ def test_rho_examples():
     )
 
 
-def test_rho_guard():
-    # the message names the real cost: the n! rearrangements of the exponent pairs
-    with pytest.raises(RankGuardError, match="up to 24 rearrangements of its exponent pairs"):
-        rho(Polynomial.one(4), guard=3)
+def test_rho_guard(monkeypatch):
+    # the cap is on the terms rho builds, one per member of each orbit,
+    # and they are counted before any orbit is expanded; the rank alone
+    # costs nothing
+    assert poly_module.TERM_GUARD == 100_000
+    assert rho(Polynomial.one(9)) == Polynomial.one(9)
+    f = poly(4, (1, (0, 2, 4, 6), (0, 0, 0, 0)), (3, (2, 0, 0, 0), (0, 0, 0, 0)), (1, (1, 0, 0, 0), (0, 0, 0, 0)))
+    monkeypatch.setattr(poly_module, "TERM_GUARD", 28)
+    assert len(rho(f)) == 24 + 4  # the odd term averages to 0 and counts nothing
+
+    def no_orbit(m):
+        raise AssertionError("no orbit may be expanded past the cap")
+
+    monkeypatch.setattr(poly_module, "TERM_GUARD", 27)
+    monkeypatch.setattr(poly_module, "rearrangements", no_orbit)
+    with pytest.raises(ValueError, match="^the average has 28 terms, above the cap of 27$") as refused:
+        rho(f)
+    assert not isinstance(refused.value, RankGuardError)
 
 
 def test_rho_matches_bruteforce():

@@ -143,8 +143,10 @@ def test_enumerate_lexicographic_order():
 
 
 def test_enumerate_guard():
-    with pytest.raises(RankGuardError, match="185794560"):
-        next(enumerate_group(9, guard=8))
+    # rank 8 streams, rank 9 is refused with the size it would stream
+    assert next(enumerate_group(8)).window == tuple(range(-8, 0))
+    with pytest.raises(RankGuardError, match="rank 9 exceeds the enumeration guard 8: refusing to stream 185794560"):
+        next(enumerate_group(9))
 
 
 def test_statistics_example():

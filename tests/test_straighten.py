@@ -5,12 +5,14 @@ oracle ``helpers.straighten_full`` (which asserts strict descent of the
 leading term at every step) and by evaluating expansions back.
 """
 
+import importlib
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+import signsym.poly as poly_module
 from helpers import (
     averaged_basis,
     evaluate_full,
@@ -21,7 +23,7 @@ from helpers import (
     sp,
     straighten_full,
 )
-from signsym.descent_basis import partitions_fixed_length
+from signsym.descent_basis import ordered_monomials, partitions_fixed_length
 from signsym.poly import (
     Polynomial,
     bidegree_components,
@@ -29,8 +31,12 @@ from signsym.poly import (
     monomial_sym_squares,
     rho,
 )
-from signsym.signed_perm import RankGuardError, SignedPermutation, enumerate_group, statistics
+from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 from signsym.straighten import BasisExpansion, evaluate, evaluates_to, straighten
+
+# The package exports a function named ``straighten``, so the module is
+# looked up by name.
+straighten_module = importlib.import_module("signsym.straighten")
 
 
 def averaged(m):
@@ -70,10 +76,90 @@ def test_straighten_rejects_non_invariant():
         straighten(poly(2, (1, (1, 0), (0, 0))))
 
 
-def test_straighten_guard():
-    # the message names the real cost: rho's rearrangements, not the group order
-    with pytest.raises(RankGuardError, match="up to 24 rearrangements of its exponent pairs"):
-        straighten(Polynomial.one(4), guard=3)
+def no_coefficient(*args):
+    raise AssertionError("no coefficient may be built past the cap")
+
+
+def test_straighten_guard(monkeypatch):
+    # The term cap counts |rearrangements of nu| * |rearrangements of mu|
+    # for each column reduced, before its product is built.  The
+    # coefficients hold exactly those terms, so at the cap the walk
+    # runs in full, and one below it the last product is never built.
+    assert straighten_module.TERM_GUARD == poly_module.TERM_GUARD == 100_000
+    f = averaged(mono((4, 0, 0), (2, 0, 0)))
+    expansion = straighten(f)
+    terms = sum(len(coeff) for coeff in expansion.entries.values())
+    kernel = straighten_module.product_coefficients
+    calls = []
+
+    def counted(dec, index):
+        calls.append(dec)
+        return kernel(dec, index)
+
+    monkeypatch.setattr(straighten_module, "product_coefficients", counted)
+    monkeypatch.setattr(straighten_module, "TERM_GUARD", terms)
+    assert straighten(f).entries == expansion.entries
+    reduced = len(calls)
+    assert reduced > 1
+    calls.clear()
+    monkeypatch.setattr(straighten_module, "TERM_GUARD", terms - 1)
+    monkeypatch.setattr(straighten_module, "_coefficient", no_coefficient)
+    message = f"^products reach {terms} terms at bidegree \\(4, 2\\), above the cap of {terms - 1}$"
+    with pytest.raises(ValueError, match=message):
+        straighten(f)
+    assert len(calls) == reduced - 1
+    # evaluate averages through rho, so it has rho's cap
+    monkeypatch.setattr(poly_module, "TERM_GUARD", len(f) - 1)
+    with pytest.raises(ValueError, match=f"^the average has {len(f)} terms, above the cap of {len(f) - 1}$"):
+        evaluate(expansion)
+
+
+def test_straighten_column_cap_at_its_boundary(monkeypatch):
+    # The columns of every bidegree count against one cap, and each
+    # bidegree's stream is cut one past what is left of the cap, before
+    # the bidegree is walked.
+    assert straighten_module.COLUMN_GUARD == 100_000
+    f = averaged(mono((2, 0), (0, 0))) + averaged(mono((2, 0), (2, 0)))
+    wide = len(list(ordered_monomials(2, 2, 2)))
+    assert wide > 2
+    expansion = straighten(f)
+    drawn = []
+
+    def counted(n, a, b):
+        for w in ordered_monomials(n, a, b):
+            drawn.append((a, b))
+            yield w
+
+    monkeypatch.setattr(straighten_module, "ordered_monomials", counted)
+    monkeypatch.setattr(straighten_module, "COLUMN_GUARD", 1 + wide)
+    assert straighten(f).entries == expansion.entries
+    assert len(drawn) == 1 + wide
+    drawn.clear()
+    monkeypatch.setattr(straighten_module, "COLUMN_GUARD", wide - 1)
+    monkeypatch.setattr(straighten_module, "_coefficient", no_coefficient)
+    with pytest.raises(ValueError, match=f"^bidegree \\(2, 2\\) takes the ordered columns past the cap of {wide - 1}$"):
+        straighten(f)
+    assert drawn == [(2, 0)] + [(2, 2)] * (wide - 1)
+
+    def no_kernel(dec, index):
+        raise AssertionError("no product may be built past the cap")
+
+    drawn.clear()
+    monkeypatch.setattr(straighten_module, "COLUMN_GUARD", 0)
+    monkeypatch.setattr(straighten_module, "product_coefficients", no_kernel)
+    with pytest.raises(ValueError, match="^bidegree \\(2, 0\\) takes the ordered columns past the cap of 0$"):
+        straighten(f)
+    assert drawn == [(2, 0)]
+
+
+def test_straighten_at_rank_1200():
+    # the columns, the terms and the recursion depth of the partitions
+    # follow the nonzero exponents, not the rank
+    n = 1200
+    f = averaged(mono((2,) + (0,) * (n - 1), (0,) * n))
+    expansion = straighten(f)
+    assert len(expansion.entries) == 1
+    assert evaluates_to(expansion, f)
 
 
 def test_unit_expansion_exhaustive_rank_two():
