@@ -10,19 +10,21 @@ builds the basis product named by such a decomposition at the ordered
 monomials of one bidegree, the one kernel behind straightening and the
 freeness check.  m_nu(x^2) m_mu(y^2) is invariant, so the product is
 the average of m_nu(x^2) m_mu(y^2) c_sigma, whose terms all have
-coefficient 1: its coefficient at a column counts the terms in the
-column's orbit over the orbit size.  ``column_index`` keys the columns
-of a bidegree by orbit, so each term is one lookup.
+coefficient 1: its coefficient at a column is the number of terms in
+the column's orbit over the orbit size.  The kernel returns those term
+counts as plain integers at column positions; ``column_index`` numbers
+the columns of a bidegree in decreasing order and keys them by orbit,
+so each term is one lookup, and a caller divides by the orbit size
+only where it needs the coefficient itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import add, ge
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from .poly import Monomial, distinct_permutations, orbit_key, rearrangement_count
 from .signed_perm import SignedPermutation, statistics
@@ -168,20 +170,25 @@ class Decomposition:
     gamma: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _descent_data(window: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int, ...], tuple[int, ...]]:
-    # sigma with the exponents (delta, gamma) of c_sigma, once per window
-    sigma = SignedPermutation(window)
-    c = diagonal_signed_descent_monomial(sigma)
-    return sigma, c.p, c.q
-
-
 def _check(condition: bool, message: str, *args: object) -> None:
     # The decomposition facts always hold for ordered inputs; a failure
     # here means a statistics bug upstream and must not be suppressed.
     # The message is formatted with ``args`` only on failure.
     if not condition:
         raise RuntimeError(f"internal decomposition invariant violated: {message.format(*args)}")
+
+
+@lru_cache(maxsize=None)
+def _descent_data(window: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int, ...], tuple[int, ...]]:
+    # sigma with the exponents (delta, gamma) of c_sigma, once per window,
+    # with the checks that depend on sigma alone
+    sigma = SignedPermutation(window)
+    c = diagonal_signed_descent_monomial(sigma)
+    delta, gamma = c.p, c.q
+    _check(all(map(ge, delta, delta[1:])), "delta not weakly decreasing")
+    gamma_along = [gamma[abs(v) - 1] for v in window]
+    _check(all(map(ge, gamma_along, gamma_along[1:])), "gamma not weakly decreasing along sigma")
+    return sigma, delta, gamma
 
 
 def decompose(m: Monomial) -> Decomposition:
@@ -191,7 +198,8 @@ def decompose(m: Monomial) -> Decomposition:
     parts, the monotonicity of each sequence, and the tie conditions)
     are revalidated at runtime and raise RuntimeError on violation.
     delta and gamma are the exponents of
-    ``diagonal_signed_descent_monomial(sigma)``, built once per sigma.
+    ``diagonal_signed_descent_monomial(sigma)``, built and checked once
+    per sigma.
     """
     if not is_ordered(m):
         raise ValueError("decompose is only defined for ordered monomials")
@@ -212,11 +220,8 @@ def decompose(m: Monomial) -> Decomposition:
     mu = tuple(mu)
 
     _check(all(map(ge, nu, nu[1:])), "nu not weakly decreasing")
-    _check(all(map(ge, delta, delta[1:])), "delta not weakly decreasing")
     mu_along = [mu[abs(v) - 1] for v in window]
     _check(all(map(ge, mu_along, mu_along[1:])), "mu not weakly decreasing along sigma")
-    gamma_along = [gamma[abs(v) - 1] for v in window]
-    _check(all(map(ge, gamma_along, gamma_along[1:])), "gamma not weakly decreasing along sigma")
     # Within each value of delta, and of gamma, the twisted q must weakly
     # decrease; checking each slot against the previous slot of its value
     # covers every pair.
@@ -297,13 +302,13 @@ def doubled_rearrangements(part: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     return tuple(distinct_permutations(2 * v for v in part))
 
 
-def column_index(columns: Iterable[Monomial]) -> dict[tuple[tuple[int, int], ...], tuple[Monomial, int]]:
-    """The columns of one bidegree with their orbit sizes, keyed by ``orbit_key``."""
-    index = {}
-    for w in columns:
-        key = orbit_key(w)
-        index[key] = (w, rearrangement_count(key))
-    return index
+def column_index(columns: Sequence[Monomial]) -> dict[tuple[tuple[int, int], ...], tuple[int, int]]:
+    """Each column's ``orbit_key`` mapped to its position and orbit size.
+
+    ``columns`` are the ordered monomials of one bidegree sorted by
+    decreasing ``order_key``, so position 0 is the largest column.
+    """
+    return {key: (j, rearrangement_count(key)) for j, key in enumerate(map(orbit_key, columns))}
 
 
 def _classes(dec: Decomposition) -> dict[tuple[tuple[int, int], ...], int]:
@@ -319,21 +324,20 @@ def _classes(dec: Decomposition) -> dict[tuple[tuple[int, int], ...], int]:
     return classes
 
 
-def product_coefficients(
-    dec: Decomposition, index: dict[tuple[tuple[int, int], ...], tuple[Monomial, int]]
-) -> dict[Monomial, Fraction]:
-    """Nonzero coefficients of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the indexed columns.
+def product_coefficients(dec: Decomposition, index: dict[tuple[tuple[int, int], ...], tuple[int, int]]) -> dict[int, int]:
+    """Term counts of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the positions of ``index``.
 
     c_sigma is x^delta y^gamma, and m_nu(x^2) m_mu(y^2) is invariant, so
     the product is rho of the sum of x^(r + delta) y^(s + gamma) over the
     distinct rearrangements r of 2*nu and s of 2*mu.  Those terms are
     distinct, each has coefficient 1, and every slot has an even total
     because delta_i and gamma_i share parity.  rho spreads each term
-    evenly over its orbit, so the coefficient at a column w is the
-    number of terms in the orbit of w over the orbit size.  The r are
-    walked once per class of ``_classes``, weighted by the class size.
-    ``index`` must hold every column of the product's bidegree; a term
-    outside it raises RuntimeError.
+    evenly over its orbit, so the coefficient at a column is the number
+    of terms in its orbit over the orbit size.  The returned map sends
+    each column position with a nonzero count to that count, an int.
+    The r are walked once per class of ``_classes``, weighted by the
+    class size.  ``index`` must hold every column of the product's
+    bidegree; a term outside it raises RuntimeError.
     """
     counts: dict[tuple[tuple[int, int], ...], int] = {}
     ss = doubled_rearrangements(tuple(sorted(dec.mu, reverse=True)))
@@ -346,6 +350,5 @@ def product_coefficients(
     for key, count in counts.items():
         entry = index.get(key)
         _check(entry is not None, "a product term has the orbit {}, which is not a column", key)
-        w, size = entry
-        out[w] = Fraction(count, size)
+        out[entry[0]] = count
     return out

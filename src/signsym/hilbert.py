@@ -10,12 +10,17 @@ variables span each bidegree slice with exactly the right cardinality.
 Verification follows the paper's bijection: each ordered monomial of a
 cell decomposes as x^(2 nu) y^(2 mu) c_sigma, and the candidate it names
 is built only at the ordered monomials, which fix an invariant, by the
-kernel that straightening uses.  The rank is taken over those columns by
-echelon form on leading columns, the triangularity of the paper's
-freeness proof.  Only the series numerator scans the group: each rank
-keeps the widest series table built so far, which holds every smaller
-total, and builds a wider one, with one scan, only for a total beyond
-it.  A caller that asks for its largest total first scans once.
+kernel that straightening uses.  Each candidate is one integer row: the
+kernel's term counts at the positions of the cell's columns, numbered
+in decreasing order.  The coefficient at a column is its count over the
+column's orbit size, and scaling a column by a nonzero number keeps the
+rank, so the rank of the counts is the rank of the candidates.  It is
+taken by echelon form with each row's lead at its smallest position,
+the triangularity of the paper's freeness proof.  Only the series
+numerator scans the group: each rank keeps the widest series table
+built so far, which holds every smaller total, and builds a wider one,
+with one scan, only for a total beyond it.  A caller that asks for its
+largest total first scans once.
 """
 
 from __future__ import annotations
@@ -24,11 +29,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import scan
-from .descent_basis import column_index, decompose, order_key, ordered_monomials, product_coefficients
-from .poly import Monomial, Polynomial
+from .descent_basis import (
+    Decomposition,
+    column_index,
+    decompose,
+    order_key,
+    ordered_monomials,
+    product_coefficients,
+)
+from .poly import Monomial, Polynomial, orbit_key, rearrangement_count
 from .signed_perm import (
     ENUMERATION_GUARD,
     RankGuardError,
@@ -49,7 +61,7 @@ SERIES_TABLE_GUARD = 250_000
 
 #: Cap on the ordered columns, one basis product each, of a ``straighten``
 #: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
-#: in 5.6 s and 104 MB, ``--n 3 --max-degree 34`` 90,465 in 11 s (2-vCPU Xeon).
+#: in 4.5 s and 105 MB, ``--n 3 --max-degree 34`` 90,465 in 6 s (2-vCPU Xeon).
 COLUMN_GUARD = 100_000
 
 
@@ -179,34 +191,51 @@ def invariant_dimension(n: int, a: int, b: int) -> int:
     return sum(1 for _ in ordered_monomials(n, a, b))
 
 
-def _leading_column_rank(rows: list[Polynomial]) -> int:
-    """Exact rank of polynomials read as rows of rational coefficients.
+def _leading_column_rank(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
+    """Exact rank of sparse rows, each mapping column positions to nonzero entries.
 
-    Echelon form by leading columns: a row's lead is its largest monomial
-    under ``order_key``.  While the lead belongs to a pivot, the matching
-    multiple of that pivot row is subtracted, which only leaves smaller
-    monomials; a row that empties is dependent, and otherwise it becomes
-    the pivot of its lead.  Subtraction brings in no new monomial, so each
-    column's key is computed once, up front.
+    Echelon form by leading columns: a row's lead is its smallest
+    position.  While the lead belongs to a pivot, the matching multiple
+    of that pivot row is subtracted, which only leaves larger positions;
+    a row that empties is dependent, and otherwise it becomes the pivot
+    of its lead.  Integer entries stay exact: each factor is a Fraction.
     """
-    keys = {m: order_key(m) for m in {m for poly in rows for m in poly.monomials()}}
-    pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for poly in rows:
-        row = {m: poly.coefficient(m) for m in poly.monomials()}
+    pivots: dict[int, dict[int, int | Fraction]] = {}
+    for row in rows:
+        row = dict(row)
         while row:
-            lead = max(row, key=keys.__getitem__)
+            lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
                 break
-            factor = row[lead] / pivot[lead]
-            for m, c in pivot.items():
-                value = row.get(m, 0) - factor * c
+            factor = Fraction(row[lead], pivot[lead])
+            for j, c in pivot.items():
+                value = row.get(j, 0) - factor * c
                 if value:
-                    row[m] = value
+                    row[j] = value
                 else:
-                    del row[m]
+                    del row[j]
     return len(pivots)
+
+
+def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[tuple[Decomposition, dict[int, int]]]]:
+    """The ordered columns of cell (a, b) in decreasing order, and one row per column.
+
+    Row j is lazy: ``decompose`` splits column j as x^(2 nu) y^(2 mu)
+    c_sigma, and ``product_coefficients`` counts the terms of
+    m_nu(x^2) m_mu(y^2) rho(c_sigma) at the column positions of one
+    ``column_index`` of the cell.  The product is zero at every larger
+    column, so row j is nonzero at j and at larger positions only.
+    Rows and rank for every cell up to total degree 16 take about
+    1.2 s at rank 8 (5,448 columns), and up to degree 20 about 1.2 s
+    at rank 4 (13,238 columns), on a 2-vCPU Xeon.
+    """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    columns = sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
+    index = column_index(columns)
+    return columns, ((dec, product_coefficients(dec, index)) for dec in map(decompose, columns))
 
 
 def basis_candidates(
@@ -214,24 +243,17 @@ def basis_candidates(
 ) -> Iterator[tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], Polynomial]]:
     """Degree-(a, b) products m_nu(x^2) m_mu(y^2) rho(c_sigma) in orbit coordinates.
 
-    One product per ordered monomial w of the cell: ``decompose`` splits
-    w as x^(2 nu) y^(2 mu) c_sigma, and that product is positive at w and
-    zero at every larger ordered monomial.  The yielded polynomial is the
-    product's restriction to the cell's ordered monomials, by
-    ``product_coefficients`` over one ``column_index`` of the cell, which
-    keys its ordered monomials by orbit; mu is yielded sorted, as a
-    partition.  Candidates and rank for every cell up to total degree 16
-    take about 1.7-2.9 s at rank 8 (5,448 columns), and up to degree 20
-    about 2.0-3.3 s at rank 4 (13,238 columns), on a 2-vCPU Xeon.
+    One product per ordered monomial w of the cell, from the rows of
+    ``candidate_rows``: the product is positive at w and zero at every
+    larger ordered monomial.  The yielded polynomial is the product's
+    restriction to the cell's ordered monomials, each count divided by
+    its column's orbit size; mu is yielded sorted, as a partition.
     """
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    columns = list(ordered_monomials(n, a, b))
-    index = column_index(columns)
-    for w in columns:
-        dec = decompose(w)
-        mu = tuple(sorted(dec.mu, reverse=True))
-        yield dec.sigma, dec.nu, mu, Polynomial(n, product_coefficients(dec, index))
+    columns, rows = candidate_rows(n, a, b)
+    sizes = [rearrangement_count(orbit_key(w)) for w in columns]
+    for dec, row in rows:
+        poly = Polynomial(n, {columns[j]: Fraction(count, sizes[j]) for j, count in row.items()})
+        yield dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True)), poly
 
 
 @dataclass(frozen=True)
@@ -267,10 +289,12 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     """Check rank = dimension = series coefficient at one bidegree cell.
 
     Builds one candidate m_nu(x^2) m_mu(y^2) rho(c_sigma) per ordered
-    monomial, in orbit coordinates, and takes their exact rank by echelon
-    form on leading columns.  Restriction to the ordered monomials is
-    injective on invariants, since every orbit meets one, so this is the
-    rank over the full support.
+    monomial, as the integer row of ``candidate_rows``, and takes their
+    exact rank by echelon form on leading columns.  A row holds the
+    candidate's coefficients at the ordered monomials, each column scaled
+    by its orbit size, which keeps the rank.  Restriction to the ordered
+    monomials is injective on invariants, since every orbit meets one,
+    so this is the rank over the full support.
 
     The check is complete.  Let C be the paper's candidates: each sigma
     whose (fmaj sigma^-1, fmaj sigma) fits inside (a, b) with even slack,
@@ -287,15 +311,15 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     series = series_coefficient(n, a, b)
     if series > COLUMN_GUARD:
         raise ValueError(f"cell ({a}, {b}) has {series} ordered columns, above the cap of {COLUMN_GUARD}")
-    candidates = [poly for _, _, _, poly in basis_candidates(n, a, b)]
+    columns, rows = candidate_rows(n, a, b)
     return CellReport(
         n=n,
         a=a,
         b=b,
-        rank=_leading_column_rank(candidates),
-        dim=len(candidates),
+        rank=_leading_column_rank(row for _, row in rows),
+        dim=len(columns),
         series=series,
-        generators=len(candidates),
+        generators=len(columns),
     )
 
 

@@ -9,13 +9,17 @@ column w decomposes as x^(2 nu) y^(2 mu) c_sigma, and m_nu(x^2)
 m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger
 column, so subtracting its matching multiple clears w for good.  That
 product is ``product_coefficients``: the average of m_nu(x^2) m_mu(y^2)
-c_sigma, read at the columns as term counts per orbit.  The walk keeps
-one scalar per (sigma, nu, mu) and builds each coefficient once at the
-end, from the same cached rearrangements of 2 nu and 2 mu.  ``rho`` is
-linear over invariants, so ``evaluate`` sums an expansion back as one
-average of coefficient * c_sigma, independently of
-``product_coefficients`` and ``decompose``; ``evaluates_to`` compares
-that average with the input's orbit by orbit, which checks the walk.
+c_sigma, read at the column positions as integer term counts, each
+count being the coefficient times the column's orbit size.  The walk
+keeps the remainder in the same scale, coefficient times orbit size,
+so the scalar at a column is its remainder over its count, and no
+orbit size is divided out.  It keeps one scalar per (sigma, nu, mu)
+and builds each coefficient once at the end, from the same cached
+rearrangements of 2 nu and 2 mu.  ``rho`` is linear over invariants,
+so ``evaluate`` sums an expansion back as one average of coefficient *
+c_sigma, independently of ``product_coefficients`` and ``decompose``;
+``evaluates_to`` compares that average with the input's orbit by
+orbit, which checks the walk.
 """
 
 from __future__ import annotations
@@ -130,26 +134,28 @@ def straighten(f: Polynomial) -> BasisExpansion:
         if allowance < 0:
             raise ValueError(f"bidegree {tuple(bd)} takes the ordered columns past the cap of {COLUMN_GUARD}")
         columns.sort(key=order_key, reverse=True)
-        remainder = {w: component.coefficient(w) for w in columns}
         index = column_index(columns)
-        for w in columns:
-            if remainder[w]:
+        # coefficient times orbit size at each position; the index lists
+        # the columns in order
+        remainder = [component.coefficient(w) * size for w, (_, size) in zip(columns, index.values())]
+        for j, w in enumerate(columns):
+            if remainder[j]:
                 dec = decompose(w)
                 terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
                 if terms > TERM_GUARD:
                     raise ValueError(f"products reach {terms} terms at bidegree {tuple(bd)}, above the cap of {TERM_GUARD}")
                 product = product_coefficients(dec, index)
-                lead = product.get(w, Fraction(0))
+                lead = product.get(j, 0)
                 if lead <= 0:
                     raise RuntimeError(
                         "leading coefficient of the reduction product must be positive; "
                         f"got {lead} for {w.text()}"
                     )
-                scalar = remainder[w] / lead
-                for v, c in product.items():
-                    remainder[v] -= scalar * c
+                scalar = Fraction(remainder[j], lead)
+                for v, count in product.items():
+                    remainder[v] -= scalar * count
                 scalars.setdefault(dec.sigma, {})[dec.nu, tuple(sorted(dec.mu, reverse=True))] = scalar
-        if any(remainder.values()):
+        if any(remainder):
             raise RuntimeError(
                 f"straightening of bidegree {tuple(bd)} left a nonzero remainder; "
                 "the reduction products are not triangular"

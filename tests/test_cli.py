@@ -246,14 +246,14 @@ def test_verify_column_cap_at_its_boundary(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--n", "2", "--max-degree", "6")
     assert code == 0 and "all cells pass" in out
     monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", columns - 1)
-    monkeypatch.setattr(hilbert_module, "basis_candidates", no_candidates)
+    monkeypatch.setattr(hilbert_module, "candidate_rows", no_candidates)
     code, out, err = run(capsys, "verify", "--n", "2", "--max-degree", "6")
     assert (code, out) == (1, "")
     assert err == f"error: total degree <= 6 has {columns} ordered columns, above the cap of {columns - 1}\n"
     # the largest table the series cap admits, 62,500 columns at rank 1,
     # passes the real column cap and goes on to build candidates
     monkeypatch.undo()
-    monkeypatch.setattr(hilbert_module, "basis_candidates", no_candidates)
+    monkeypatch.setattr(hilbert_module, "candidate_rows", no_candidates)
     with pytest.raises(AssertionError, match="no candidate"):
         run(capsys, "verify", "--n", "1", "--max-degree", "499")
 

@@ -1,6 +1,7 @@
 """Hilbert-series machinery: numerator, expansion, dimensions, rank checks."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -38,7 +39,7 @@ from signsym.hilbert import (
     verify_basis_rank,
 )
 from signsym import scan
-from signsym.poly import Polynomial
+from signsym.poly import Polynomial, orbit_key, rearrangement_count
 from signsym.signed_perm import RankGuardError, enumerate_group, group_order, statistics
 
 
@@ -177,7 +178,7 @@ def test_series_table_guard_refuses_before_building(monkeypatch):
         raise AssertionError("no candidate may be built past the cap")
 
     record_table_builds(monkeypatch, refuse)
-    monkeypatch.setattr(hilbert_module, "basis_candidates", no_candidates)
+    monkeypatch.setattr(hilbert_module, "candidate_rows", no_candidates)
     assert hilbert_module.SERIES_TABLE_GUARD == 500 * 500
     message = "total degree 500 needs a series table of 251001 entries, above the cap of 250000"
     with pytest.raises(ValueError, match=message):
@@ -199,7 +200,7 @@ def test_verify_cell_column_cap_at_its_boundary(monkeypatch):
     monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", series)
     assert verify_basis_rank(3, 4, 4).passed
     monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", series - 1)
-    monkeypatch.setattr(hilbert_module, "basis_candidates", no_candidates)
+    monkeypatch.setattr(hilbert_module, "candidate_rows", no_candidates)
     with pytest.raises(ValueError, match=f"^cell \\(4, 4\\) has {series} ordered columns, above the cap of {series - 1}$"):
         verify_basis_rank(3, 4, 4)
 
@@ -258,9 +259,17 @@ def test_invariant_dimension_shortcut_against_elimination():
 def test_leading_column_rank_against_rational_oracle():
     # sparse rows over a few ordered monomials, with duplicate rows,
     # linear combinations and rows that share a lead, so that the echelon
-    # form has to subtract
+    # form has to subtract; the rank reads each row as verify builds it,
+    # at column positions in decreasing order, each coefficient times its
+    # column's orbit size, and here cleared of denominators
     rng = random.Random(71)
     columns = list(ordered_monomials(3, 4, 4))
+    position = {w: j for j, w in enumerate(sorted(columns, key=order_key, reverse=True))}
+
+    def integer_row(poly):
+        scale = math.lcm(*(c.denominator for _, c in poly.items()))
+        return {position[m]: int(c * scale * rearrangement_count(orbit_key(m))) for m, c in poly.items()}
+
     for _ in range(60):
         support = rng.sample(columns, rng.randint(1, 6))
         rows = []
@@ -277,9 +286,20 @@ def test_leading_column_rank_against_rational_oracle():
         polys = [Polynomial(3, row) for row in rows]
         expected = rational_rank([[p.coefficient(m) for m in support] for p in polys])
         rng.shuffle(polys)
-        assert _leading_column_rank(polys) == expected
+        assert _leading_column_rank(map(integer_row, polys)) == expected
     assert _leading_column_rank([]) == 0
-    assert _leading_column_rank([Polynomial.zero(3)]) == 0
+    assert _leading_column_rank([{}]) == 0
+
+
+def test_leading_column_rank_is_exact():
+    # the third row is the first minus three times the second
+    assert _leading_column_rank([{0: 3, 1: 1}, {0: 1, 2: 1}, {1: 1, 2: -3}]) == 2
+    # the third row is the first minus the second; eliminating with float
+    # factors 1/3 and 2/3 leaves about 4e-16 at position 2, rank 3
+    assert _leading_column_rank([{0: 3, 2: -2}, {0: 1, 1: 2, 2: -3}, {0: 2, 1: -2, 2: 1}]) == 2
+    # a float entry is refused, not rounded
+    with pytest.raises(TypeError):
+        _leading_column_rank([{0: 1.0}, {0: 3.0}])
 
 
 def test_candidates_are_triangular_on_their_leads():
