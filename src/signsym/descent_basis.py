@@ -10,12 +10,11 @@ builds the basis product named by such a decomposition at the ordered
 monomials of one bidegree, the one kernel behind straightening and the
 freeness check.  m_nu(x^2) m_mu(y^2) is invariant, so the product is
 the average of m_nu(x^2) m_mu(y^2) c_sigma, whose terms all have
-coefficient 1: its coefficient at a column is the number of terms in
-the column's orbit over the orbit size.  The kernel returns those term
-counts as plain integers at column positions; ``column_index`` numbers
-the columns of a bidegree in decreasing order and keys them by orbit,
-so each term is one lookup, and a caller divides by the orbit size
-only where it needs the coefficient itself.
+coefficient 1: its orbit sum at a column, as ``poly.orbit_sums`` keys
+it, is the number of terms in the column's orbit.  The kernel returns
+those term counts as plain integers at column positions;
+``column_index`` numbers the columns of a bidegree in decreasing order
+and keys them by orbit, so each term is one lookup.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from itertools import groupby
 from operator import add, ge
 from typing import Iterator, Sequence
 
-from .poly import Monomial, distinct_permutations, orbit_key, rearrangement_count
+from .poly import Monomial, distinct_permutations, orbit_key
 from .signed_perm import SignedPermutation, statistics
 
 
@@ -261,16 +260,17 @@ def _tie_block_fills(free: int, blocks: list[tuple[int, int]]) -> Iterator[tuple
     # odd on an odd block and weakly increasing, so that the twisted
     # pairs decrease.  ``free`` is half of what the y degree leaves once
     # every odd slot holds 1; each block takes a partition of its share.
+    # The tails are walked afresh for each head, so a caller that stops
+    # early has built no more columns than it drew.
     if not blocks:
         if free == 0:
             yield ()
         return
     (length, odd), rest = blocks[0], blocks[1:]
     for share in range(free + 1) if rest else (free,):
-        tails = list(_tie_block_fills(free - share, rest))
         for part in partitions_fixed_length(share, length):
             head = tuple(2 * v + 1 for v in reversed(part)) if odd else tuple(2 * v for v in part)
-            for tail in tails:
+            for tail in _tie_block_fills(free - share, rest):
                 yield head + tail
 
 
@@ -302,13 +302,13 @@ def doubled_rearrangements(part: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     return tuple(distinct_permutations(2 * v for v in part))
 
 
-def column_index(columns: Sequence[Monomial]) -> dict[tuple[tuple[int, int], ...], tuple[int, int]]:
-    """Each column's ``orbit_key`` mapped to its position and orbit size.
+def column_index(columns: Sequence[Monomial]) -> dict[tuple[tuple[int, int], ...], int]:
+    """Each column's ``orbit_key`` mapped to its position.
 
     ``columns`` are the ordered monomials of one bidegree sorted by
     decreasing ``order_key``, so position 0 is the largest column.
     """
-    return {key: (j, rearrangement_count(key)) for j, key in enumerate(map(orbit_key, columns))}
+    return {key: j for j, key in enumerate(map(orbit_key, columns))}
 
 
 def _classes(dec: Decomposition) -> dict[tuple[tuple[int, int], ...], int]:
@@ -324,17 +324,17 @@ def _classes(dec: Decomposition) -> dict[tuple[tuple[int, int], ...], int]:
     return classes
 
 
-def product_coefficients(dec: Decomposition, index: dict[tuple[tuple[int, int], ...], tuple[int, int]]) -> dict[int, int]:
+def product_coefficients(dec: Decomposition, index: dict[tuple[tuple[int, int], ...], int]) -> dict[int, int]:
     """Term counts of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the positions of ``index``.
 
     c_sigma is x^delta y^gamma, and m_nu(x^2) m_mu(y^2) is invariant, so
     the product is rho of the sum of x^(r + delta) y^(s + gamma) over the
     distinct rearrangements r of 2*nu and s of 2*mu.  Those terms are
     distinct, each has coefficient 1, and every slot has an even total
-    because delta_i and gamma_i share parity.  rho spreads each term
-    evenly over its orbit, so the coefficient at a column is the number
-    of terms in its orbit over the orbit size.  The returned map sends
-    each column position with a nonzero count to that count, an int.
+    because delta_i and gamma_i share parity.  rho keeps each orbit's
+    sum, so the product's orbit sum at a column is the number of terms
+    in its orbit.  The returned map sends each column position with a
+    nonzero count to that count, an int.
     The r are walked once per class of ``_classes``, weighted by the
     class size.  ``index`` must hold every column of the product's
     bidegree; a term outside it raises RuntimeError.
@@ -348,7 +348,7 @@ def product_coefficients(dec: Decomposition, index: dict[tuple[tuple[int, int], 
             counts[key] = counts.get(key, 0) + weight
     out = {}
     for key, count in counts.items():
-        entry = index.get(key)
-        _check(entry is not None, "a product term has the orbit {}, which is not a column", key)
-        out[entry[0]] = count
+        j = index.get(key)
+        _check(j is not None, "a product term has the orbit {}, which is not a column", key)
+        out[j] = count
     return out

@@ -10,13 +10,13 @@ variables span each bidegree slice with exactly the right cardinality.
 Verification follows the paper's bijection: each ordered monomial of a
 cell decomposes as x^(2 nu) y^(2 mu) c_sigma, and the candidate it names
 is built only at the ordered monomials, which fix an invariant, by the
-kernel that straightening uses.  Each candidate is one integer row: the
-kernel's term counts at the positions of the cell's columns, numbered
-in decreasing order.  The coefficient at a column is its count over the
-column's orbit size, and scaling a column by a nonzero number keeps the
-rank, so the rank of the counts is the rank of the candidates.  It is
-taken by echelon form with each row's lead at its smallest position,
-the triangularity of the paper's freeness proof.  Only the series
+kernel that straightening uses.  Each candidate is one integer row: its
+orbit sums, the kernel's term counts, at the positions of the cell's
+columns, numbered in decreasing order.  On invariants the orbit sum at
+w is the orbit size times the coefficient at w, which is injective, so
+the rank of the rows is the rank of the candidates.  It is taken by
+echelon form with each row's lead at its smallest position, the
+triangularity of the paper's freeness proof.  Only the series
 numerator scans the group: each rank keeps the widest series table
 built so far, which holds every smaller total, and builds a wider one,
 with one scan, only for a total beyond it.  A caller that asks for its
@@ -33,18 +33,16 @@ from typing import Iterable, Iterator, Mapping
 
 from . import scan
 from .descent_basis import (
-    Decomposition,
     column_index,
     decompose,
     order_key,
     ordered_monomials,
     product_coefficients,
 )
-from .poly import Monomial, Polynomial, orbit_key, rearrangement_count
+from .poly import Monomial
 from .signed_perm import (
     ENUMERATION_GUARD,
     RankGuardError,
-    SignedPermutation,
     group_order,
 )
 
@@ -219,14 +217,14 @@ def _leading_column_rank(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
     return len(pivots)
 
 
-def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[tuple[Decomposition, dict[int, int]]]]:
+def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dict[int, int]]]:
     """The ordered columns of cell (a, b) in decreasing order, and one row per column.
 
     Row j is lazy: ``decompose`` splits column j as x^(2 nu) y^(2 mu)
-    c_sigma, and ``product_coefficients`` counts the terms of
-    m_nu(x^2) m_mu(y^2) rho(c_sigma) at the column positions of one
-    ``column_index`` of the cell.  The product is zero at every larger
-    column, so row j is nonzero at j and at larger positions only.
+    c_sigma, and ``product_coefficients`` gives the orbit sums, as term
+    counts, of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the column positions
+    of one ``column_index`` of the cell.  The product is zero at every
+    larger column, so row j is nonzero at j and at larger positions only.
     Rows and rank for every cell up to total degree 16 take about
     1.2 s at rank 8 (5,448 columns), and up to degree 20 about 1.2 s
     at rank 4 (13,238 columns), on a 2-vCPU Xeon.
@@ -235,25 +233,7 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[tup
         raise ValueError("rank must be at least 1")
     columns = sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
     index = column_index(columns)
-    return columns, ((dec, product_coefficients(dec, index)) for dec in map(decompose, columns))
-
-
-def basis_candidates(
-    n: int, a: int, b: int
-) -> Iterator[tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], Polynomial]]:
-    """Degree-(a, b) products m_nu(x^2) m_mu(y^2) rho(c_sigma) in orbit coordinates.
-
-    One product per ordered monomial w of the cell, from the rows of
-    ``candidate_rows``: the product is positive at w and zero at every
-    larger ordered monomial.  The yielded polynomial is the product's
-    restriction to the cell's ordered monomials, each count divided by
-    its column's orbit size; mu is yielded sorted, as a partition.
-    """
-    columns, rows = candidate_rows(n, a, b)
-    sizes = [rearrangement_count(orbit_key(w)) for w in columns]
-    for dec, row in rows:
-        poly = Polynomial(n, {columns[j]: Fraction(count, sizes[j]) for j, count in row.items()})
-        yield dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True)), poly
+    return columns, (product_coefficients(dec, index) for dec in map(decompose, columns))
 
 
 @dataclass(frozen=True)
@@ -291,10 +271,9 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     Builds one candidate m_nu(x^2) m_mu(y^2) rho(c_sigma) per ordered
     monomial, as the integer row of ``candidate_rows``, and takes their
     exact rank by echelon form on leading columns.  A row holds the
-    candidate's coefficients at the ordered monomials, each column scaled
-    by its orbit size, which keeps the rank.  Restriction to the ordered
-    monomials is injective on invariants, since every orbit meets one,
-    so this is the rank over the full support.
+    candidate's orbit sums at the ordered monomials, one per orbit.  On
+    invariants the orbit sum at w is the orbit size times the coefficient
+    at w, which is injective, so this is the rank over the full support.
 
     The check is complete.  Let C be the paper's candidates: each sigma
     whose (fmaj sigma^-1, fmaj sigma) fits inside (a, b) with even slack,
@@ -316,7 +295,7 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
         n=n,
         a=a,
         b=b,
-        rank=_leading_column_rank(row for _, row in rows),
+        rank=_leading_column_rank(rows),
         dim=len(columns),
         series=series,
         generators=len(columns),

@@ -324,23 +324,21 @@ def rearrangement_count(items: Iterable) -> int:
     return math.factorial(sum(counts.values())) // math.prod(math.factorial(k) for k in counts.values())
 
 
-def orbit_averages(f: Polynomial) -> dict[tuple[tuple[int, int], ...], Fraction]:
-    """The nonzero averages of ``f`` over its orbits, keyed by sorted exponent pairs.
+def orbit_sums(f: Polynomial) -> dict[tuple[tuple[int, int], ...], Fraction]:
+    """The nonzero sums of the coefficients of ``f`` over its orbits, keyed by ``orbit_key``.
 
-    A monomial with an odd total exponent in some slot averages to 0,
-    because flipping the sign of that slot negates it; the terms of any
-    other orbit average to their coefficient sum divided by the orbit
-    size.  ``rho`` puts each average on every member of its orbit, so
-    two polynomials have equal averages exactly when ``rho`` maps them
-    to the same polynomial.  No orbit is expanded.
+    An orbit whose monomials have an odd total exponent in some slot is
+    left out, because flipping the sign of that slot negates it, so it
+    averages to 0.  ``rho`` puts each sum over the orbit size on every
+    member of its orbit, so two polynomials have equal sums exactly when
+    ``rho`` maps them to the same polynomial.  On an invariant the sum at
+    w is the orbit size times the coefficient at w, which is injective.
+    No orbit is expanded, and the odd slots are looked for once per orbit.
     """
     sums: Counter = Counter()
     for m, c in f._terms.items():
-        if m.odd_slot() is None:
-            sums[orbit_key(m)] += c
-    # The weight 1/|orbit| = |stabiliser|/n! is what averaging over all
-    # n! plain permutations gives.
-    return {key: c / rearrangement_count(key) for key, c in sums.items() if c}
+        sums[orbit_key(m)] += c
+    return {key: c for key, c in sums.items() if c and not any((p + q) % 2 for p, q in key)}
 
 
 def rho(f: Polynomial) -> Polynomial:
@@ -349,18 +347,21 @@ def rho(f: Polynomial) -> Polynomial:
     The result is invariant, the operator is linear and idempotent, and
     it fixes every invariant polynomial.  Coefficients stay exact.
 
-    No group element is enumerated: each orbit average of
-    ``orbit_averages`` goes to the distinct rearrangements of the
-    orbit's (x, y) exponent pairs, so each orbit is walked once.  More
-    than ``TERM_GUARD`` orbit members are refused before any is built.
+    No group element is enumerated: each orbit sum of ``orbit_sums``,
+    divided by the orbit size, goes to the distinct rearrangements of
+    the orbit's (x, y) exponent pairs, so each orbit is walked once.
+    The weight 1/|orbit| = |stabiliser|/n! is what averaging over all n!
+    plain permutations gives.  More than ``TERM_GUARD`` orbit members
+    are refused before any is built.
     """
-    averages = orbit_averages(f)
-    terms = sum(map(rearrangement_count, averages))
+    sums = orbit_sums(f)
+    sizes = list(map(rearrangement_count, sums))
+    terms = sum(sizes)
     if terms > TERM_GUARD:
         raise ValueError(f"the average has {terms} terms, above the cap of {TERM_GUARD}")
     acc: dict[Monomial, Fraction] = {}
-    for key, c in averages.items():
-        acc.update(dict.fromkeys(rearrangements(Monomial(*zip(*key))), c))
+    for (key, c), size in zip(sums.items(), sizes):
+        acc.update(dict.fromkeys(rearrangements(Monomial(*zip(*key))), c / size))
     return Polynomial(f.n, acc)
 
 
@@ -378,12 +379,14 @@ def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) ->
 
 def _invariance_failure(f: Polynomial) -> Optional[str]:
     # Why ``f`` is not invariant, naming a term of ``f``, or None when it is.
+    # Every member of an orbit has the odd slots of its key, so they are
+    # looked for once per key; the first odd key holds the first odd term.
     orbits: dict[object, list[Monomial]] = {}
     for m in f._terms:
-        odd = m.odd_slot()
-        if odd is not None:
-            return f"the term {m.text()} has an odd total exponent in slot {odd}"
         orbits.setdefault(orbit_key(m), []).append(m)
+    odd = next((ms[0] for key, ms in orbits.items() if any((p + q) % 2 for p, q in key)), None)
+    if odd is not None:
+        return f"the term {odd.text()} has an odd total exponent in slot {odd.odd_slot()}"
     return _orbit_failure(f, orbits, rearrangement_count)
 
 
@@ -409,9 +412,9 @@ def is_separately_invariant(f: Polynomial) -> bool:
     """
     orbits: dict[object, list[Monomial]] = {}
     for m in f._terms:
-        if any(e % 2 for e in m.p + m.q):
-            return False
         orbits.setdefault((tuple(sorted(m.p)), tuple(sorted(m.q))), []).append(m)
+    if any(e % 2 for p, q in orbits for e in p + q):
+        return False
     return _orbit_failure(
         f, orbits, lambda key: rearrangement_count(key[0]) * rearrangement_count(key[1])
     ) is None

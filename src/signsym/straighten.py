@@ -7,19 +7,19 @@ its coefficients at the ordered monomials, so the expansion works on
 those columns alone, walking them once in decreasing order.  A nonzero
 column w decomposes as x^(2 nu) y^(2 mu) c_sigma, and m_nu(x^2)
 m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger
-column, so subtracting its matching multiple clears w for good.  That
-product is ``product_coefficients``: the average of m_nu(x^2) m_mu(y^2)
-c_sigma, read at the column positions as integer term counts, each
-count being the coefficient times the column's orbit size.  The walk
-keeps the remainder in the same scale, coefficient times orbit size,
-so the scalar at a column is its remainder over its count, and no
-orbit size is divided out.  It keeps one scalar per (sigma, nu, mu)
-and builds each coefficient once at the end, from the same cached
-rearrangements of 2 nu and 2 mu.  ``rho`` is linear over invariants,
-so ``evaluate`` sums an expansion back as one average of coefficient *
-c_sigma, independently of ``product_coefficients`` and ``decompose``;
-``evaluates_to`` compares that average with the input's orbit by
-orbit, which checks the walk.
+column, so subtracting its matching multiple clears w for good.  The
+walk works in orbit sums alone: the remainder starts as the input's
+``orbit_sums`` at the columns, and ``product_coefficients`` gives the
+product's orbit sums there as integer term counts, so the scalar at a
+column is its remainder over its count.  On invariants the orbit sum
+at w is the orbit size times the coefficient at w, which is injective.
+The walk keeps one scalar per (sigma, nu, mu) and builds each
+coefficient once at the end, from the same cached rearrangements of
+2 nu and 2 mu.  ``rho`` is linear over invariants, so ``evaluate`` sums
+an expansion back as one average of coefficient * c_sigma,
+independently of ``product_coefficients`` and ``decompose``;
+``evaluates_to`` compares the orbit sums of that sum with the input's,
+which checks the walk.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from .poly import (
     Monomial,
     Polynomial,
     _invariance_failure,
-    bidegree_components,
     is_separately_invariant,
     json_object,
-    orbit_averages,
+    orbit_sums,
     rearrangement_count,
     rho,
 )
@@ -113,8 +112,8 @@ class BasisExpansion:
 def straighten(f: Polynomial) -> BasisExpansion:
     """Expand an invariant polynomial over the averaged descent basis.
 
-    Each bihomogeneous component is restricted to the ordered monomials
-    of its bidegree and reduced by one walk over them in decreasing
+    The orbit sums of each bidegree are read at the ordered monomials
+    of that bidegree and reduced by one walk over them in decreasing
     order.  The products are triangular, so the walk must leave a zero
     remainder at every column; anything else raises RuntimeError.  More
     than ``COLUMN_GUARD`` columns or ``TERM_GUARD`` product terms are
@@ -128,22 +127,24 @@ def straighten(f: Polynomial) -> BasisExpansion:
     # column names its (sigma, nu, sorted mu) uniquely and is visited
     # once, so each key is set once.
     scalars: dict[SignedPermutation, dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]] = {}
-    for bd, component in bidegree_components(f).items():
-        columns = list(islice(ordered_monomials(f.n, bd.a, bd.b), allowance + 1))
+    components: dict[tuple[int, int], dict[tuple[tuple[int, int], ...], Fraction]] = {}
+    for key, c in orbit_sums(f).items():
+        components.setdefault(tuple(map(sum, zip(*key))), {})[key] = c
+    for bd, sums in sorted(components.items()):
+        columns = list(islice(ordered_monomials(f.n, *bd), allowance + 1))
         allowance -= len(columns)
         if allowance < 0:
-            raise ValueError(f"bidegree {tuple(bd)} takes the ordered columns past the cap of {COLUMN_GUARD}")
+            raise ValueError(f"bidegree {bd} takes the ordered columns past the cap of {COLUMN_GUARD}")
         columns.sort(key=order_key, reverse=True)
         index = column_index(columns)
-        # coefficient times orbit size at each position; the index lists
-        # the columns in order
-        remainder = [component.coefficient(w) * size for w, (_, size) in zip(columns, index.values())]
+        # the index lists the columns in order
+        remainder = [sums.get(key, 0) for key in index]
         for j, w in enumerate(columns):
             if remainder[j]:
                 dec = decompose(w)
                 terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
                 if terms > TERM_GUARD:
-                    raise ValueError(f"products reach {terms} terms at bidegree {tuple(bd)}, above the cap of {TERM_GUARD}")
+                    raise ValueError(f"products reach {terms} terms at bidegree {bd}, above the cap of {TERM_GUARD}")
                 product = product_coefficients(dec, index)
                 lead = product.get(j, 0)
                 if lead <= 0:
@@ -157,7 +158,7 @@ def straighten(f: Polynomial) -> BasisExpansion:
                 scalars.setdefault(dec.sigma, {})[dec.nu, tuple(sorted(dec.mu, reverse=True))] = scalar
         if any(remainder):
             raise RuntimeError(
-                f"straightening of bidegree {tuple(bd)} left a nonzero remainder; "
+                f"straightening of bidegree {bd} left a nonzero remainder; "
                 "the reduction products are not triangular"
             )
     return BasisExpansion(
@@ -197,9 +198,9 @@ def evaluate(expansion: BasisExpansion) -> Polynomial:
 def evaluates_to(expansion: BasisExpansion, f: Polynomial) -> bool:
     """True when ``evaluate(expansion)`` equals ``rho(f)``, which is ``f`` for invariant ``f``.
 
-    Compares the orbit averages of the sum of coefficient * c_sigma with
+    Compares the orbit sums of the sum of coefficient * c_sigma with
     those of ``f``, so no orbit is expanded and no term cap applies.  Like
     ``evaluate`` it runs ``validate`` first and calls neither
     ``decompose`` nor ``product_coefficients``.
     """
-    return orbit_averages(_combination(expansion)) == orbit_averages(f)
+    return orbit_sums(_combination(expansion)) == orbit_sums(f)

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,7 +24,7 @@ from signsym.descent_basis import (
     signed_descent_monomial,
     signed_index_permutation,
 )
-from signsym.poly import Monomial, Polynomial, rho
+from signsym.poly import Monomial, Polynomial, orbit_key, rearrangement_count, rho
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 
 
@@ -226,20 +225,21 @@ def test_decompose_descent_monomial_example():
 def test_class_walk_matches_a_plain_count_of_every_term():
     # the kernel walks the rearrangements of 2*nu once per class of equal
     # sorted pairs; a count over every (r, s) with no merging must agree
-    # at every column of cells too large for full products, once each
-    # integer count at a position is divided by that column's orbit size
+    # at every column of cells too large for full products; the kernel's
+    # integer counts are orbit sums, the oracle's coefficients times the
+    # orbit size
     cells = [(5, 6, 6), (6, 8, 4), (6, 10, 6), (8, 4, 4), (8, 6, 6), (8, 8, 8)]
     merged = several = 0
     for n, a, b in cells:
         columns = sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
         index = column_index(columns)
-        sizes = dict(index.values())
+        assert list(index.values()) == list(range(len(columns)))
         for w in columns:
             dec = decompose(w)
             counts = product_coefficients(dec, index)
             assert all(type(count) is int for count in counts.values())
-            coefficients = {columns[j]: Fraction(count, sizes[j]) for j, count in counts.items()}
-            assert coefficients == counted_product(dec, columns), w.text()
+            expected = {v: c * rearrangement_count(orbit_key(v)) for v, c in counted_product(dec, columns).items()}
+            assert {columns[j]: count for j, count in counts.items()} == expected, w.text()
             classes = _classes(dec)
             merged += any(k > 1 for k in classes.values())
             several += len(classes) > 1

@@ -30,7 +30,7 @@ from signsym.descent_basis import (
 from signsym.hilbert import (
     BiSeries,
     _leading_column_rank,
-    basis_candidates,
+    candidate_rows,
     fmaj_distribution,
     fmaj_numerator,
     invariant_dimension,
@@ -39,7 +39,7 @@ from signsym.hilbert import (
     verify_basis_rank,
 )
 from signsym import scan
-from signsym.poly import Polynomial, orbit_key, rearrangement_count
+from signsym.poly import Polynomial, orbit_key, orbit_sums, rearrangement_count
 from signsym.signed_perm import RankGuardError, enumerate_group, group_order, statistics
 
 
@@ -305,56 +305,55 @@ def test_leading_column_rank_is_exact():
 def test_candidates_are_triangular_on_their_leads():
     # the paper's freeness proof: each candidate is positive at one
     # ordered monomial and zero at every larger one, that monomial
-    # decomposes back to the candidate's (sigma, nu, mu), the leads of a
-    # cell are exactly its ordered monomials, and the candidates are the
+    # decomposes to the candidate's (sigma, nu, mu), the leads of a cell
+    # are exactly its ordered monomials, and the candidates are the
     # paper's, as found by walking the group
     cells = [(n, a, total - a) for n in (2, 3) for total in range(15) for a in range(total + 1)]
     cells += [(4, a, total - a) for total in range(13) for a in range(total + 1)]
     assert len(cells) == 331
     for n, a, b in cells:
-        leads = []
+        columns, rows = candidate_rows(n, a, b)
         labels = []
-        for sigma, nu, mu, poly in basis_candidates(n, a, b):
-            lead = max(poly.monomials(), key=order_key)
-            assert poly.coefficient(lead) > 0, (sigma, nu, mu)
-            dec = decompose(lead)
-            assert (dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True))) == (sigma, nu, mu)
-            leads.append(lead)
-            labels.append((sigma, nu, mu))
-        assert sorted(leads, key=order_key) == sorted(ordered_monomials(n, a, b), key=order_key), (n, a, b)
+        for j, row in enumerate(rows):
+            assert min(row) == j and row[j] > 0, (n, a, b, j)
+            dec = decompose(columns[j])
+            labels.append((dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True))))
+        assert columns == sorted(ordered_monomials(n, a, b), key=order_key, reverse=True), (n, a, b)
         assert Counter(labels) == Counter(group_candidates(n, a, b)), (n, a, b)
 
 
-def test_basis_candidates_filters_parity_and_degree():
-    for sigma, nu, mu, poly in basis_candidates(2, 2, 2):
-        st = statistics(sigma)
-        st_inv = statistics(sigma.inverse())
-        assert st_inv.fmaj + 2 * sum(nu) == 2
-        assert st.fmaj + 2 * sum(mu) == 2
-        assert not poly.is_zero()
+def test_candidate_rows_filter_parity_and_degree():
+    columns, rows = candidate_rows(2, 2, 2)
+    for w, row in zip(columns, rows):
+        dec = decompose(w)
+        assert statistics(dec.sigma.inverse()).fmaj + 2 * sum(dec.nu) == 2
+        assert statistics(dec.sigma).fmaj + 2 * sum(dec.mu) == 2
+        assert row
 
 
 def test_candidates_in_orbit_coordinates_against_full_products():
-    # each yielded candidate is the full product restricted to the ordered
-    # monomials, and the rank over those columns is the full-support rank
+    # each row is the orbit sums of the full product at the ordered
+    # monomials, which meet every orbit of the product, and the rank over
+    # those columns is the full-support rank
     cells = [(n, a, total - a) for n in (1, 2, 3) for total in range(9) for a in range(total + 1)]
     cells += [(4, 4, 4), (4, 6, 6), (4, 8, 4), (4, 10, 4), (5, 4, 4), (5, 6, 4), (6, 4, 4)]
     ties = merged = several = 0
     for n, a, b in cells:
-        columns = list(ordered_monomials(n, a, b))
+        columns, rows = candidate_rows(n, a, b)
         products = []
-        for sigma, nu, mu, poly in basis_candidates(n, a, b):
+        for w, row in zip(columns, rows):
             # the kernel must merge rearrangements of 2*nu into a class of
             # weight > 1, and walk products of several classes
-            classes = _classes(decompose(max(poly.monomials(), key=order_key)))
+            dec = decompose(w)
+            classes = _classes(dec)
             merged += any(k > 1 for k in classes.values())
             several += len(classes) > 1
-            full = full_candidate(sigma, nu, mu)
-            assert poly == Polynomial(n, {w: full.coefficient(w) for w in columns}), (sigma, nu, mu)
+            full = full_candidate(dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True)))
+            assert {orbit_key(columns[j]): count for j, count in row.items()} == orbit_sums(full), w.text()
             products.append(full)
             # c_sigma pairing one x exponent with two y exponents: a class
             # is named by its pairs, not by its x exponents alone
-            c = diagonal_signed_descent_monomial(sigma)
+            c = diagonal_signed_descent_monomial(dec.sigma)
             ties += any(len({y for x2, y in zip(c.p, c.q) if x2 == x}) > 1 for x in c.p)
         assert verify_basis_rank(n, a, b).rank == full_support_rank(products), (n, a, b)
     assert ties and merged and several

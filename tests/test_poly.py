@@ -31,7 +31,7 @@ from signsym.poly import (
     is_invariant,
     is_separately_invariant,
     monomial_sym_squares,
-    orbit_averages,
+    orbit_sums,
     rearrangement_count,
     rho,
 )
@@ -209,19 +209,21 @@ def test_rho_matches_bruteforce():
     assert rho(opposite).is_zero()
 
 
-def test_orbit_averages_expand_to_the_group_average():
-    # each nonzero orbit average, put on every rearrangement of the
-    # orbit's exponent pairs, gives the brute-force average; the cases
-    # have odd slots, partial orbits and unequal coefficients
+def test_orbit_sums_expand_to_the_group_average():
+    # each nonzero orbit sum over the orbit size, put on every
+    # rearrangement of the orbit's exponent pairs, gives the brute-force
+    # average; the cases have odd slots, partial orbits and unequal
+    # coefficients
     rng = random.Random(31)
     cases = [random_polynomial(rng, n, terms=rng.randint(1, 5)) for n in (1, 2, 3) for _ in range(8)]
     cases += [f for n in (1, 2, 3) for _ in range(3) for f in _perturbed_invariants(rng, n)]
     for f in cases:
-        averages = orbit_averages(f)
-        assert 0 not in averages.values()
-        expanded = {
-            mono(*zip(*pairs)): c for key, c in averages.items() for pairs in set(itertools.permutations(key))
-        }
+        sums = orbit_sums(f)
+        assert 0 not in sums.values()
+        expanded = {}
+        for key, c in sums.items():
+            orbit = set(itertools.permutations(key))
+            expanded.update({mono(*zip(*pairs)): c / len(orbit) for pairs in orbit})
         assert Polynomial(f.n, expanded) == rho_bruteforce(f)
 
 

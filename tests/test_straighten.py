@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import signsym.descent_basis as descent_basis_module
 import signsym.poly as poly_module
 from helpers import (
     averaged_basis,
@@ -150,6 +151,27 @@ def test_straighten_column_cap_at_its_boundary(monkeypatch):
     with pytest.raises(ValueError, match="^bidegree \\(2, 0\\) takes the ordered columns past the cap of 0$"):
         straighten(f)
     assert drawn == [(2, 0)]
+
+
+def test_straighten_column_cap_draws_no_more_than_it_counts(monkeypatch):
+    # x1^2 y2^200000 at rank 3 has billions of ordered columns at its
+    # bidegree.  Each tie block's tails are walked for each head part as
+    # the columns are drawn, so a cap of 10 draws a few partitions per
+    # column, not the 50,001 tails of the first head.
+    drawn = []
+    partitions = descent_basis_module.partitions_fixed_length
+
+    def counted(*args):
+        for part in partitions(*args):
+            drawn.append(part)
+            yield part
+
+    monkeypatch.setattr(descent_basis_module, "partitions_fixed_length", counted)
+    monkeypatch.setattr(straighten_module, "COLUMN_GUARD", 10)
+    f = averaged(mono((2, 0, 0), (0, 200_000, 0)))
+    with pytest.raises(ValueError, match="^bidegree \\(2, 200000\\) takes the ordered columns past the cap of 10$"):
+        straighten(f)
+    assert 11 <= len(drawn) <= 4 * 11
 
 
 def test_straighten_at_rank_1200():
