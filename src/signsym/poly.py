@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .signed_perm import ASCII_FRACTION, SignedPermutation
 
@@ -318,6 +318,14 @@ def orbit_key(m: Monomial) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(zip(m.p, m.q)))
 
 
+def _orbits(f: Polynomial, key: Callable[[Monomial], object]) -> dict[object, list[Monomial]]:
+    # The terms of ``f`` grouped by ``key``, which is called once per term.
+    orbits: dict[object, list[Monomial]] = {}
+    for m in f._terms:
+        orbits.setdefault(key(m), []).append(m)
+    return orbits
+
+
 def rearrangement_count(items: Iterable) -> int:
     """Number of distinct rearrangements of a finite sequence."""
     counts = Counter(items)
@@ -335,9 +343,7 @@ def orbit_sums(f: Polynomial) -> dict[tuple[tuple[int, int], ...], Fraction]:
     w is the orbit size times the coefficient at w, which is injective.
     No orbit is expanded, and the odd slots are looked for once per orbit.
     """
-    sums: Counter = Counter()
-    for m, c in f._terms.items():
-        sums[orbit_key(m)] += c
+    sums = {key: sum(f._terms[m] for m in ms) for key, ms in _orbits(f, orbit_key).items()}
     return {key: c for key, c in sums.items() if c and not any((p + q) % 2 for p, q in key)}
 
 
@@ -377,13 +383,11 @@ def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) ->
     return None
 
 
-def _invariance_failure(f: Polynomial) -> Optional[str]:
-    # Why ``f`` is not invariant, naming a term of ``f``, or None when it is.
-    # Every member of an orbit has the odd slots of its key, so they are
-    # looked for once per key; the first odd key holds the first odd term.
-    orbits: dict[object, list[Monomial]] = {}
-    for m in f._terms:
-        orbits.setdefault(orbit_key(m), []).append(m)
+def _invariance_failure(f: Polynomial, orbits: dict[tuple[tuple[int, int], ...], list[Monomial]]) -> Optional[str]:
+    # Why ``f``, whose terms ``orbits`` groups by ``orbit_key``, is not
+    # invariant, naming a term of ``f``, or None when it is.  Every member
+    # of an orbit has the odd slots of its key, so they are looked for once
+    # per key; the first odd key holds the first odd term.
     odd = next((ms[0] for key, ms in orbits.items() if any((p + q) % 2 for p, q in key)), None)
     if odd is not None:
         return f"the term {odd.text()} has an odd total exponent in slot {odd.odd_slot()}"
@@ -398,7 +402,7 @@ def is_invariant(f: Polynomial) -> bool:
     When every slot is even, the group only rearranges the exponent
     pairs, so each orbit must appear in full with one coefficient.
     """
-    return _invariance_failure(f) is None
+    return _invariance_failure(f, _orbits(f, orbit_key)) is None
 
 
 def is_separately_invariant(f: Polynomial) -> bool:
@@ -410,9 +414,7 @@ def is_separately_invariant(f: Polynomial) -> bool:
     every exponent is even, and the terms sharing sorted x and sorted y
     exponents form a whole orbit with one coefficient.
     """
-    orbits: dict[object, list[Monomial]] = {}
-    for m in f._terms:
-        orbits.setdefault((tuple(sorted(m.p)), tuple(sorted(m.q))), []).append(m)
+    orbits = _orbits(f, lambda m: (tuple(sorted(m.p)), tuple(sorted(m.q))))
     if any(e % 2 for p, q in orbits for e in p + q):
         return False
     return _orbit_failure(

@@ -1,29 +1,37 @@
 """Expansion of invariant polynomials over the averaged descent monomials.
 
 Every diagonally invariant polynomial is a unique combination of the
-averaged diagonal signed descent monomials with coefficients that are
-separately invariant in each variable family.  An invariant is fixed by
-its coefficients at the ordered monomials, so the expansion works on
-those columns alone, walking them once in decreasing order.  A nonzero
-column w decomposes as x^(2 nu) y^(2 mu) c_sigma, and m_nu(x^2)
-m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger
-column, so subtracting its matching multiple clears w for good.  The
-walk works in orbit sums alone: the remainder starts as the input's
-``orbit_sums`` at the columns, and ``product_coefficients`` gives the
-product's orbit sums there as integer term counts, so the scalar at a
-column is its remainder over its count.  On invariants the orbit sum
-at w is the orbit size times the coefficient at w, which is injective.
-The walk keeps one scalar per (sigma, nu, mu) and builds each
-coefficient once at the end, from the same cached rearrangements of
-2 nu and 2 mu.  ``rho`` is linear over invariants, so ``evaluate`` sums
-an expansion back as one average of coefficient * c_sigma,
-independently of ``product_coefficients`` and ``decompose``;
-``evaluates_to`` compares the orbit sums of that sum with the input's,
-which checks the walk.
+averaged diagonal signed descent monomials rho(c_sigma) with
+coefficients in Sym(x^2) (x) Sym(y^2), the polynomials separately
+invariant in each variable family.  That ring has the basis
+m_nu(x^2) m_mu(y^2), and an expansion keeps each coefficient in it: one
+scalar per label (nu, mu) of weakly decreasing n-tuples.  A coefficient
+becomes a polynomial only at the output edge, in
+``BasisExpansion.coefficient``, and ``BasisExpansion.from_json`` reads
+one back into labels, refusing a coefficient outside the ring.
+
+An invariant is fixed by its coefficients at the ordered monomials, so
+the expansion works on those columns alone, walking them once in
+decreasing order.  A nonzero column w decomposes as x^(2 nu) y^(2 mu)
+c_sigma, and m_nu(x^2) m_mu(y^2) rho(c_sigma) is positive at w and zero
+at every larger column, so subtracting its matching multiple clears w
+for good.  The walk works in orbit sums alone: the remainder starts as
+the input's orbit sums at the columns, and ``product_coefficients``
+gives the product's orbit sums there as integer term counts, so the
+scalar at a column is its remainder over its count.  On invariants the
+orbit sum at w is the orbit size times the coefficient at w, which is
+injective.  A column names its label (sigma, nu, sorted mu) uniquely,
+so the walk's scalars are the expansion.  ``rho`` is linear over
+invariants, so ``evaluate`` sums an expansion back as one average of
+coefficient * c_sigma, whose terms x^(r + delta) y^(s + gamma) are
+walked straight from the labels, independently of
+``product_coefficients`` and ``decompose``; ``evaluates_to`` compares
+the orbit sums of that sum with the input's, which checks the walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -43,45 +51,49 @@ from .poly import (
     Monomial,
     Polynomial,
     _invariance_failure,
+    _orbits,
     is_separately_invariant,
     json_object,
+    orbit_key,
     orbit_sums,
     rearrangement_count,
     rho,
 )
 from .signed_perm import SignedPermutation
 
+#: The partitions (nu, mu) of m_nu(x^2) m_mu(y^2).
+Label = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @dataclass
 class BasisExpansion:
     """Coefficients of an invariant over the averaged descent basis.
 
-    Maps each signed permutation to a separately invariant coefficient
-    polynomial; zero coefficients are never stored.
+    Maps each signed permutation to its coefficient in the basis
+    m_nu(x^2) m_mu(y^2): a map from labels (nu, mu) to nonzero scalars.
+    ``straighten`` and ``from_json`` store nu and mu as weakly decreasing
+    n-tuples and never an empty coefficient.  A part in another order
+    names the same product, and ``coefficient`` and ``evaluate`` add the
+    scalars of labels that name one product.
     """
 
     n: int
-    entries: dict[SignedPermutation, Polynomial] = field(default_factory=dict)
+    entries: dict[SignedPermutation, dict[Label, Fraction]] = field(default_factory=dict)
 
-    def add(self, sigma: SignedPermutation, coeff: Polynomial) -> None:
-        total = self.entries.get(sigma, Polynomial.zero(self.n)) + coeff
-        if total.is_zero():
-            self.entries.pop(sigma, None)
-        else:
-            self.entries[sigma] = total
-
-    def validate(self) -> None:
-        """Check the coefficient-ring membership of every entry."""
-        for sigma, coeff in self.entries.items():
-            if coeff.is_zero():
-                raise ValueError(f"zero coefficient stored for {sigma}")
-            if not is_separately_invariant(coeff):
-                raise ValueError(
-                    f"coefficient of {sigma} is not separately invariant in x and y"
-                )
+    def coefficient(self, sigma: SignedPermutation) -> Polynomial:
+        """The coefficient of ``sigma`` as a polynomial, the sum of scalar * m_nu(x^2) m_mu(y^2)."""
+        # Each term is one distinct rearrangement of 2*nu in x times one
+        # of 2*mu in y, and distinct canonical labels share no term.
+        terms: dict[Monomial, Fraction] = {}
+        for (nu, mu), scalar in _canonical(self.n, self.entries.get(sigma, {})).items():
+            ys = doubled_rearrangements(mu)
+            for xs in doubled_rearrangements(nu):
+                terms.update(dict.fromkeys((Monomial(xs, s) for s in ys), scalar))
+        return Polynomial(self.n, terms)
 
     def items(self) -> list[tuple[SignedPermutation, Polynomial]]:
-        return sorted(self.entries.items(), key=lambda sc: sc[0].window)
+        """Each sigma with its coefficient polynomial, by increasing window."""
+        return [(sigma, self.coefficient(sigma)) for sigma in sorted(self.entries, key=lambda s: s.window)]
 
     def to_json(self) -> dict:
         return {
@@ -94,19 +106,43 @@ class BasisExpansion:
 
     @classmethod
     def from_json(cls, data: dict) -> "BasisExpansion":
+        """Read ``to_json`` output back into labels.
+
+        A coefficient that is not separately invariant in x and y is
+        refused; one whose terms are all zero is not stored.
+        """
         n, entries = json_object(data, "an expansion", "entries")
         exp = cls(n)
-        seen: set[SignedPermutation] = set()
         for entry in entries:
             sigma, coeff = entry.get("sigma"), Polynomial.from_json(entry.get("coeff"))
             if not isinstance(sigma, list) or len(sigma) != n or coeff.n != n:
                 raise ValueError(f"entry {entry!r} needs a window list and a coefficient of rank {n}")
             sigma = SignedPermutation(tuple(sigma))
-            if sigma in seen:
+            if sigma in exp.entries:
                 raise ValueError(f"sigma {sigma} is listed twice")
-            seen.add(sigma)
-            exp.add(sigma, coeff)
+            if not is_separately_invariant(coeff):
+                raise ValueError(f"coefficient of {sigma} is not separately invariant in x and y")
+            # every term of one separate orbit has its label and its scalar
+            exp.entries[sigma] = {(_halved(m.p), _halved(m.q)): coeff.coefficient(m) for m in coeff.monomials()}
+        # a zero coefficient counts as listed, but is not kept
+        exp.entries = {sigma: labels for sigma, labels in exp.entries.items() if labels}
         return exp
+
+
+def _halved(exps: tuple[int, ...]) -> tuple[int, ...]:
+    # The part nu, weakly decreasing, of a rearrangement of 2*nu.
+    return tuple(sorted((e // 2 for e in exps), reverse=True))
+
+
+def _canonical(n: int, labels: dict[Label, Fraction]) -> dict[Label, Fraction]:
+    # The scalars summed by the product each label names, with its parts
+    # weakly decreasing; a part without n entries is refused.
+    out: Counter = Counter()
+    for label, scalar in labels.items():
+        if any(len(part) != n for part in label):
+            raise ValueError(f"label {label!r} needs two parts of {n} entries")
+        out[tuple(tuple(sorted(part, reverse=True)) for part in label)] += scalar
+    return out
 
 
 def straighten(f: Polynomial) -> BasisExpansion:
@@ -119,17 +155,19 @@ def straighten(f: Polynomial) -> BasisExpansion:
     than ``COLUMN_GUARD`` columns or ``TERM_GUARD`` product terms are
     refused before the walk or the product that would pass the cap.
     """
-    reason = _invariance_failure(f)
+    orbits = _orbits(f, orbit_key)
+    reason = _invariance_failure(f, orbits)
     if reason is not None:
         raise ValueError(f"input is not invariant: {reason}")
     allowance, terms = COLUMN_GUARD, 0
     # The scalar of m_nu(x^2) m_mu(y^2) in each sigma's coefficient.  A
     # column names its (sigma, nu, sorted mu) uniquely and is visited
     # once, so each key is set once.
-    scalars: dict[SignedPermutation, dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]] = {}
+    scalars: dict[SignedPermutation, dict[Label, Fraction]] = {}
     components: dict[tuple[int, int], dict[tuple[tuple[int, int], ...], Fraction]] = {}
-    for key, c in orbit_sums(f).items():
-        components.setdefault(tuple(map(sum, zip(*key))), {})[key] = c
+    # On an invariant an orbit's sum is its member count times their one coefficient.
+    for key, members in orbits.items():
+        components.setdefault(tuple(map(sum, zip(*key))), {})[key] = len(members) * f.coefficient(members[0])
     for bd, sums in sorted(components.items()):
         columns = list(islice(ordered_monomials(f.n, *bd), allowance + 1))
         allowance -= len(columns)
@@ -161,46 +199,41 @@ def straighten(f: Polynomial) -> BasisExpansion:
                 f"straightening of bidegree {bd} left a nonzero remainder; "
                 "the reduction products are not triangular"
             )
-    return BasisExpansion(
-        f.n, {sigma: _coefficient(f.n, labels) for sigma, labels in scalars.items()}
-    )
+    return BasisExpansion(f.n, scalars)
 
 
-def _coefficient(n: int, labels: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]) -> Polynomial:
-    # The sum of scalar * m_nu(x^2) m_mu(y^2): each term is one distinct
-    # rearrangement of 2*nu in x times one of 2*mu in y, and distinct
-    # (nu, mu) share no term, so no coefficient is added to another.
-    terms: dict[Monomial, Fraction] = {}
-    for (nu, mu), scalar in labels.items():
-        ys = doubled_rearrangements(mu)
-        for xs in doubled_rearrangements(nu):
-            terms.update(dict.fromkeys((Monomial(xs, s) for s in ys), scalar))
-    return Polynomial(n, terms)
-
-
-def _combination(expansion: BasisExpansion) -> Polynomial:
-    # The sum of coefficient * c_sigma, once ``validate`` passes.
-    expansion.validate()
-    acc: dict[Monomial, Fraction] = {}
-    for sigma, coeff in expansion.entries.items():
+def _combination(expansion: BasisExpansion) -> dict[tuple[tuple[int, int], ...], Fraction]:
+    # The nonzero orbit sums of the sum of coefficient * c_sigma, keyed by
+    # ``orbit_key``.  Each label's terms x^(r + delta) y^(s + gamma) are
+    # counted by orbit, with (delta, gamma) the exponents of c_sigma; every
+    # slot total is even, since delta_i and gamma_i share parity.
+    sums: Counter = Counter()
+    for sigma, labels in expansion.entries.items():
         c = diagonal_signed_descent_monomial(sigma)
-        for m in coeff.monomials():
-            u = m * c
-            acc[u] = acc.get(u, Fraction(0)) + coeff.coefficient(m)
-    return Polynomial(expansion.n, acc)
+        for (nu, mu), scalar in _canonical(expansion.n, labels).items():
+            xs = [[a + b for a, b in zip(r, c.p)] for r in doubled_rearrangements(nu)]
+            ys = [[a + b for a, b in zip(s, c.q)] for s in doubled_rearrangements(mu)]
+            counts = Counter(tuple(sorted(zip(x, y))) for x in xs for y in ys)
+            for key, k in counts.items():
+                sums[key] += scalar * k
+    return {key: v for key, v in sums.items() if v}
 
 
 def evaluate(expansion: BasisExpansion) -> Polynomial:
-    """rho(sum of coefficient * c_sigma): the expansion's value, once ``validate`` passes."""
-    return rho(_combination(expansion))
+    """rho(sum of coefficient * c_sigma): the expansion's value.
+
+    ``rho`` reads only orbit sums, so it averages one term per orbit of
+    ``_combination``, carrying that orbit's sum.
+    """
+    return rho(Polynomial(expansion.n, {Monomial(*zip(*key)): c for key, c in _combination(expansion).items()}))
 
 
 def evaluates_to(expansion: BasisExpansion, f: Polynomial) -> bool:
     """True when ``evaluate(expansion)`` equals ``rho(f)``, which is ``f`` for invariant ``f``.
 
     Compares the orbit sums of the sum of coefficient * c_sigma with
-    those of ``f``, so no orbit is expanded and no term cap applies.  Like
-    ``evaluate`` it runs ``validate`` first and calls neither
-    ``decompose`` nor ``product_coefficients``.
+    those of ``f``, so no orbit is expanded and no term cap applies.
+    Like ``evaluate`` it calls neither ``decompose`` nor
+    ``product_coefficients``.
     """
-    return orbit_sums(_combination(expansion)) == orbit_sums(f)
+    return _combination(expansion) == orbit_sums(f)

@@ -180,15 +180,27 @@ def averaged_basis(sigma: SignedPermutation) -> Polynomial:
     return rho(Polynomial.from_monomial(diagonal_signed_descent_monomial(sigma)))
 
 
+def label_polynomial(n: int, labels: dict) -> Polynomial:
+    """The sum of scalar * m_nu(x^2) m_mu(y^2) over ``labels``, multiplied out by ``monomial_sym_squares``.
+
+    Independent of ``BasisExpansion.coefficient``, which lists the terms
+    of each product from cached rearrangements.
+    """
+    total = Polynomial.zero(n)
+    for (nu, mu), scalar in labels.items():
+        total = total + monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * scalar
+    return total
+
+
 def evaluate_full(expansion: BasisExpansion) -> Polynomial:
     """Evaluation oracle: every coefficient times its rho(c_sigma), multiplied out in full.
 
-    Independent of the production path, which multiplies each
-    coefficient by c_sigma alone and averages the sum once.
+    Independent of the production path, which walks the terms of each
+    label times c_sigma alone by orbit and averages the sum once.
     """
     total = Polynomial.zero(expansion.n)
-    for sigma, coeff in expansion.entries.items():
-        total = total + coeff * averaged_basis(sigma)
+    for sigma, labels in expansion.entries.items():
+        total = total + label_polynomial(expansion.n, labels) * averaged_basis(sigma)
     return total
 
 
@@ -254,9 +266,10 @@ def straighten_full(f: Polynomial) -> BasisExpansion:
     Independent of the production path, which works only at the ordered
     monomials: each step here takes the largest ordered monomial of the
     remainder, multiplies its m_nu(x^2) m_mu(y^2) rho(c_sigma) out in
-    full and subtracts the matching multiple.
+    full and subtracts the matching multiple.  The scalars are kept at
+    the labels (nu, sorted mu) of each sigma.
     """
-    expansion = BasisExpansion(f.n)
+    scalars: dict = {}
     for component in bidegree_components(f).values():
         remainder = component
         previous = None
@@ -268,8 +281,14 @@ def straighten_full(f: Polynomial) -> BasisExpansion:
             coeff = monomial_sym_squares(dec.nu, "x", f.n) * monomial_sym_squares(dec.mu, "y", f.n)
             product = coeff * averaged_basis(dec.sigma)
             scalar = remainder.coefficient(m) / product.coefficient(m)
-            expansion.add(dec.sigma, coeff * scalar)
+            label = (dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True)))
+            scalars[label] = scalars.get(label, 0) + scalar
             remainder = remainder - scalar * product
+    # a sum that cancels is not stored
+    expansion = BasisExpansion(f.n)
+    for (sigma, nu, mu), scalar in scalars.items():
+        if scalar:
+            expansion.entries.setdefault(sigma, {})[nu, mu] = scalar
     return expansion
 
 

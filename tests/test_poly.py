@@ -24,6 +24,7 @@ from signsym.poly import (
     Monomial,
     Polynomial,
     _invariance_failure,
+    _orbits,
     act,
     bidegree_components,
     distinct_permutations,
@@ -31,6 +32,7 @@ from signsym.poly import (
     is_invariant,
     is_separately_invariant,
     monomial_sym_squares,
+    orbit_key,
     orbit_sums,
     rearrangement_count,
     rho,
@@ -310,7 +312,7 @@ def test_is_invariant_agrees_with_generator_action():
             for f in _perturbed_invariants(rng, n):
                 expected = generator_invariant(f)
                 assert is_invariant(f) == expected, f
-                reason = _invariance_failure(f)
+                reason = _invariance_failure(f, _orbits(f, orbit_key))
                 assert (reason is None) == expected, f
                 if reason is not None:
                     named = re.fullmatch(r"the (?:term|orbit of) (.+?) has .+", reason).group(1)
@@ -320,14 +322,13 @@ def test_is_invariant_agrees_with_generator_action():
 
 
 def test_invariance_failure_reasons():
-    assert _invariance_failure(poly(2, (1, (1, 2), (0, 0)))) == (
-        "the term x1 x2^2 has an odd total exponent in slot 1"
-    )
-    assert _invariance_failure(poly(2, (1, (2, 0), (0, 0)))) == "the orbit of x1^2 has 1 of its 2 terms"
-    assert _invariance_failure(poly(2, (1, (2, 0), (0, 0)), (2, (0, 2), (0, 0)))) == (
-        "the orbit of x1^2 has unequal coefficients"
-    )
-    assert _invariance_failure(Polynomial.one(3)) is None
+    def failure(f):
+        return _invariance_failure(f, _orbits(f, orbit_key))
+
+    assert failure(poly(2, (1, (1, 2), (0, 0)))) == "the term x1 x2^2 has an odd total exponent in slot 1"
+    assert failure(poly(2, (1, (2, 0), (0, 0)))) == "the orbit of x1^2 has 1 of its 2 terms"
+    assert failure(poly(2, (1, (2, 0), (0, 0)), (2, (0, 2), (0, 0)))) == "the orbit of x1^2 has unequal coefficients"
+    assert failure(Polynomial.one(3)) is None
 
 
 def _separately_perturbed(rng, n):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rho_bruteforce, straighten_full
+from helpers import family_invariant, rho_bruteforce, straighten_full
 from signsym.cli import main
 from signsym.poly import Monomial, Polynomial, act, rho
 from signsym.signed_perm import SignedPermutation
@@ -93,23 +93,32 @@ def test_action_composes(args):
     assert act(sigma, act(tau, f)) == act(sigma * tau, f)
 
 
+@st.composite
+def expansions_at(draw, n):
+    """An expansion of rank n: up to 3 sigma, each with 1 to 3 labels of parts <= 2."""
+    part = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(lambda v: tuple(sorted(v, reverse=True)))
+    labels = st.dictionaries(st.tuples(part, part), fractions.filter(bool), min_size=1, max_size=3)
+    return BasisExpansion(n, draw(st.dictionaries(signed_permutations(n), labels, max_size=3)))
+
+
 @deterministic(60)
 @given(
     st.integers(1, 3).flatmap(
-        lambda n: st.tuples(
-            polynomials_at(n),
-            st.lists(st.tuples(signed_permutations(n), polynomials_at(n)), max_size=3),
-        )
+        lambda n: st.tuples(polynomials_at(n), expansions_at(n), signed_permutations(n))
     )
 )
 def test_json_round_trips(args):
-    f, entries = args
+    f, expansion, sigma = args
     assert Polynomial.from_json(json.loads(json.dumps(f.to_json()))) == f
-    expansion = BasisExpansion(f.n)
-    for sigma, coeff in entries:
-        expansion.add(sigma, coeff)
     again = BasisExpansion.from_json(json.loads(json.dumps(expansion.to_json())))
     assert again == expansion
+    # a polynomial coefficient is read exactly when it is separately invariant
+    data = {"n": f.n, "entries": [{"sigma": list(sigma.window), "coeff": f.to_json()}]}
+    if family_invariant(f):
+        assert BasisExpansion.from_json(data).coefficient(sigma) == f
+    else:
+        with pytest.raises(ValueError, match="is not separately invariant in x and y$"):
+            BasisExpansion.from_json(data)
 
 
 leaves = (

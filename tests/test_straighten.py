@@ -17,6 +17,7 @@ import signsym.poly as poly_module
 from helpers import (
     averaged_basis,
     evaluate_full,
+    family_invariant,
     mono,
     poly,
     random_even_monomial,
@@ -47,14 +48,14 @@ def averaged(m):
 def test_straighten_worked_example():
     f = averaged(mono((2, 0), (2, 0)))
     expansion = straighten(f)
-    assert set(expansion.entries) == {SignedPermutation.identity(2), sp(2, 1)}
-    identity_coeff = expansion.entries[SignedPermutation.identity(2)]
-    assert identity_coeff == (
+    identity = SignedPermutation.identity(2)
+    assert expansion.entries == {identity: {((1, 0), (1, 0)): Fraction(1, 2)}, sp(2, 1): {((0, 0), (0, 0)): -1}}
+    assert expansion.coefficient(identity) == (
         monomial_sym_squares((1, 0), "x", 2)
         * monomial_sym_squares((1, 0), "y", 2)
         * Fraction(1, 2)
     )
-    assert expansion.entries[sp(2, 1)] == Polynomial.one(2) * Fraction(-1)
+    assert expansion.coefficient(sp(2, 1)) == Polynomial.one(2) * Fraction(-1)
     assert evaluate(expansion) == f
 
 
@@ -62,13 +63,14 @@ def test_reduce_step_even_power_example():
     # n=1: x1^3 y1 = x1^2 * c_[-1], so sigma = [-1], nu = (1,), mu = (0,)
     f = averaged(mono((3,), (1,)))
     expansion = straighten(f)
-    assert expansion.entries == {sp(-1): poly(1, (1, (2,), (0,)))}
+    assert expansion.entries == {sp(-1): {((1,), (0,)): 1}}
+    assert expansion.coefficient(sp(-1)) == poly(1, (1, (2,), (0,)))
     assert evaluate(expansion) == f
 
 
 def test_straighten_constant():
     expansion = straighten(Polynomial.one(3))
-    assert expansion.entries == {SignedPermutation.identity(3): Polynomial.one(3)}
+    assert expansion.entries == {SignedPermutation.identity(3): {((0, 0, 0), (0, 0, 0)): 1}}
     assert straighten(Polynomial.zero(2)).entries == {}
 
 
@@ -77,8 +79,26 @@ def test_straighten_rejects_non_invariant():
         straighten(poly(2, (1, (1, 0), (0, 0))))
 
 
-def no_coefficient(*args):
-    raise AssertionError("no coefficient may be built past the cap")
+def no_expansion(*args):
+    raise AssertionError("no expansion may be built past the cap")
+
+
+def test_straighten_groups_each_input_term_once(monkeypatch):
+    # the orbit sums are read from the grouping that the invariance check
+    # makes, so each term's exponent pairs are sorted once
+    f = averaged(mono((5, 3, 1, 1, 0, 0, 0), (3, 1, 3, 1, 2, 0, 0)))
+    expansion = straighten(f)
+    keyed = []
+    orbit_key = poly_module.orbit_key
+
+    def counted(m):
+        keyed.append(m)
+        return orbit_key(m)
+
+    for module in (poly_module, straighten_module):
+        monkeypatch.setattr(module, "orbit_key", counted)
+    assert straighten(f).entries == expansion.entries
+    assert len(keyed) == len(f) and set(keyed) == set(f.monomials())
 
 
 def test_straighten_guard(monkeypatch):
@@ -89,7 +109,7 @@ def test_straighten_guard(monkeypatch):
     assert straighten_module.TERM_GUARD == poly_module.TERM_GUARD == 100_000
     f = averaged(mono((4, 0, 0), (2, 0, 0)))
     expansion = straighten(f)
-    terms = sum(len(coeff) for coeff in expansion.entries.values())
+    terms = sum(len(expansion.coefficient(sigma)) for sigma in expansion.entries)
     kernel = straighten_module.product_coefficients
     calls = []
 
@@ -104,7 +124,7 @@ def test_straighten_guard(monkeypatch):
     assert reduced > 1
     calls.clear()
     monkeypatch.setattr(straighten_module, "TERM_GUARD", terms - 1)
-    monkeypatch.setattr(straighten_module, "_coefficient", no_coefficient)
+    monkeypatch.setattr(straighten_module, "BasisExpansion", no_expansion)
     message = f"^products reach {terms} terms at bidegree \\(4, 2\\), above the cap of {terms - 1}$"
     with pytest.raises(ValueError, match=message):
         straighten(f)
@@ -137,7 +157,7 @@ def test_straighten_column_cap_at_its_boundary(monkeypatch):
     assert len(drawn) == 1 + wide
     drawn.clear()
     monkeypatch.setattr(straighten_module, "COLUMN_GUARD", wide - 1)
-    monkeypatch.setattr(straighten_module, "_coefficient", no_coefficient)
+    monkeypatch.setattr(straighten_module, "BasisExpansion", no_expansion)
     with pytest.raises(ValueError, match=f"^bidegree \\(2, 2\\) takes the ordered columns past the cap of {wide - 1}$"):
         straighten(f)
     assert drawn == [(2, 0)] + [(2, 2)] * (wide - 1)
@@ -186,9 +206,7 @@ def test_straighten_at_rank_1200():
 
 def test_unit_expansion_exhaustive_rank_two():
     for sigma in enumerate_group(2):
-        expansion = straighten(averaged_basis(sigma))
-        assert set(expansion.entries) == {sigma}
-        assert expansion.entries[sigma] == Polynomial.one(2)
+        assert straighten(averaged_basis(sigma)).entries == {sigma: {((0, 0), (0, 0)): 1}}
 
 
 def test_column_walk_matches_full_product_oracle():
@@ -209,7 +227,27 @@ def test_round_trip_random_invariants():
             f = random_invariant(rng, n)
             expansion = straighten(f)
             assert evaluate(expansion) == f
-            expansion.validate()
+            # reading back refuses a coefficient outside the ring, and
+            # stores no zero
+            assert BasisExpansion.from_json(expansion.to_json()) == expansion
+
+
+def test_straighten_emits_canonical_labels():
+    rng = random.Random(83)
+    cases = [random_invariant(rng, n) for n in (1, 2, 3, 4) for _ in range(5)]
+    cases.append(averaged(mono((5, 3, 1, 1, 0, 0, 0), (3, 1, 3, 1, 2, 0, 0))))
+    labelled = 0
+    for f in cases:
+        for labels in straighten(f).entries.values():
+            assert labels
+            for (nu, mu), scalar in labels.items():
+                for part in (nu, mu):
+                    assert type(part) is tuple and len(part) == f.n
+                    assert all(type(v) is int and v >= 0 for v in part)
+                    assert list(part) == sorted(part, reverse=True)
+                assert type(scalar) is Fraction and scalar
+                labelled += 1
+    assert labelled > 50
 
 
 def test_expansion_coefficients_live_in_the_product_ring():
@@ -248,7 +286,7 @@ def test_invariant_support_contains_ordered_representatives():
 
 
 def test_evaluate_unit_and_empty():
-    unit = BasisExpansion(2, {sp(2, 1): Polynomial.one(2)})
+    unit = BasisExpansion(2, {sp(2, 1): {((0, 0), (0, 0)): 1}})
     assert evaluate(unit) == averaged_basis(sp(2, 1))
     assert evaluate(BasisExpansion(2)).is_zero()
 
@@ -267,9 +305,9 @@ def built_expansion(rng, n):
     shared = rng.sample(labels, 3)
     expansion = BasisExpansion(n)
     for sigma in rng.sample(list(enumerate_group(n)), min(4, 2 ** n)):
-        for nu, mu in rng.sample(shared, 2):
-            scalar = Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 3))
-            expansion.add(sigma, monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * scalar)
+        expansion.entries[sigma] = {
+            label: Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 3)) for label in rng.sample(shared, 2)
+        }
     return expansion
 
 
@@ -285,45 +323,98 @@ def test_evaluate_matches_full_products():
 
 
 def test_evaluate_detects_mutated_expansions():
+    # The products m_nu(x^2) m_mu(y^2) rho(c_sigma) are linearly
+    # independent, so every change to the labels changes the value.
     rng = random.Random(73)
     cases = [(straighten(f), f) for f in (random_invariant(rng, n) for n in (1, 2, 3) for _ in range(5))]
     cases += [(e, evaluate_full(e)) for e in (built_expansion(rng, n) for n in (1, 2, 3) for _ in range(4))]
-    swapped = refused = 0
+    relabelled = moved = refused = 0
 
     def evaluates_to_f(expansion, f):
-        # the orbit-average comparison of ``straighten --verify`` agrees
+        # the orbit-sum comparison of ``straighten --verify`` agrees
         # with evaluating in full
         value = evaluate(expansion) == f
         assert evaluates_to(expansion, f) == value
         return value
 
+    def plus(labels, extra):
+        # labels with the scalars of ``extra`` added, zeros dropped
+        out = dict(labels)
+        for label, c in extra.items():
+            out[label] = out.get(label, 0) + c
+        return {label: c for label, c in out.items() if c}
+
     for expansion, f in cases:
         n, entries = expansion.n, expansion.entries
         assert evaluates_to_f(expansion, f)
         sigma = rng.choice(sorted(entries, key=lambda s: s.window))
-        coeff = entries[sigma]
-        assert not evaluates_to_f(BasisExpansion(n, {**entries, sigma: coeff * 2}), f)
-        for tau, other in entries.items():
-            if other != coeff:
-                assert not evaluates_to_f(BasisExpansion(n, {**entries, sigma: other, tau: coeff}), f)
-                swapped += 1
-                break
+        labels = entries[sigma]
+        (nu, mu), c = rng.choice(sorted(labels.items()))
+        # a scalar changed
+        assert not evaluates_to_f(BasisExpansion(n, {**entries, sigma: {**labels, (nu, mu): c * 2}}), f)
+        # the label moved to another (nu, mu) of its bidegree
+        others = [
+            (a, b)
+            for a in partitions_fixed_length(sum(nu), n)
+            for b in partitions_fixed_length(sum(mu), n)
+            if (a, b) != (nu, mu)
+        ]
+        if others:
+            relabel = plus(labels, {(nu, mu): -c, rng.choice(others): c})
+            assert not evaluates_to_f(BasisExpansion(n, {**entries, sigma: relabel}), f)
+            relabelled += 1
+        # the whole entry moved to another sigma
+        tau = rng.choice([t for t in enumerate_group(n) if t != sigma])
+        rest = {s: ls for s, ls in entries.items() if s != sigma}
+        assert not evaluates_to_f(BasisExpansion(n, {**rest, tau: plus(rest.get(tau, {}), labels)}), f)
+        moved += 1
+        # one term of the coefficient changed, which is read back only
+        # when its separate orbit is that one term
+        coeff = expansion.coefficient(sigma)
         m, c = rng.choice(coeff.items())
-        # one term, and the whole separate orbit of that term, moved off c
-        term = Polynomial.from_monomial(m, abs(c) + 1)
-        orbit = monomial_sym_squares([e // 2 for e in m.p], "x", n) * monomial_sym_squares(
-            [e // 2 for e in m.q], "y", n
-        ) * (abs(c) + 1)
-        for changed in (coeff + term, coeff + orbit):
-            mutated = BasisExpansion(n, {**entries, sigma: changed})
-            if is_separately_invariant(changed):
-                assert not evaluates_to_f(mutated, f)
-            else:
-                for check in (evaluate, lambda e: evaluates_to(e, f)):
-                    with pytest.raises(ValueError, match="separately invariant"):
-                        check(mutated)
-                refused += 1
-    assert swapped > 10 and refused > 5
+        changed = coeff + Polynomial.from_monomial(m, abs(c) + 1)
+        data = {"n": n, "entries": [{"sigma": list(sigma.window), "coeff": changed.to_json()}]}
+        if family_invariant(changed):
+            read = BasisExpansion.from_json(data).entries[sigma]
+            assert not evaluates_to_f(BasisExpansion(n, {**entries, sigma: read}), f)
+        else:
+            with pytest.raises(ValueError, match="is not separately invariant in x and y$"):
+                BasisExpansion.from_json(data)
+            refused += 1
+    assert relabelled > 10 and moved > 10 and refused > 5
+
+
+def test_labels_naming_one_product_add_up():
+    # A permuted part names the same m_nu(x^2) m_mu(y^2), so an
+    # expansion that spreads each scalar over several such labels has
+    # the same coefficients, JSON and value.
+    f = averaged(mono((6, 4, 2), (4, 2, 0)))
+    expansion = straighten(f)
+    spread = {}
+    for sigma, labels in expansion.entries.items():
+        out = spread[sigma] = {}
+        for (nu, mu), c in labels.items():
+            for label in ((nu, mu), (nu[::-1], mu), (nu, mu[1:] + mu[:1])):
+                out[label] = out.get(label, 0) + c / 3
+    spread = BasisExpansion(f.n, spread)
+    assert sum(map(len, spread.entries.values())) > 2 * sum(map(len, expansion.entries.values())) > 0
+    for sigma in expansion.entries:
+        assert spread.coefficient(sigma) == expansion.coefficient(sigma)
+    assert spread.to_json() == expansion.to_json()
+    assert evaluate(spread) == evaluate_full(spread) == f
+    assert evaluates_to(spread, f)
+
+
+def test_label_parts_need_n_entries():
+    # a part that is too short or too long is refused, never cut to n
+    f = averaged(mono((2, 0), (2, 0)))
+    entries = straighten(f).entries
+    for label in (((1,), (1, 0)), ((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 0)), ((), (0, 0))):
+        bad = BasisExpansion(2, {**entries, sp(2, 1): {label: 1}})
+        uses = (lambda e: e.coefficient(sp(2, 1)), BasisExpansion.to_json, evaluate, lambda e: evaluates_to(e, f))
+        for use in uses:
+            with pytest.raises(ValueError, match="^label .* needs two parts of 2 entries$"):
+                use(bad)
 
 
 def test_expansion_json_round_trip():
@@ -368,17 +459,20 @@ def test_expansion_from_json_refuses_a_sigma_listed_twice():
             BasisExpansion.from_json(data)
 
 
-def test_expansion_add_cancels_to_empty():
-    exp = BasisExpansion(2)
-    exp.add(sp(2, 1), Polynomial.one(2))
-    exp.add(sp(2, 1), Polynomial.one(2) * Fraction(-1))
-    assert exp.entries == {}
+def test_expansion_from_json_stores_no_zero():
+    # a coefficient whose terms are all zero is not stored, and a zero
+    # term is no label
+    zero = {"n": 2, "terms": [{"p": [2, 0], "q": [0, 0], "coeff": "0"}]}
+    orbit = {"n": 2, "terms": [{"p": [2, 0], "q": [0, 0], "coeff": 1}, {"p": [0, 2], "q": [0, 0], "coeff": 1},
+                               {"p": [4, 0], "q": [0, 0], "coeff": 0}]}
+    data = {"n": 2, "entries": [{"sigma": [2, 1], "coeff": zero}, {"sigma": [1, 2], "coeff": orbit}]}
+    assert BasisExpansion.from_json(data).entries == {sp(1, 2): {((1, 0), (0, 0)): 1}}
 
 
-def test_validate_flags_bad_coefficient():
-    bad = BasisExpansion(2, {sp(2, 1): poly(2, (1, (1, 0), (0, 0)))})
-    with pytest.raises(ValueError, match="separately invariant"):
-        bad.validate()
-    # the one average holds only for separately invariant coefficients
-    with pytest.raises(ValueError, match="separately invariant"):
-        evaluate(bad)
+def test_expansion_from_json_refuses_a_coefficient_not_separately_invariant():
+    # x1 has an odd exponent; x1^2 y1^2 + x2^2 y2^2 is invariant, but only
+    # half of its separate orbit
+    for bad in (poly(2, (1, (1, 0), (0, 0))), poly(2, (1, (2, 0), (2, 0)), (1, (0, 2), (0, 2)))):
+        data = {"n": 2, "entries": [{"sigma": [2, 1], "coeff": bad.to_json()}]}
+        with pytest.raises(ValueError, match=re.escape("coefficient of [2,1] is not separately invariant in x and y")):
+            BasisExpansion.from_json(data)
