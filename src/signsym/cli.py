@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable, Optional
 
-from . import hilbert
+from . import descent_basis, hilbert
 from .descent_basis import (
     descent_monomial,
     diagonal_descent_monomial,
@@ -140,15 +140,16 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # The largest total first: one series table serves every cell, and its
-    # guards and the sum of its columns refuse the run before any is built.
-    cells = [(a, total - a) for total in range(args.max_degree, -1, -1) for a in range(total + 1)]
-    columns = sum(hilbert.series_coefficient(args.n, a, b) for a, b in cells)
-    if columns > hilbert.COLUMN_GUARD:
+    # One series table serves every cell, and its guards and the sum of
+    # its columns refuse the run before any cell is built.
+    table = hilbert.series_table(args.n, args.max_degree)
+    cells = [(a, b) for a in range(args.max_degree + 1) for b in range(args.max_degree + 1 - a)]
+    columns = sum(table[a][b] for a, b in cells)
+    if columns > descent_basis.COLUMN_GUARD:
         raise ValueError(
-            f"total degree <= {args.max_degree} has {columns} ordered columns, above the cap of {hilbert.COLUMN_GUARD}"
+            f"total degree <= {args.max_degree} has {columns} ordered columns, above the cap of {descent_basis.COLUMN_GUARD}"
         )
-    reports = sorted((hilbert.verify_basis_rank(args.n, a, b) for a, b in cells), key=lambda r: (r.a, r.b))
+    reports = [hilbert.verify_basis_rank(args.n, a, b) for a, b in cells]
     all_pass = all(r.passed for r in reports)
     _emit(
         args,
@@ -182,16 +183,14 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
             lambda: _cell_text(cells),
         )
         return 0
-    cells = []
-    # The largest total first, as in verify, so that one series table
-    # serves the run; the cells print from the smallest total up.
-    for total in range(args.max_degree, -1, -1):
-        for a in range(total, -1, -1):
-            b = total - a
-            value = hilbert.series_coefficient(args.n, a, b)
-            if value:
-                cells.append({"a": a, "b": b, "value": value})
-    cells.reverse()
+    # One series table serves the run; the cells print from the smallest total up.
+    table = hilbert.series_table(args.n, args.max_degree)
+    cells = [
+        {"a": a, "b": total - a, "value": table[a][total - a]}
+        for total in range(args.max_degree + 1)
+        for a in range(total + 1)
+        if table[a][total - a]
+    ]
     _emit(
         args,
         lambda: {"n": args.n, "max_degree": args.max_degree, "coefficients": cells},
@@ -282,7 +281,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -17,10 +17,11 @@ w is the orbit size times the coefficient at w, which is injective, so
 the rank of the rows is the rank of the candidates.  It is taken by
 echelon form with each row's lead at its smallest position, the
 triangularity of the paper's freeness proof.  Only the series
-numerator scans the group: each rank keeps the widest series table
-built so far, which holds every smaller total, and builds a wider one,
-with one scan, only for a total beyond it.  A caller that asks for its
-largest total first scans once.
+numerator scans the group: ``series_table`` hands out the widest table
+of a rank built so far, which holds every smaller total, and builds a
+wider one, with one scan, only for a total beyond it.  A caller that
+reads its cells from one ``series_table`` at its largest total scans
+once.
 """
 
 from __future__ import annotations
@@ -31,14 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from . import scan
-from .descent_basis import (
-    column_index,
-    decompose,
-    order_key,
-    ordered_monomials,
-    product_coefficients,
-)
+from . import descent_basis, scan
+from .descent_basis import cell_columns, decompose, ordered_monomials, product_coefficients
 from .poly import Monomial
 from .signed_perm import (
     ENUMERATION_GUARD,
@@ -56,11 +51,6 @@ MAJ_INV_GUARD = 7
 #: rank-6 build from 16 to 28 MB; four times the cap took 0.33 s and
 #: 46 MB at rank 2.
 SERIES_TABLE_GUARD = 250_000
-
-#: Cap on the ordered columns, one basis product each, of a ``straighten``
-#: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
-#: in 4.5 s and 105 MB, ``--n 3 --max-degree 34`` 90,465 in 6 s (2-vCPU Xeon).
-COLUMN_GUARD = 100_000
 
 
 @dataclass(frozen=True)
@@ -147,30 +137,34 @@ def _widest_table(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return [()]
 
 
-def series_coefficient(n: int, a: int, b: int) -> int:
-    """Coefficient of s^a t^b in the bigraded Hilbert series.
+def series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
+    """Series coefficients of rank n: entry [a][b] is that of s^a t^b, for every a + b <= max_total.
 
     The numerator behind the series scans the whole group, so ranks above
     ``ENUMERATION_GUARD`` are refused.  A total whose dense table would
-    exceed ``SERIES_TABLE_GUARD`` entries is refused
-    before anything is built.  The widest table of the rank serves every
-    total it holds; a larger total builds one table at that total, which
+    exceed ``SERIES_TABLE_GUARD`` entries is refused before anything is
+    built.  The widest table of the rank is handed out while it holds
+    ``max_total``; a larger total builds one table at that total, which
     replaces it.
     """
     _check_rank(n)
-    if a < 0 or b < 0:
-        raise ValueError("degrees must be non-negative")
-    total = a + b
-    entries = (total + 1) ** 2
+    entries = (max_total + 1) ** 2
     if entries > SERIES_TABLE_GUARD:
         raise ValueError(
-            f"total degree {total} needs a series table of {entries} entries, "
+            f"total degree {max_total} needs a series table of {entries} entries, "
             f"above the cap of {SERIES_TABLE_GUARD}"
         )
     held = _widest_table(n)
-    if len(held[0]) <= total:
-        held[0] = _series_table(n, total)
-    return held[0][a][b]
+    if len(held[0]) <= max_total:
+        held[0] = _series_table(n, max_total)
+    return held[0]
+
+
+def series_coefficient(n: int, a: int, b: int) -> int:
+    """Coefficient of s^a t^b in the bigraded Hilbert series, read from ``series_table(n, a + b)``."""
+    if a < 0 or b < 0:
+        raise ValueError("degrees must be non-negative")
+    return series_table(n, a + b)[a][b]
 
 
 def invariant_dimension(n: int, a: int, b: int) -> int:
@@ -223,7 +217,7 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dic
     Row j is lazy: ``decompose`` splits column j as x^(2 nu) y^(2 mu)
     c_sigma, and ``product_coefficients`` gives the orbit sums, as term
     counts, of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the column positions
-    of one ``column_index`` of the cell.  The product is zero at every
+    of the cell that ``cell_columns`` numbers.  The product is zero at every
     larger column, so row j is nonzero at j and at larger positions only.
     Rows and rank for every cell up to total degree 16 take about
     1.2 s at rank 8 (5,448 columns), and up to degree 20 about 1.2 s
@@ -231,8 +225,7 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dic
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    columns = sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
-    index = column_index(columns)
+    columns, index = cell_columns(n, a, b, descent_basis.COLUMN_GUARD)
     return columns, (product_coefficients(dec, index) for dec in map(decompose, columns))
 
 
@@ -284,12 +277,13 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     forces the elements of D to be distinct, and dim = series then gives
     D = C, a basis of the cell.  There is one candidate per column, so
     ``dim`` and ``generators`` both count the columns.  The series is
-    read first, so that its guards, and a series above ``COLUMN_GUARD``
-    columns, refuse a cell before any candidate is built.
+    read first, so that its guards, and a series above
+    ``descent_basis.COLUMN_GUARD`` columns, refuse a cell before any
+    candidate is built.
     """
     series = series_coefficient(n, a, b)
-    if series > COLUMN_GUARD:
-        raise ValueError(f"cell ({a}, {b}) has {series} ordered columns, above the cap of {COLUMN_GUARD}")
+    if series > descent_basis.COLUMN_GUARD:
+        raise ValueError(f"cell ({a}, {b}) has {series} ordered columns, above the cap of {descent_basis.COLUMN_GUARD}")
     columns, rows = candidate_rows(n, a, b)
     return CellReport(
         n=n,

@@ -34,20 +34,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
+from . import descent_basis, poly
 from .descent_basis import (
-    column_index,
+    cell_columns,
     decompose,
     diagonal_signed_descent_monomial,
     doubled_rearrangements,
-    order_key,
-    ordered_monomials,
     product_coefficients,
 )
-from .hilbert import COLUMN_GUARD
 from .poly import (
-    TERM_GUARD,
     Monomial,
     Polynomial,
     _invariance_failure,
@@ -74,7 +70,9 @@ class BasisExpansion:
     ``straighten`` and ``from_json`` store nu and mu as weakly decreasing
     n-tuples and never an empty coefficient.  A part in another order
     names the same product, and ``coefficient`` and ``evaluate`` add the
-    scalars of labels that name one product.
+    scalars of labels that name one product.  They refuse, with
+    ValueError, a sigma whose rank is not n, a part without n entries
+    and a scalar that is not an int or a Fraction.
     """
 
     n: int
@@ -85,7 +83,7 @@ class BasisExpansion:
         # Each term is one distinct rearrangement of 2*nu in x times one
         # of 2*mu in y, and distinct canonical labels share no term.
         terms: dict[Monomial, Fraction] = {}
-        for (nu, mu), scalar in _canonical(self.n, self.entries.get(sigma, {})).items():
+        for (nu, mu), scalar in _canonical(self.n, sigma, self.entries.get(sigma, {})).items():
             ys = doubled_rearrangements(mu)
             for xs in doubled_rearrangements(nu):
                 terms.update(dict.fromkeys((Monomial(xs, s) for s in ys), scalar))
@@ -134,13 +132,18 @@ def _halved(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted((e // 2 for e in exps), reverse=True))
 
 
-def _canonical(n: int, labels: dict[Label, Fraction]) -> dict[Label, Fraction]:
+def _canonical(n: int, sigma: SignedPermutation, labels: dict[Label, Fraction]) -> dict[Label, Fraction]:
     # The scalars summed by the product each label names, with its parts
-    # weakly decreasing; a part without n entries is refused.
+    # weakly decreasing.  A sigma of another rank, a part without n
+    # entries and a scalar that is not an int or a Fraction are refused.
+    if sigma.n != n:
+        raise ValueError(f"sigma {sigma} has rank {sigma.n}, not {n}")
     out: Counter = Counter()
     for label, scalar in labels.items():
         if any(len(part) != n for part in label):
             raise ValueError(f"label {label!r} needs two parts of {n} entries")
+        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
+            raise ValueError(f"the scalar of label {label!r} is {scalar!r}, not an int or a Fraction")
         out[tuple(tuple(sorted(part, reverse=True)) for part in label)] += scalar
     return out
 
@@ -152,14 +155,16 @@ def straighten(f: Polynomial) -> BasisExpansion:
     of that bidegree and reduced by one walk over them in decreasing
     order.  The products are triangular, so the walk must leave a zero
     remainder at every column; anything else raises RuntimeError.  More
-    than ``COLUMN_GUARD`` columns or ``TERM_GUARD`` product terms are
-    refused before the walk or the product that would pass the cap.
+    than ``descent_basis.COLUMN_GUARD`` columns over all bidegrees, each
+    drawn by ``cell_columns`` against what is left of that cap, or more
+    than ``poly.TERM_GUARD`` product terms are refused before the walk
+    or the product that would pass the cap.
     """
     orbits = _orbits(f, orbit_key)
     reason = _invariance_failure(f, orbits)
     if reason is not None:
         raise ValueError(f"input is not invariant: {reason}")
-    allowance, terms = COLUMN_GUARD, 0
+    allowance, terms = descent_basis.COLUMN_GUARD, 0
     # The scalar of m_nu(x^2) m_mu(y^2) in each sigma's coefficient.  A
     # column names its (sigma, nu, sorted mu) uniquely and is visited
     # once, so each key is set once.
@@ -169,20 +174,16 @@ def straighten(f: Polynomial) -> BasisExpansion:
     for key, members in orbits.items():
         components.setdefault(tuple(map(sum, zip(*key))), {})[key] = len(members) * f.coefficient(members[0])
     for bd, sums in sorted(components.items()):
-        columns = list(islice(ordered_monomials(f.n, *bd), allowance + 1))
+        columns, index = cell_columns(f.n, *bd, allowance)
         allowance -= len(columns)
-        if allowance < 0:
-            raise ValueError(f"bidegree {bd} takes the ordered columns past the cap of {COLUMN_GUARD}")
-        columns.sort(key=order_key, reverse=True)
-        index = column_index(columns)
         # the index lists the columns in order
         remainder = [sums.get(key, 0) for key in index]
         for j, w in enumerate(columns):
             if remainder[j]:
                 dec = decompose(w)
                 terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
-                if terms > TERM_GUARD:
-                    raise ValueError(f"products reach {terms} terms at bidegree {bd}, above the cap of {TERM_GUARD}")
+                if terms > poly.TERM_GUARD:
+                    raise ValueError(f"products reach {terms} terms at bidegree {bd}, above the cap of {poly.TERM_GUARD}")
                 product = product_coefficients(dec, index)
                 lead = product.get(j, 0)
                 if lead <= 0:
@@ -210,7 +211,7 @@ def _combination(expansion: BasisExpansion) -> dict[tuple[tuple[int, int], ...],
     sums: Counter = Counter()
     for sigma, labels in expansion.entries.items():
         c = diagonal_signed_descent_monomial(sigma)
-        for (nu, mu), scalar in _canonical(expansion.n, labels).items():
+        for (nu, mu), scalar in _canonical(expansion.n, sigma, labels).items():
             xs = [[a + b for a, b in zip(r, c.p)] for r in doubled_rearrangements(nu)]
             ys = [[a + b for a, b in zip(s, c.q)] for s in doubled_rearrangements(mu)]
             counts = Counter(tuple(sorted(zip(x, y))) for x in xs for y in ys)

@@ -1,5 +1,6 @@
 """Command-line interface behavior and schema round trips."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import signsym
 import signsym.cli as cli
+import signsym.descent_basis as descent_basis_module
 import signsym.hilbert as hilbert_module
 from helpers import clear_hilbert_caches, mono, record_table_builds
 from signsym.cli import main
@@ -240,12 +242,12 @@ def test_verify_column_cap_at_its_boundary(capsys, monkeypatch):
     def no_candidates(*args):
         raise AssertionError("no candidate may be built past the cap")
 
-    assert hilbert_module.COLUMN_GUARD == 100_000
+    assert descent_basis_module.COLUMN_GUARD == 100_000
     columns = sum(hilbert_module.series_coefficient(2, a, t - a) for t in range(7) for a in range(t + 1))
-    monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", columns)
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", columns)
     code, out, _ = run(capsys, "verify", "--n", "2", "--max-degree", "6")
     assert code == 0 and "all cells pass" in out
-    monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", columns - 1)
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", columns - 1)
     monkeypatch.setattr(hilbert_module, "candidate_rows", no_candidates)
     code, out, err = run(capsys, "verify", "--n", "2", "--max-degree", "6")
     assert (code, out) == (1, "")
@@ -256,6 +258,25 @@ def test_verify_column_cap_at_its_boundary(capsys, monkeypatch):
     monkeypatch.setattr(hilbert_module, "candidate_rows", no_candidates)
     with pytest.raises(AssertionError, match="no candidate"):
         run(capsys, "verify", "--n", "1", "--max-degree", "499")
+
+
+#: sha256 of the stdout of runs whose cells come from one series table,
+#: as the parent of the series_table change printed them.
+STDOUT_SHA256 = {
+    "verify --n 4 --max-degree 12": "dab0f4f5572e8920bdb8af31248b5f5275aa7606796323edc05a04f52746fc54",
+    "verify --n 4 --max-degree 12 --format json": "495de783256060f171e7d0ecec42092ec49ac00837222a301a2700a06fc403af",
+    "verify --n 5 --max-degree 10 --format json": "047d4ba8f04a94df3e9b5ff49725b34f8c12ca0c767d03362ff94a8251388590",
+    "hilbert --n 4 --max-degree 12": "ea6c2239f1518fd05b5251d3261947764923e2e3fed5d49403ce2aa11dd6f2be",
+    "hilbert --n 5 --max-degree 12 --format json": "7534c5cbe522d9c33970d28b318985552f8ce7e236c40e9f33964d33c9f13292",
+    "hilbert --n 3 --numerator --format json": "33f55b30d6897f1fe7e5498fcaf233615b810508a9b452758925ca422278a86c",
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_SHA256)
+def test_table_output_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
 def test_hilbert_series_table(capsys):
@@ -269,7 +290,7 @@ def test_hilbert_series_table(capsys):
 
 @pytest.mark.parametrize("command", ["hilbert", "verify"])
 def test_one_series_table_per_run(capsys, monkeypatch, command):
-    # the largest total is asked for first, and its table serves the run
+    # one table at the largest total serves the run
     built = record_table_builds(monkeypatch, hilbert_module._series_table)
     code, out, _ = run(capsys, command, "--n", "3", "--max-degree", "8", "--format", "json")
     assert code == 0 and out

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+import signsym.descent_basis as descent_basis_module
 from helpers import counted_product, mono, sp
 from signsym.descent_basis import (
     _classes,
-    column_index,
+    cell_columns,
     compare,
     decompose,
     descent_monomial,
@@ -231,9 +232,9 @@ def test_class_walk_matches_a_plain_count_of_every_term():
     cells = [(5, 6, 6), (6, 8, 4), (6, 10, 6), (8, 4, 4), (8, 6, 6), (8, 8, 8)]
     merged = several = 0
     for n, a, b in cells:
-        columns = sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
-        index = column_index(columns)
-        assert list(index.values()) == list(range(len(columns)))
+        columns, index = cell_columns(n, a, b, descent_basis_module.COLUMN_GUARD)
+        assert columns == sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
+        assert index == {orbit_key(w): j for j, w in enumerate(columns)}
         for w in columns:
             dec = decompose(w)
             counts = product_coefficients(dec, index)
@@ -248,9 +249,9 @@ def test_class_walk_matches_a_plain_count_of_every_term():
 
 def test_product_term_outside_the_index_raises():
     # a term whose orbit is not a column is a broken invariant, not a KeyError
-    columns = list(ordered_monomials(3, 4, 4))
+    columns, index = cell_columns(3, 4, 4, descent_basis_module.COLUMN_GUARD)
     dec = decompose(columns[0])
-    index = column_index(columns[1:])
+    del index[orbit_key(columns[0])]
     with pytest.raises(RuntimeError, match="internal decomposition invariant violated"):
         product_coefficients(dec, index)
 

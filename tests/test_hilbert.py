@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import signsym.descent_basis as descent_basis_module
 import signsym.hilbert as hilbert_module
 from helpers import (
     clear_hilbert_caches,
@@ -195,11 +196,11 @@ def test_verify_cell_column_cap_at_its_boundary(monkeypatch):
     def no_candidates(*args):
         raise AssertionError("no candidate may be built past the cap")
 
-    assert hilbert_module.COLUMN_GUARD == 100_000
+    assert descent_basis_module.COLUMN_GUARD == 100_000
     series = series_coefficient(3, 4, 4)
-    monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", series)
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", series)
     assert verify_basis_rank(3, 4, 4).passed
-    monkeypatch.setattr(hilbert_module, "COLUMN_GUARD", series - 1)
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", series - 1)
     monkeypatch.setattr(hilbert_module, "candidate_rows", no_candidates)
     with pytest.raises(ValueError, match=f"^cell \\(4, 4\\) has {series} ordered columns, above the cap of {series - 1}$"):
         verify_basis_rank(3, 4, 4)

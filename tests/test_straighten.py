@@ -33,6 +33,7 @@ from signsym.poly import (
     monomial_sym_squares,
     rho,
 )
+from signsym.hilbert import verify_basis_rank
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 from signsym.straighten import BasisExpansion, evaluate, evaluates_to, straighten
 
@@ -106,7 +107,7 @@ def test_straighten_guard(monkeypatch):
     # for each column reduced, before its product is built.  The
     # coefficients hold exactly those terms, so at the cap the walk
     # runs in full, and one below it the last product is never built.
-    assert straighten_module.TERM_GUARD == poly_module.TERM_GUARD == 100_000
+    assert poly_module.TERM_GUARD == 100_000
     f = averaged(mono((4, 0, 0), (2, 0, 0)))
     expansion = straighten(f)
     terms = sum(len(expansion.coefficient(sigma)) for sigma in expansion.entries)
@@ -118,12 +119,12 @@ def test_straighten_guard(monkeypatch):
         return kernel(dec, index)
 
     monkeypatch.setattr(straighten_module, "product_coefficients", counted)
-    monkeypatch.setattr(straighten_module, "TERM_GUARD", terms)
+    monkeypatch.setattr(poly_module, "TERM_GUARD", terms)
     assert straighten(f).entries == expansion.entries
     reduced = len(calls)
     assert reduced > 1
     calls.clear()
-    monkeypatch.setattr(straighten_module, "TERM_GUARD", terms - 1)
+    monkeypatch.setattr(poly_module, "TERM_GUARD", terms - 1)
     monkeypatch.setattr(straighten_module, "BasisExpansion", no_expansion)
     message = f"^products reach {terms} terms at bidegree \\(4, 2\\), above the cap of {terms - 1}$"
     with pytest.raises(ValueError, match=message):
@@ -139,7 +140,7 @@ def test_straighten_column_cap_at_its_boundary(monkeypatch):
     # The columns of every bidegree count against one cap, and each
     # bidegree's stream is cut one past what is left of the cap, before
     # the bidegree is walked.
-    assert straighten_module.COLUMN_GUARD == 100_000
+    assert descent_basis_module.COLUMN_GUARD == 100_000
     f = averaged(mono((2, 0), (0, 0))) + averaged(mono((2, 0), (2, 0)))
     wide = len(list(ordered_monomials(2, 2, 2)))
     assert wide > 2
@@ -151,12 +152,12 @@ def test_straighten_column_cap_at_its_boundary(monkeypatch):
             drawn.append((a, b))
             yield w
 
-    monkeypatch.setattr(straighten_module, "ordered_monomials", counted)
-    monkeypatch.setattr(straighten_module, "COLUMN_GUARD", 1 + wide)
+    monkeypatch.setattr(descent_basis_module, "ordered_monomials", counted)
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 1 + wide)
     assert straighten(f).entries == expansion.entries
     assert len(drawn) == 1 + wide
     drawn.clear()
-    monkeypatch.setattr(straighten_module, "COLUMN_GUARD", wide - 1)
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", wide - 1)
     monkeypatch.setattr(straighten_module, "BasisExpansion", no_expansion)
     with pytest.raises(ValueError, match=f"^bidegree \\(2, 2\\) takes the ordered columns past the cap of {wide - 1}$"):
         straighten(f)
@@ -166,7 +167,7 @@ def test_straighten_column_cap_at_its_boundary(monkeypatch):
         raise AssertionError("no product may be built past the cap")
 
     drawn.clear()
-    monkeypatch.setattr(straighten_module, "COLUMN_GUARD", 0)
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 0)
     monkeypatch.setattr(straighten_module, "product_coefficients", no_kernel)
     with pytest.raises(ValueError, match="^bidegree \\(2, 0\\) takes the ordered columns past the cap of 0$"):
         straighten(f)
@@ -187,7 +188,7 @@ def test_straighten_column_cap_draws_no_more_than_it_counts(monkeypatch):
             yield part
 
     monkeypatch.setattr(descent_basis_module, "partitions_fixed_length", counted)
-    monkeypatch.setattr(straighten_module, "COLUMN_GUARD", 10)
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 10)
     f = averaged(mono((2, 0, 0), (0, 200_000, 0)))
     with pytest.raises(ValueError, match="^bidegree \\(2, 200000\\) takes the ordered columns past the cap of 10$"):
         straighten(f)
@@ -415,6 +416,41 @@ def test_label_parts_need_n_entries():
         for use in uses:
             with pytest.raises(ValueError, match="^label .* needs two parts of 2 entries$"):
                 use(bad)
+
+
+def test_expansion_refuses_a_sigma_of_another_rank_and_inexact_scalars():
+    # c_sigma's exponents are never cut to n, and a scalar is an int or a
+    # Fraction: rho(x1^2) is 1/2 m_(1,0)(x^2) at the identity of rank 2
+    f = averaged(mono((2, 0), (0, 0)))
+    identity, label = SignedPermutation.identity(2), ((1, 0), (0, 0))
+    assert evaluates_to(BasisExpansion(2, {identity: {label: Fraction(1, 2)}}), f)
+    assert evaluate(BasisExpansion(2, {identity: {label: 1}})) == f * 2
+    refused = [(sp(1, 2, 3), Fraction(1, 2), "^sigma \\[1,2,3\\] has rank 3, not 2$")]
+    refused += [(identity, v, f"^the scalar of label .* is {v!r}, not an int or a Fraction$") for v in (0.5, 0.1, True)]
+    for sigma, scalar, message in refused:
+        bad = BasisExpansion(2, {sigma: {label: scalar}})
+        uses = (lambda e: e.coefficient(sigma), BasisExpansion.to_json, evaluate, lambda e: evaluates_to(e, f))
+        for use in uses:
+            with pytest.raises(ValueError, match=message):
+                use(bad)
+
+
+def test_one_binding_per_cap(monkeypatch):
+    # each cap is read at call time from the one module that defines it:
+    # descent_basis's column cap refuses straighten and verify alike, and
+    # poly's term cap refuses straighten's products as well as rho
+    f = averaged(mono((2, 0), (2, 0)))
+    columns = len(list(ordered_monomials(2, 2, 2)))
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", columns - 1)
+    with pytest.raises(ValueError, match=f"^bidegree \\(2, 2\\) takes the ordered columns past the cap of {columns - 1}$"):
+        straighten(f)
+    with pytest.raises(ValueError, match=f"^cell \\(2, 2\\) has {columns} ordered columns, above the cap of {columns - 1}$"):
+        verify_basis_rank(2, 2, 2)
+    monkeypatch.undo()
+    assert verify_basis_rank(2, 2, 2).passed
+    monkeypatch.setattr(poly_module, "TERM_GUARD", 0)
+    with pytest.raises(ValueError, match="^products reach 4 terms at bidegree \\(2, 2\\), above the cap of 0$"):
+        straighten(f)
 
 
 def test_expansion_json_round_trip():
