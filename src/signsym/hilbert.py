@@ -47,9 +47,9 @@ MAJ_INV_GUARD = 7
 #: Cap on the entries of one dense series table, (total + 1)^2 for the
 #: largest total asked for, so total degree 499 at most.  At the cap the
 #: table takes about 0.04 s per unit of rank on top of the numerator
-#: scan (0.24 s at rank 6 on a 2-vCPU Xeon) and raises the peak RSS of a
-#: rank-6 build from 16 to 28 MB; four times the cap took 0.33 s and
-#: 46 MB at rank 2.
+#: scan (0.2 s besides the scan's 0.03 s at rank 6 on a 2-vCPU Xeon)
+#: and raises the peak RSS of a rank-6 build from 16 to 27 MB; four
+#: times the cap took 0.32 s and 46 MB at rank 2.
 SERIES_TABLE_GUARD = 250_000
 
 
@@ -143,11 +143,13 @@ def series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     The numerator behind the series scans the whole group, so ranks above
     ``ENUMERATION_GUARD`` are refused.  A total whose dense table would
     exceed ``SERIES_TABLE_GUARD`` entries is refused before anything is
-    built.  The widest table of the rank is handed out while it holds
-    ``max_total``; a larger total builds one table at that total, which
-    replaces it.
+    built, and so is a total that is not a non-negative integer.  The
+    widest table of the rank is handed out while it holds ``max_total``;
+    a larger total builds one table at that total, which replaces it.
     """
     _check_rank(n)
+    if type(max_total) is not int or max_total < 0:
+        raise ValueError(f"total degree {max_total!r} is not a non-negative integer")
     entries = (max_total + 1) ** 2
     if entries > SERIES_TABLE_GUARD:
         raise ValueError(
@@ -162,8 +164,8 @@ def series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
 
 def series_coefficient(n: int, a: int, b: int) -> int:
     """Coefficient of s^a t^b in the bigraded Hilbert series, read from ``series_table(n, a + b)``."""
-    if a < 0 or b < 0:
-        raise ValueError("degrees must be non-negative")
+    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+        raise ValueError(f"degrees ({a!r}, {b!r}) are not non-negative integers")
     return series_table(n, a + b)[a][b]
 
 

@@ -26,8 +26,10 @@ ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 #: Rank cap of the group walks, ``enumerate_group`` and the Hilbert
 #: numerator scan, whose cost is the 2^n * n! group elements: about ten
-#: million at rank 8, where the scan takes about 100 s (2-vCPU Xeon).
-#: Past the cap a walk is refused loudly instead of silently burning time.
+#: million at rank 8, where the scan takes 6-7 s and a full
+#: ``enumerate_group`` walk about 47 s (2-vCPU Xeon); rank 9 has 18
+#: times as many elements.  Past the cap a walk is refused loudly
+#: instead of silently burning time.
 ENUMERATION_GUARD = 8
 
 
@@ -42,14 +44,6 @@ class RankGuardError(ValueError):
 def group_order(n: int) -> int:
     """Order of the rank-n signed permutation group, 2^n * n!."""
     return (1 << n) * math.factorial(n)
-
-
-def window_fmaj(w: tuple[int, ...]) -> int:
-    """Flag-major index 2 * maj + neg of a window."""
-    n = len(w)
-    maj = sum(i for i in range(1, n) if w[i - 1] > w[i])
-    neg = sum(1 for v in w if v < 0)
-    return 2 * maj + neg
 
 
 def window_descent_counts(w: tuple[int, ...]) -> tuple[int, ...]:

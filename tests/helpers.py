@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 from operator import add
+from typing import Iterator
 
 import signsym.hilbert as hilbert_module
 from signsym.descent_basis import (
@@ -26,7 +28,13 @@ from signsym.poly import (
     rearrangement_count,
     rho,
 )
-from signsym.signed_perm import SignedPermutation, enumerate_group, group_order, statistics
+from signsym.signed_perm import (
+    SignedPermutation,
+    enumerate_group,
+    group_order,
+    statistics,
+    window_inverse,
+)
 from signsym.straighten import BasisExpansion
 
 
@@ -124,6 +132,34 @@ def family_invariant(f: Polynomial) -> bool:
     Independent of the production path, which decides it by orbits.
     """
     return all(act_on_family(g, f, family) == f for family in "xy" for g in generators(f.n))
+
+
+def windows(n: int) -> Iterator[tuple[int, ...]]:
+    """Every window of the rank-n signed group, each exactly once."""
+    for perm in permutations(range(1, n + 1)):
+        for mask in range(1 << n):
+            yield tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(perm))
+
+
+def window_fmaj(w: tuple[int, ...]) -> int:
+    """Flag-major index 2 * maj + neg of a window."""
+    n = len(w)
+    maj = sum(i for i in range(1, n) if w[i - 1] > w[i])
+    neg = sum(1 for v in w if v < 0)
+    return 2 * maj + neg
+
+
+def window_pair_counts(n: int) -> dict[tuple[int, int], int]:
+    """Window-walk oracle: counts of (fmaj of inverse, fmaj), one window at a time.
+
+    Independent of ``scan.fmaj_pair_counts``, which takes all signings of
+    a plain permutation at once by the sign rule for descents.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for w in windows(n):
+        key = (window_fmaj(window_inverse(w)), window_fmaj(w))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def inversion_count(window) -> int:

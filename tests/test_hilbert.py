@@ -190,6 +190,24 @@ def test_series_table_guard_refuses_before_building(monkeypatch):
         series_coefficient(1, 499, 0)
 
 
+def test_series_table_refuses_bad_totals_before_building(builds):
+    # a warm rank must not hand out its table for a negative total
+    hilbert_module.series_table(1, 3)
+    for total in (-1, -5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"^total degree {total!r} is not a non-negative integer$"):
+            hilbert_module.series_table(1, total)
+    with pytest.raises(ValueError, match="not a non-negative integer"):
+        hilbert_module.series_table(2, -1)
+    assert builds == [3]
+
+
+@pytest.mark.parametrize("degrees", [(1.0, 1), (1, Fraction(1)), ("1", 0), (True, 0), (-1, 0)])
+def test_series_coefficient_refuses_bad_degrees_before_building(builds, degrees):
+    with pytest.raises(ValueError, match=r"^degrees \(.*\) are not non-negative integers$"):
+        series_coefficient(1, *degrees)
+    assert builds == []
+
+
 def test_verify_cell_column_cap_at_its_boundary(monkeypatch):
     # a cell is refused by its series coefficient, the columns it would
     # build, before any candidate is built

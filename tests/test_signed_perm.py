@@ -87,6 +87,10 @@ def test_compose_with_inverse_is_identity():
     sigma = sp(2, -1, -4, 3)
     assert sigma * sigma.inverse() == SignedPermutation.identity(4)
     assert sigma.inverse() * sigma == SignedPermutation.identity(4)
+    # inverse is built on window_inverse, so it is checked by composition
+    identity = SignedPermutation.identity(3)
+    for sigma in enumerate_group(3):
+        assert sigma.inverse() * sigma == sigma * sigma.inverse() == identity
 
 
 def test_compose_involution():
