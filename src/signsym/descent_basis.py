@@ -27,7 +27,7 @@ from operator import add, ge
 from typing import Iterator
 
 from .poly import Monomial, distinct_permutations, orbit_key
-from .signed_perm import SignedPermutation, statistics
+from .signed_perm import SignedPermutation, check_rank, statistics
 
 #: Cap on the ordered columns, one basis product each, of a ``straighten``
 #: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
@@ -285,8 +285,12 @@ def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
 
     p runs over the partitions of a; each tie block of p takes its y
     exponents directly in the order the transversal needs, so no
-    exponent pair is built and then refused.
+    exponent pair is built and then refused.  A rank or a degree that is
+    not an ``int`` is refused; a negative degree yields nothing.
     """
+    check_rank(n)
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"degrees ({a!r}, {b!r}) are not integers")
     if a < 0 or b < 0:
         return
     for p in partitions_fixed_length(a, n):

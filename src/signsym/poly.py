@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .signed_perm import ASCII_FRACTION, SignedPermutation
+from .signed_perm import ASCII_FRACTION, SignedPermutation, check_rank
 
 Scalar = Union[int, Fraction]
 
@@ -59,6 +59,7 @@ class Monomial:
 
     @classmethod
     def one(cls, n: int) -> "Monomial":
+        check_rank(n)
         return cls((0,) * n, (0,) * n)
 
     def bidegree(self) -> Bidegree:
@@ -97,8 +98,10 @@ def json_object(data: object, what: str, key: str) -> tuple[int, list[dict]]:
 
     A missing ``key`` is refused, since a misspelt key would load as zero.
     """
-    if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:
-        raise ValueError(f'{what} must be a JSON object with a positive integer "n"')
+    try:
+        check_rank(data.get("n") if isinstance(data, dict) else None)
+    except ValueError:
+        raise ValueError(f'{what} must be a JSON object with a positive integer "n"') from None
     entries = data.get(key)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f'{what} needs "{key}", a list of objects')
@@ -115,8 +118,7 @@ class Polynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Optional[Mapping[Monomial, Scalar]] = None):
-        if n < 1:
-            raise ValueError("rank must be at least 1")
+        check_rank(n)
         clean: dict[Monomial, Fraction] = {}
         for m, c in (terms or {}).items():
             if m.n != n:

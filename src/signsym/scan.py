@@ -21,6 +21,8 @@ from collections import Counter
 from itertools import permutations
 from operator import add
 
+from .signed_perm import check_rank
+
 #: Name of the scan implementation.  Benchmark results record it and
 #: refuse to compare runs that differ in it, so it stays even though
 #: there is only one implementation.
@@ -29,8 +31,7 @@ BACKEND = "python"
 
 def fmaj_pair_counts(n: int) -> dict[tuple[int, int], int]:
     """Counts of (fmaj of inverse, fmaj) over the whole rank-n signed group."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    check_rank(n)
     masks = range(1 << n)
 
     def descents(j: int, left: int, right: int, larger: bool) -> list[int]:
@@ -65,8 +66,7 @@ def fmaj_pair_counts(n: int) -> dict[tuple[int, int], int]:
 
 def maj_counts(n: int) -> dict[int, int]:
     """Distribution of the major index over plain permutations of 1..n."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    check_rank(n)
     counts: dict[int, int] = {}
     for perm in permutations(range(1, n + 1)):
         maj = sum(i for i in range(1, n) if perm[i - 1] > perm[i])
@@ -76,8 +76,7 @@ def maj_counts(n: int) -> dict[int, int]:
 
 def inv_counts(n: int) -> dict[int, int]:
     """Distribution of the inversion number over plain permutations of 1..n."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    check_rank(n)
     counts: dict[int, int] = {}
     for perm in permutations(range(1, n + 1)):
         inv = sum(

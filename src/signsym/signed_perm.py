@@ -41,6 +41,12 @@ class RankGuardError(ValueError):
     """A group walk refused because the group is too large to enumerate."""
 
 
+def check_rank(n: int) -> None:
+    """Refuse a rank that is not a positive ``int``; bools and floats are refused too."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"rank {n!r} is not a positive integer")
+
+
 def group_order(n: int) -> int:
     """Order of the rank-n signed permutation group, 2^n * n!."""
     return (1 << n) * math.factorial(n)
@@ -104,6 +110,7 @@ class SignedPermutation:
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
+        check_rank(n)
         return cls(tuple(range(1, n + 1)))
 
     def __call__(self, k: int) -> int:
@@ -208,8 +215,7 @@ def enumerate_group(n: int) -> Iterator[SignedPermutation]:
     integer order (so -k sorts before k).  Ranks above
     ``ENUMERATION_GUARD`` are refused with the size they would stream.
     """
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    check_rank(n)
     if n > ENUMERATION_GUARD:
         raise RankGuardError(
             f"rank {n} exceeds the enumeration guard {ENUMERATION_GUARD}: refusing to stream {group_order(n)} elements"

@@ -1,7 +1,6 @@
 """Command-line interface behavior and schema round trips."""
 
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -15,6 +14,7 @@ import signsym
 import signsym.cli as cli
 import signsym.descent_basis as descent_basis_module
 import signsym.hilbert as hilbert_module
+import signsym.straighten as straighten_module
 from helpers import clear_hilbert_caches, mono, record_table_builds
 from signsym.cli import main
 from signsym.poly import Polynomial, rho
@@ -133,17 +133,33 @@ def test_straighten_verify_at_rank_nine(capsys, monkeypatch):
     assert out.startswith("[1,2,3,4,5,6,7,8,9]: ")
 
 
+def test_straighten_module_patch_by_path_reaches_the_cli(capsys, monkeypatch):
+    # ``signsym.straighten`` is the module, so a patch by dotted path
+    # lands where the CLI's ``straighten`` looks the kernel up
+    kernel = straighten_module.product_coefficients
+    calls = []
+
+    def counted(dec, columns):
+        calls.append(dec)
+        return kernel(dec, columns)
+
+    monkeypatch.setattr("signsym.straighten.product_coefficients", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())))
+    code, out, err = run(capsys, "straighten")
+    assert (code, err) == (0, "") and out
+    assert calls
+
+
 def test_straighten_verify_catches_a_scaled_kernel(capsys, monkeypatch):
     # doubling every product coefficient still clears each column, so
     # only the independent check sees the expansion is half what it
     # should be
-    module = importlib.import_module("signsym.straighten")  # the package exports a function of that name
-    kernel = module.product_coefficients
+    kernel = straighten_module.product_coefficients
 
     def doubled(dec, columns):
         return {w: 2 * c for w, c in kernel(dec, columns).items()}
 
-    monkeypatch.setattr(module, "product_coefficients", doubled)
+    monkeypatch.setattr(straighten_module, "product_coefficients", doubled)
     payload = json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, out, _ = run(capsys, "straighten")
@@ -352,6 +368,7 @@ def test_hilbert_numerator(capsys):
         (["hilbert", "--n", "2", "--rank-guard", "\u0663"], 1, "error: unrecognized arguments: --rank-guard \u0663\n"),
         (["rho", "--p", "2", "--q", "0", "--rank-guard", "9"], 1, "error: unrecognized arguments: --rank-guard 9\n"),
         (["verify", "--n", "2", "--max-degree", "-1"], 1, "error: --max-degree must be non-negative\n"),
+        (["hilbert", "--n", "0"], 1, "error: rank 0 is not a positive integer\n"),
     ],
 )
 def test_integer_options_refuse_inexact_and_out_of_range_values(capsys, argv, code, err):

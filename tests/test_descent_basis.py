@@ -309,10 +309,18 @@ def test_partitions_fixed_length():
     assert list(partitions_fixed_length(2, 0)) == []
 
 
+@pytest.mark.parametrize("a,b", [(2.0, 0), (True, 0), (0, "2")])
+def test_ordered_monomials_refuses_a_degree_that_is_not_an_int(a, b):
+    with pytest.raises(ValueError, match=r"^degrees \(.*\) are not integers$"):
+        list(ordered_monomials(2, a, b))
+
+
 def test_ordered_monomials_enumeration():
     cell = sorted((m.p, m.q) for m in ordered_monomials(2, 2, 2))
     assert cell == [((1, 1), (1, 1)), ((2, 0), (0, 2)), ((2, 0), (2, 0))]
     assert list(ordered_monomials(2, 1, 0)) == []
+    # a negative int degree is a valid question with no answer
+    assert list(ordered_monomials(2, -1, 0)) == list(ordered_monomials(2, 0, -3)) == []
     # exhaustive cross-check against a plain filter over all exponent vectors
     for n, a, b in ((2, 4, 4), (3, 5, 5), (3, 6, 3), (4, 4, 4)):
         ps = [p for p in itertools.product(range(a + 1), repeat=n) if sum(p) == a]

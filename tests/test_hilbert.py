@@ -230,6 +230,13 @@ def test_invariant_dimension_examples():
     assert invariant_dimension(2, 2, 2) == 3
 
 
+@pytest.mark.parametrize("n,a,b", [(2, True, 1), (1, 1.0, 1), (1, 1, Fraction(1)), (2, -1, 0)])
+def test_invariant_dimension_refuses_degrees_like_the_series(n, a, b):
+    # the same rule as ``series_coefficient``, bools and floats included
+    with pytest.raises(ValueError, match=r"^degrees \(.*\) are not non-negative integers$"):
+        invariant_dimension(n, a, b)
+
+
 def test_invariant_dimension_parity_vanishing():
     for a in range(6):
         for b in range(6):
@@ -348,6 +355,11 @@ def test_candidate_rows_filter_parity_and_degree():
         assert statistics(dec.sigma.inverse()).fmaj + 2 * sum(dec.nu) == 2
         assert statistics(dec.sigma).fmaj + 2 * sum(dec.mu) == 2
         assert row
+
+
+def test_candidate_rows_refuses_a_degree_that_is_not_an_int():
+    with pytest.raises(ValueError, match=r"^degrees \(1\.5, 0\) are not integers$"):
+        candidate_rows(2, 1.5, 0)
 
 
 def test_candidates_in_orbit_coordinates_against_full_products():

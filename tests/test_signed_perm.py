@@ -2,10 +2,14 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
 from helpers import generators, sp
+from signsym import hilbert, scan
+from signsym.descent_basis import ordered_monomials
+from signsym.poly import Monomial, Polynomial
 from signsym.signed_perm import (
     ParseError,
     RankGuardError,
@@ -151,6 +155,35 @@ def test_enumerate_guard():
     assert next(enumerate_group(8)).window == tuple(range(-8, 0))
     with pytest.raises(RankGuardError, match="rank 9 exceeds the enumeration guard 8: refusing to stream 185794560"):
         next(enumerate_group(9))
+
+
+RANK_ENTRY_POINTS = {
+    "Polynomial": Polynomial,
+    "Monomial.one": Monomial.one,
+    "SignedPermutation.identity": SignedPermutation.identity,
+    "enumerate_group": enumerate_group,
+    "fmaj_pair_counts": scan.fmaj_pair_counts,
+    "maj_counts": scan.maj_counts,
+    "inv_counts": scan.inv_counts,
+    "fmaj_numerator": hilbert.fmaj_numerator,
+    "fmaj_distribution": hilbert.fmaj_distribution,
+    "series_table": lambda n: hilbert.series_table(n, 3),
+    "series_coefficient": lambda n: hilbert.series_coefficient(n, 1, 1),
+    "invariant_dimension": lambda n: hilbert.invariant_dimension(n, 2, 2),
+    "candidate_rows": lambda n: hilbert.candidate_rows(n, 2, 2),
+    "verify_basis_rank": lambda n: hilbert.verify_basis_rank(n, 2, 2),
+    "ordered_monomials": lambda n: list(ordered_monomials(n, 2, 2)),
+    "maj_inv_equidistribution": hilbert.maj_inv_equidistribution,
+}
+
+
+@pytest.mark.parametrize("rank", [True, 2.0, 0, -1, "3"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(RANK_ENTRY_POINTS))
+def test_every_rank_entry_point_refuses_a_rank_that_is_not_a_positive_int(entry, rank):
+    # one rule for every rank: a bool or a float that equals a valid rank
+    # is refused too, with the same message everywhere
+    with pytest.raises(ValueError, match=f"^{re.escape(f'rank {rank!r} is not a positive integer')}$"):
+        RANK_ENTRY_POINTS[entry](rank)
 
 
 def test_statistics_example():

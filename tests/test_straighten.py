@@ -5,7 +5,6 @@ oracle ``helpers.straighten_full`` (which asserts strict descent of the
 leading term at every step) and by evaluating expansions back.
 """
 
-import importlib
 import random
 import re
 from fractions import Fraction
@@ -14,6 +13,7 @@ import pytest
 
 import signsym.descent_basis as descent_basis_module
 import signsym.poly as poly_module
+import signsym.straighten as straighten_module
 from helpers import (
     averaged_basis,
     evaluate_full,
@@ -36,10 +36,6 @@ from signsym.poly import (
 from signsym.hilbert import verify_basis_rank
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 from signsym.straighten import BasisExpansion, evaluate, evaluates_to, straighten
-
-# The package exports a function named ``straighten``, so the module is
-# looked up by name.
-straighten_module = importlib.import_module("signsym.straighten")
 
 
 def averaged(m):
