@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import descent_basis, hilbert
 from .descent_basis import (
@@ -273,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if getattr(args, "max_degree", 0) < 0:

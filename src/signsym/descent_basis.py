@@ -20,11 +20,11 @@ orbit, so each term is one lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import groupby, islice
 from operator import add, ge
-from typing import Iterator
 
 from .poly import Monomial, distinct_permutations, orbit_key
 from .signed_perm import SignedPermutation, check_rank, statistics
@@ -158,21 +158,16 @@ def compare(m: Monomial, w: Monomial) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "sigma nu delta mu gamma")):
     """Witness of p = 2*nu + delta and q = 2*mu + gamma for an ordered monomial.
 
     ``sigma`` is the signed index permutation; delta and gamma are the
     flag numbers of sigma^-1 and sigma placed at the matching positions,
     so the source monomial equals x^(2*nu) y^(2*mu) times the diagonal
-    signed descent monomial of sigma.
+    signed descent monomial of sigma.  nu, delta, mu and gamma are tuples.
     """
 
-    sigma: SignedPermutation
-    nu: tuple[int, ...]
-    delta: tuple[int, ...]
-    mu: tuple[int, ...]
-    gamma: tuple[int, ...]
+    __slots__ = ()
 
 
 def _check(condition: bool, message: str, *args: object) -> None:
@@ -286,13 +281,17 @@ def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
     p runs over the partitions of a; each tie block of p takes its y
     exponents directly in the order the transversal needs, so no
     exponent pair is built and then refused.  A rank or a degree that is
-    not an ``int`` is refused; a negative degree yields nothing.
+    not an ``int`` is refused at the call, before any monomial is drawn;
+    a negative degree yields nothing.
     """
     check_rank(n)
     if type(a) is not int or type(b) is not int:
         raise ValueError(f"degrees ({a!r}, {b!r}) are not integers")
-    if a < 0 or b < 0:
-        return
+    return _ordered_monomials(n, a, b) if a >= 0 and b >= 0 else iter(())
+
+
+def _ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
+    # The walk of ``ordered_monomials``, once its arguments have passed.
     for p in partitions_fixed_length(a, n):
         odd = sum(v % 2 for v in p)
         if b < odd or (b - odd) % 2:

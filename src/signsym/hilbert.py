@@ -27,10 +27,10 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
 
 from . import descent_basis, scan
 from .descent_basis import cell_columns, decompose, ordered_monomials, product_coefficients
@@ -49,23 +49,25 @@ MAJ_INV_GUARD = 7
 SERIES_TABLE_GUARD = 250_000
 
 
-@dataclass(frozen=True)
-class BiSeries:
+class BiSeries(namedtuple("BiSeries", "coefficients truncation")):
     """Truncated bivariate series with non-negative integer coefficients.
 
-    Only strictly positive coefficients are stored; keys never exceed the
+    ``coefficients`` maps (a, b) to the coefficient of s^a t^b.  Only
+    strictly positive coefficients are stored; keys never exceed the
     truncation bound in total degree.
     """
 
-    coefficients: Mapping[tuple[int, int], int]
-    truncation: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for (a, b), c in self.coefficients.items():
+    def __new__(cls, coefficients: Mapping[tuple[int, int], int], truncation: int) -> BiSeries:
+        for (a, b), c in coefficients.items():
             if c <= 0:
                 raise ValueError(f"stored coefficient at ({a},{b}) must be positive")
-            if a < 0 or b < 0 or a + b > self.truncation:
-                raise ValueError(f"key ({a},{b}) outside truncation {self.truncation}")
+            if a < 0 or b < 0 or a + b > truncation:
+                raise ValueError(f"key ({a},{b}) outside truncation {truncation}")
+        return tuple.__new__(cls, (coefficients, truncation))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
     def coefficient(self, a: int, b: int) -> int:
         return self.coefficients.get((a, b), 0)
@@ -227,16 +229,10 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dic
     return columns, (product_coefficients(dec, index) for dec in map(decompose, columns))
 
 
-@dataclass(frozen=True)
-class CellReport:
-    """Result of the degreewise freeness check at one bidegree cell."""
+class CellReport(namedtuple("CellReport", "n a b rank dim series")):
+    """Result of the degreewise freeness check at one bidegree cell, all ints."""
 
-    n: int
-    a: int
-    b: int
-    rank: int
-    dim: int
-    series: int
+    __slots__ = ()
 
     @property
     def generators(self) -> int:
@@ -248,16 +244,7 @@ class CellReport:
         return self.rank == self.dim == self.series
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "b": self.b,
-            "rank": self.rank,
-            "dim": self.dim,
-            "series": self.series,
-            "generators": self.generators,
-            "pass": self.passed,
-        }
+        return {**self._asdict(), "generators": self.generators, "pass": self.passed}
 
 
 def verify_basis_rank(n: int, a: int, b: int) -> CellReport:

@@ -12,14 +12,13 @@ ring by averaging the orbit of each monomial.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .signed_perm import ASCII_FRACTION, SignedPermutation, check_rank
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 #: Cap on the terms that ``rho`` and the products of ``straighten`` build: CLI
 #: ``rho`` of 90,720 terms takes 1.9 s and 117 MB, and ``straighten`` of x1^30
@@ -27,31 +26,29 @@ Scalar = Union[int, Fraction]
 TERM_GUARD = 100_000
 
 
-class Bidegree(NamedTuple):
+class Bidegree(namedtuple("Bidegree", "a b")):
     """Total x-degree and total y-degree of a bihomogeneous piece."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "p q")):
     """x^p y^q as a pair of dense exponent vectors of equal length."""
 
-    p: tuple[int, ...]
-    q: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = tuple(self.p)
-        q = tuple(self.q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __new__(cls, p: tuple[int, ...], q: tuple[int, ...]) -> Monomial:
+        p = tuple(p)
+        q = tuple(q)
         if len(p) == 0 or len(p) != len(q):
             raise ValueError("exponent vectors must be nonempty and of equal length")
         # Exact type int refuses floats, bools and strings alike; ``min``
         # runs only once every entry is an int.
         if set(map(type, p + q)) != {int} or min(p + q) < 0:
             raise ValueError(f"exponents must be non-negative integers, got {p} and {q}")
+        return tuple.__new__(cls, (p, q))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
     @property
     def n(self) -> int:
@@ -68,7 +65,7 @@ class Monomial:
     def total_degree(self) -> int:
         return sum(self.p) + sum(self.q)
 
-    def odd_slot(self) -> Optional[int]:
+    def odd_slot(self) -> int | None:
         """First slot k (from 1) with p_k + q_k odd, whose sign flip negates this monomial."""
         return next((k for k, (a, b) in enumerate(zip(self.p, self.q), start=1) if (a + b) % 2), None)
 
@@ -81,6 +78,11 @@ class Monomial:
             tuple(a + b for a, b in zip(self.p, other.p)),
             tuple(a + b for a, b in zip(self.q, other.q)),
         )
+
+    def __add__(self, other: object):
+        return NotImplemented  # not the tuple's concatenation, nor its repetition under ``int *``
+
+    __rmul__ = __add__
 
     def text(self) -> str:
         parts = []
@@ -117,7 +119,7 @@ class Polynomial:
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: Optional[Mapping[Monomial, Scalar]] = None):
+    def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         check_rank(n)
         clean: dict[Monomial, Fraction] = {}
         for m, c in (terms or {}).items():
@@ -181,7 +183,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+    def __mul__(self, other: Polynomial | Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial(self.n, {m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
@@ -373,7 +375,7 @@ def rho(f: Polynomial) -> Polynomial:
     return Polynomial(f.n, acc)
 
 
-def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) -> Optional[str]:
+def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) -> str | None:
     # Why the grouped terms of ``f`` are not whole orbits of ``size(key)``
     # members with one coefficient each, or None.
     for key, members in orbits.items():
@@ -385,7 +387,7 @@ def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) ->
     return None
 
 
-def _invariance_failure(f: Polynomial, orbits: dict[tuple[tuple[int, int], ...], list[Monomial]]) -> Optional[str]:
+def _invariance_failure(f: Polynomial, orbits: dict[tuple[tuple[int, int], ...], list[Monomial]]) -> str | None:
     # Why ``f``, whose terms ``orbits`` groups by ``orbit_key``, is not
     # invariant, naming a term of ``f``, or None when it is.  Every member
     # of an orbit has the odd slots of its key, so they are looked for once

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 #: An integer in ASCII digits, as window entries and CLI integers are
 #: written: int() alone also reads "1_0" and non-ASCII digits.
@@ -49,6 +49,7 @@ def check_rank(n: int) -> None:
 
 def group_order(n: int) -> int:
     """Order of the rank-n signed permutation group, 2^n * n!."""
+    check_rank(n)
     return (1 << n) * math.factorial(n)
 
 
@@ -71,8 +72,7 @@ def window_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "window")):
     """A signed permutation in window notation.
 
     The window lists the images of 1..n as nonzero integers whose
@@ -80,11 +80,10 @@ class SignedPermutation:
     all operations return new elements.
     """
 
-    window: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        window = tuple(self.window)
-        object.__setattr__(self, "window", window)
+    def __new__(cls, window: tuple[int, ...]) -> SignedPermutation:
+        window = tuple(window)
         n = len(window)
         if n == 0:
             raise ValueError("window must contain at least one entry")
@@ -103,6 +102,9 @@ class SignedPermutation:
                     f"repeated absolute value {abs(value)} at position {pos}"
                 )
             seen.add(abs(value))
+        return tuple.__new__(cls, (window,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
     @property
     def n(self) -> int:
@@ -129,6 +131,11 @@ class SignedPermutation:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
         return SignedPermutation(tuple(self(v) for v in other.window))
 
+    def __add__(self, other: object):
+        return NotImplemented  # not the tuple's concatenation, nor its repetition under ``int *``
+
+    __rmul__ = __add__
+
     def inverse(self) -> "SignedPermutation":
         return SignedPermutation(window_inverse(self.window))
 
@@ -154,22 +161,16 @@ class SignedPermutation:
         return sigma
 
 
-@dataclass(frozen=True)
-class StatisticsProfile:
+class StatisticsProfile(namedtuple("StatisticsProfile", "descent_set d eps f maj neg fmaj")):
     """All descent statistics of one signed permutation.
 
-    Invariants (theorems, not enforced here): d is weakly decreasing with
-    d[n-1] = 0, f is weakly decreasing, f[i] = 2*d[i] + eps[i], and
-    fmaj = sum(f) = 2*maj + neg.
+    The descent set is a frozenset, d, eps and f are tuples and the rest
+    are ints.  Invariants (theorems, not enforced here): d is weakly
+    decreasing with d[n-1] = 0, f is weakly decreasing, f[i] = 2*d[i] +
+    eps[i], and fmaj = sum(f) = 2*maj + neg.
     """
 
-    descent_set: frozenset[int]
-    d: tuple[int, ...]
-    eps: tuple[int, ...]
-    f: tuple[int, ...]
-    maj: int
-    neg: int
-    fmaj: int
+    __slots__ = ()
 
 
 def statistics(sigma: SignedPermutation) -> StatisticsProfile:

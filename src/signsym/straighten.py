@@ -32,7 +32,6 @@ the orbit sums of that sum with the input's, which checks the walk.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import descent_basis, poly
@@ -61,7 +60,6 @@ from .signed_perm import SignedPermutation
 Label = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass
 class BasisExpansion:
     """Coefficients of an invariant over the averaged descent basis.
 
@@ -75,8 +73,19 @@ class BasisExpansion:
     and a scalar that is not an int or a Fraction.
     """
 
-    n: int
-    entries: dict[SignedPermutation, dict[Label, Fraction]] = field(default_factory=dict)
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: dict[SignedPermutation, dict[Label, Fraction]] | None = None):
+        self.n = n
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"BasisExpansion(n={self.n!r}, entries={self.entries!r})"
 
     def coefficient(self, sigma: SignedPermutation) -> Polynomial:
         """The coefficient of ``sigma`` as a polynomial, the sum of scalar * m_nu(x^2) m_mu(y^2)."""

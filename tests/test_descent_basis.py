@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -313,6 +314,23 @@ def test_partitions_fixed_length():
 def test_ordered_monomials_refuses_a_degree_that_is_not_an_int(a, b):
     with pytest.raises(ValueError, match=r"^degrees \(.*\) are not integers$"):
         list(ordered_monomials(2, a, b))
+
+
+@pytest.mark.parametrize(
+    "n,a,b,message",
+    [
+        (True, 2, 2, "rank True is not a positive integer"),
+        (0, 2, 2, "rank 0 is not a positive integer"),
+        (2.0, 2, 2, "rank 2.0 is not a positive integer"),
+        (2, 2.0, 0, "degrees (2.0, 0) are not integers"),
+        (2, 0, True, "degrees (0, True) are not integers"),
+    ],
+    ids=["rank-True", "rank-0", "rank-2.0", "a-2.0", "b-True"],
+)
+def test_ordered_monomials_refuses_at_the_call(n, a, b, message):
+    # refused before any iteration, as enumerate_group refuses its rank
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ordered_monomials(n, a, b)
 
 
 def test_ordered_monomials_enumeration():

@@ -162,6 +162,7 @@ RANK_ENTRY_POINTS = {
     "Monomial.one": Monomial.one,
     "SignedPermutation.identity": SignedPermutation.identity,
     "enumerate_group": enumerate_group,
+    "group_order": group_order,
     "fmaj_pair_counts": scan.fmaj_pair_counts,
     "maj_counts": scan.maj_counts,
     "inv_counts": scan.inv_counts,

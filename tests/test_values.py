@@ -1,0 +1,134 @@
+"""Value semantics of the package's record and value types.
+
+They are tuples underneath, for a cheap import and cheap hashing; these
+tests pin what they promise beyond that: equality and hashing by value,
+no attribute assignment, the keyword repr, a check on every construction,
+and no tuple arithmetic leaking through.
+"""
+
+import pickle
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import signsym
+from helpers import mono, sp
+from signsym.descent_basis import decompose
+from signsym.hilbert import BiSeries, verify_basis_rank
+from signsym.poly import Bidegree, Monomial
+from signsym.signed_perm import SignedPermutation, statistics
+from signsym.straighten import BasisExpansion
+
+# Each maker builds a fresh value, equal to every other value it builds.
+HASHABLE_VALUES = {
+    "Monomial": lambda: mono((1, 0), (0, 1)),
+    "SignedPermutation": lambda: sp(2, -1),
+    "StatisticsProfile": lambda: statistics(sp(2, -1, -4, 3)),
+    "Decomposition": lambda: decompose(mono((3, 1), (1, 3))),
+    "CellReport": lambda: verify_basis_rank(2, 2, 2),
+    "Bidegree": lambda: Bidegree(2, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HASHABLE_VALUES))
+def test_equal_values_are_equal_and_hash_equal(kind):
+    first, second = HASHABLE_VALUES[kind](), HASHABLE_VALUES[kind]()
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(HASHABLE_VALUES) + ["BiSeries"])
+def test_attributes_cannot_be_assigned(kind):
+    value = BiSeries({(0, 0): 1}, truncation=2) if kind == "BiSeries" else HASHABLE_VALUES[kind]()
+    field = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_reprs_name_their_fields():
+    assert repr(mono((1, 0), (0, 1))) == "Monomial(p=(1, 0), q=(0, 1))"
+    assert repr(sp(2, -1)) == "SignedPermutation(window=(2, -1))"
+    assert repr(Bidegree(2, 1)) == "Bidegree(a=2, b=1)"
+    assert repr(verify_basis_rank(2, 2, 2)) == "CellReport(n=2, a=2, b=2, rank=3, dim=3, series=3)"
+    assert repr(BasisExpansion(2)) == "BasisExpansion(n=2, entries={})"
+
+
+@pytest.mark.parametrize("value", [mono((1, 0), (0, 1)), sp(2, -1)], ids=lambda v: type(v).__name__)
+def test_tuple_arithmetic_does_not_leak_through(value):
+    for other in (value, 1, (1,)):
+        with pytest.raises(TypeError):
+            value + other
+    for k in (0, 2):
+        with pytest.raises(TypeError):
+            k * value
+        with pytest.raises(TypeError):
+            value * k
+    # the product of two values is still the type's own
+    assert type(value * value) is type(value)
+
+
+def test_vectors_become_tuples_and_values_pickle():
+    m = Monomial([1, 0], iter((0, 1)))
+    assert m == mono((1, 0), (0, 1)) and type(m.p) is tuple and type(m.q) is tuple
+    assert SignedPermutation([2, -1]).window == (2, -1)
+    for value in (m, sp(2, -1), statistics(sp(2, -1)), verify_basis_rank(2, 2, 2)):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+
+
+def test_replace_and_make_check_like_the_constructor():
+    with pytest.raises(ValueError, match=re.escape("exponents must be non-negative integers, got (-1, 0) and (0, 1)")):
+        mono((1, 0), (0, 1))._replace(p=(-1, 0))
+    with pytest.raises(ValueError, match="^repeated absolute value 1 at position 2$"):
+        sp(2, -1)._replace(window=(1, -1))
+    with pytest.raises(ValueError, match=r"^stored coefficient at \(1,1\) must be positive$"):
+        BiSeries._make(({(1, 1): 0}, 2))
+    assert sp(2, -1)._replace(window=(1, 2)) == sp(1, 2)
+
+
+def test_biseries_refuses_a_non_positive_coefficient_and_a_key_outside_its_truncation():
+    for c in (0, -1):
+        with pytest.raises(ValueError, match=r"^stored coefficient at \(0,0\) must be positive$"):
+            BiSeries({(0, 0): c}, truncation=4)
+    for key in ((3, 2), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"^key \({key[0]},{key[1]}\) outside truncation 4$"):
+            BiSeries({key: 1}, truncation=4)
+    series = BiSeries({(0, 0): 1, (2, 2): 3}, 4)
+    assert series == BiSeries(coefficients={(0, 0): 1, (2, 2): 3}, truncation=4)
+    assert series.total_mass() == 4
+
+
+def test_basis_expansion_is_a_mutable_value():
+    empty = BasisExpansion(3)
+    assert (empty.n, empty.entries) == (3, {})
+    # each expansion gets its own dict
+    empty.entries[sp(1, 2, 3)] = {((0, 0, 0), (0, 0, 0)): Fraction(1)}
+    assert BasisExpansion(3).entries == {}
+    labels = {sp(2, -1): {((1, 0), (0, 0)): Fraction(1, 2)}}
+    first, second = BasisExpansion(2, labels), BasisExpansion(2, dict(labels))
+    assert first == second and not first != second
+    assert first != BasisExpansion(2) and first != BasisExpansion(3, labels)
+    assert first != (2, labels)
+    with pytest.raises(TypeError):
+        hash(first)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site, and whatever it imports, out of the count.
+    src = str(Path(signsym.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import signsym, signsym.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.split() == []
