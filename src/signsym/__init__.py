@@ -1,9 +1,9 @@
 """Diagonal invariant theory of the signed permutation group.
 
 Signed-permutation descent statistics, the four descent monomial
-families, exact polynomial arithmetic with the diagonal signed action,
-the averaging projector onto invariants, a straightening algorithm over
-the averaged descent basis, and bigraded Hilbert-series verification.
+families, exact sparse polynomials, the averaging projector onto
+invariants, a straightening algorithm over the averaged descent basis,
+and bigraded Hilbert-series verification.
 """
 
 # Every other name is read from its module (signsym.poly, signsym.straighten,

@@ -97,20 +97,6 @@ def is_ordered(m: Monomial) -> bool:
     return all(pairs[i] >= pairs[i + 1] for i in range(len(pairs) - 1))
 
 
-def ordered_representative(m: Monomial) -> Monomial:
-    """The unique ordered monomial sharing the averaging orbit of ``m``.
-
-    Obtained by sorting the exponent pairs (p_k, sign_twist(q_k)) in
-    decreasing order; requires every p_k + q_k even.
-    """
-    if m.odd_slot() is not None:
-        raise ValueError("monomial has a slot with odd total exponent; its average is zero")
-    pairs = sorted(
-        zip(m.p, m.q), key=lambda pq: (pq[0], sign_twist(pq[1])), reverse=True
-    )
-    return Monomial(tuple(pq[0] for pq in pairs), tuple(pq[1] for pq in pairs))
-
-
 def signed_index_permutation(m: Monomial) -> SignedPermutation:
     """The element sorting the y exponents of an ordered monomial.
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 from . import descent_basis, scan
 from .descent_basis import cell_columns, decompose, ordered_monomials, product_coefficients
 from .poly import Monomial
-from .signed_perm import ENUMERATION_GUARD, RankGuardError, check_rank, group_order
+from .signed_perm import ENUMERATION_GUARD, RankGuardError, check_rank, check_scalar, group_order
 
 #: Rank cap for the plain-permutation equidistribution check.
 MAJ_INV_GUARD = 7
@@ -54,13 +54,17 @@ class BiSeries(namedtuple("BiSeries", "coefficients truncation")):
 
     ``coefficients`` maps (a, b) to the coefficient of s^a t^b.  Only
     strictly positive coefficients are stored; keys never exceed the
-    truncation bound in total degree.
+    truncation bound in total degree.  ``check_scalar`` refuses a key
+    entry or a coefficient that is not an int or a Fraction.
     """
 
     __slots__ = ()
 
     def __new__(cls, coefficients: Mapping[tuple[int, int], int], truncation: int) -> BiSeries:
         for (a, b), c in coefficients.items():
+            if not type(a) is type(b) is type(c) is int:  # the scan's ints skip the call
+                for v in (a, b, c):
+                    check_scalar(v)
             if c <= 0:
                 raise ValueError(f"stored coefficient at ({a},{b}) must be positive")
             if a < 0 or b < 0 or a + b > truncation:

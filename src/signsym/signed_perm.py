@@ -15,6 +15,7 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Iterator
+from fractions import Fraction
 
 #: An integer in ASCII digits, as window entries and CLI integers are
 #: written: int() alone also reads "1_0" and non-ASCII digits.
@@ -33,10 +34,6 @@ ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 ENUMERATION_GUARD = 8
 
 
-class ParseError(ValueError):
-    """Window text that does not describe a signed permutation."""
-
-
 class RankGuardError(ValueError):
     """A group walk refused because the group is too large to enumerate."""
 
@@ -45,6 +42,12 @@ def check_rank(n: int) -> None:
     """Refuse a rank that is not a positive ``int``; bools and floats are refused too."""
     if type(n) is not int or n < 1:
         raise ValueError(f"rank {n!r} is not a positive integer")
+
+
+def check_scalar(c: object) -> None:
+    """Refuse a scalar that is not an ``int`` or a ``Fraction``; bools and floats are refused too."""
+    if type(c) is not int and not isinstance(c, Fraction):
+        raise ValueError(f"scalar {c!r} is not an int or a Fraction")
 
 
 def group_order(n: int) -> int:
@@ -110,55 +113,16 @@ class SignedPermutation(namedtuple("SignedPermutation", "window")):
     def n(self) -> int:
         return len(self.window)
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        check_rank(n)
-        return cls(tuple(range(1, n + 1)))
-
-    def __call__(self, k: int) -> int:
-        """Image of k for k in {-n, ..., -1, 1, ..., n}."""
-        if k > 0:
-            return self.window[k - 1]
-        if k < 0:
-            return -self.window[-k - 1]
-        raise ValueError("0 is not in the domain of a signed permutation")
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Composition self * other, applying ``other`` first."""
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        return SignedPermutation(tuple(self(v) for v in other.window))
-
     def __add__(self, other: object):
-        return NotImplemented  # not the tuple's concatenation, nor its repetition under ``int *``
+        return NotImplemented  # not the tuple's concatenation, nor its repetition under ``*``
 
-    __rmul__ = __add__
+    __mul__ = __rmul__ = __add__
 
     def inverse(self) -> "SignedPermutation":
         return SignedPermutation(window_inverse(self.window))
 
-    def is_positive(self) -> bool:
-        """True when no window entry is negative, i.e. a plain permutation."""
-        return all(v > 0 for v in self.window)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.window) + "]"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "window": list(self.window)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SignedPermutation":
-        if not isinstance(data, dict) or not isinstance(data.get("window"), list):
-            raise ValueError('a signed permutation must be a JSON object with a "window" list')
-        if "n" in data and type(data["n"]) is not int:
-            raise ValueError(f"declared rank {data['n']!r} is not an integer")
-        sigma = cls(tuple(data["window"]))
-        if "n" in data and data["n"] != sigma.n:
-            raise ValueError(f"declared rank {data['n']} does not match window length {sigma.n}")
-        return sigma
 
 
 class StatisticsProfile(namedtuple("StatisticsProfile", "descent_set d eps f maj neg fmaj")):
@@ -195,18 +159,15 @@ def parse_window(text: str) -> SignedPermutation:
     """Parse window notation like "[2,-1,-4,3]" (spaces tolerated)."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ParseError(f"window must be bracketed like [2,-1,3], got {text!r}")
+        raise ValueError(f"window must be bracketed like [2,-1,3], got {text!r}")
     body = s[1:-1].strip()
     if not body:
-        raise ParseError("empty window")
+        raise ValueError("empty window")
     entries = [entry.strip() for entry in body.split(",")]
     for pos, entry in enumerate(entries, start=1):
         if not ASCII_INTEGER.fullmatch(entry):
-            raise ParseError(f"entry {entry!r} at position {pos} is not an integer")
-    try:
-        return SignedPermutation(tuple(int(entry) for entry in entries))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+            raise ValueError(f"entry {entry!r} at position {pos} is not an integer")
+    return SignedPermutation(tuple(int(entry) for entry in entries))
 
 
 def enumerate_group(n: int) -> Iterator[SignedPermutation]:

@@ -54,7 +54,7 @@ from .poly import (
     rearrangement_count,
     rho,
 )
-from .signed_perm import SignedPermutation
+from .signed_perm import SignedPermutation, check_scalar
 
 #: The partitions (nu, mu) of m_nu(x^2) m_mu(y^2).
 Label = tuple[tuple[int, ...], tuple[int, ...]]
@@ -151,8 +151,7 @@ def _canonical(n: int, sigma: SignedPermutation, labels: dict[Label, Fraction]) 
     for label, scalar in labels.items():
         if any(len(part) != n for part in label):
             raise ValueError(f"label {label!r} needs two parts of {n} entries")
-        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
-            raise ValueError(f"the scalar of label {label!r} is {scalar!r}, not an int or a Fraction")
+        check_scalar(scalar)
         out[tuple(tuple(sorted(part, reverse=True)) for part in label)] += scalar
     return out
 

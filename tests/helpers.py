@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from operator import add
 from typing import Iterator
 
 import signsym.hilbert as hilbert_module
@@ -17,15 +17,14 @@ from signsym.descent_basis import (
     is_ordered,
     order_key,
     partitions_fixed_length,
+    sign_twist,
 )
 from signsym.poly import (
     Monomial,
     Polynomial,
-    act,
-    bidegree_components,
     distinct_permutations,
-    monomial_sym_squares,
     rearrangement_count,
+    rearrangements,
     rho,
 )
 from signsym.signed_perm import (
@@ -76,16 +75,138 @@ def poly(n, *terms) -> Polynomial:
     return Polynomial(n, acc)
 
 
+def unit(n: int) -> Polynomial:
+    """The constant polynomial 1 of rank n."""
+    return Polynomial(n, {mono((0,) * n, (0,) * n): 1})
+
+
+def terms(f: Polynomial) -> Iterator[tuple[Monomial, Fraction]]:
+    """The terms of ``f`` in no particular order, without the sort of ``Polynomial.items``."""
+    return ((m, f.coefficient(m)) for m in f.monomials())
+
+
+def _check_ranks(a, b) -> None:
+    if a.n != b.n:
+        raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
+
+
+def add(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f + g, term by term."""
+    _check_ranks(f, g)
+    acc = dict(terms(f))
+    for m, c in terms(g):
+        acc[m] = acc.get(m, Fraction(0)) + c
+    return Polynomial(f.n, acc)
+
+
+def neg(f: Polynomial) -> Polynomial:
+    return Polynomial(f.n, {m: -c for m, c in terms(f)})
+
+
+def sub(f: Polynomial, g: Polynomial) -> Polynomial:
+    return add(f, neg(g))
+
+
+def mul(f: Polynomial, g) -> Polynomial:
+    """f * g for a polynomial g, or f scaled by an int or Fraction g.
+
+    Multiplication oracle: every pair of terms is multiplied out, where
+    the production paths only ever count orbits.
+    """
+    if isinstance(g, (int, Fraction)):
+        return Polynomial(f.n, {m: c * g for m, c in terms(f)})
+    _check_ranks(f, g)
+    acc: dict[Monomial, Fraction] = {}
+    for m1, c1 in terms(f):
+        for m2, c2 in terms(g):
+            m = m1 * m2
+            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+    return Polynomial(f.n, acc)
+
+
+def poly_sum(n: int, polys) -> Polynomial:
+    """The sum of ``polys``, all of rank n; the zero polynomial when there are none."""
+    out = Polynomial(n)
+    for f in polys:
+        out = add(out, f)
+    return out
+
+
+def compose(sigma: SignedPermutation, tau: SignedPermutation) -> SignedPermutation:
+    """sigma o tau, applying ``tau`` first, by the sign rule sigma(-k) = -sigma(k)."""
+    _check_ranks(sigma, tau)
+    return SignedPermutation(tuple(sigma.window[v - 1] if v > 0 else -sigma.window[-v - 1] for v in tau.window))
+
+
+def act(sigma: SignedPermutation, f: Polynomial, families: str = "xy") -> Polynomial:
+    """Image of ``f`` under ``sigma`` acting on the variable families in ``families``.
+
+    With both families this is the diagonal action, sending x_i and y_i
+    to sign(sigma(i)) x_{|sigma(i)|} and sign(sigma(i)) y_{|sigma(i)|};
+    with "x" or "y" alone the other family stays put.  Acting twice
+    composes: act(sigma, act(tau, f)) equals act(compose(sigma, tau), f).
+    """
+    _check_ranks(sigma, f)
+    acc: dict[Monomial, Fraction] = {}
+    for m, c in terms(f):
+        image = {"x": m.p, "y": m.q}
+        sign = 1
+        for family in families:
+            moved = [0] * f.n
+            for e, v in zip(image[family], sigma.window):
+                moved[abs(v) - 1] = e
+                if v < 0 and e % 2:
+                    sign = -sign
+            image[family] = tuple(moved)
+        moved_m = Monomial(image["x"], image["y"])
+        acc[moved_m] = acc.get(moved_m, Fraction(0)) + sign * c
+    return Polynomial(f.n, acc)
+
+
+def monomial_sym_squares(lam, family: str, n: int) -> Polynomial:
+    """m_lam(x^2) or m_lam(y^2): the orbit sum of x^(2*lam) (or y^(2*lam)) over distinct rearrangements.
+
+    Each distinct rearrangement of ``lam`` contributes one term with
+    coefficient 1 and doubled exponents.
+    """
+    if family not in ("x", "y"):
+        raise ValueError(f"family must be 'x' or 'y', got {family!r}")
+    lam = tuple(lam)
+    if len(lam) != n:
+        raise ValueError(f"expected {n} entries, got {len(lam)}")
+    doubled = tuple(2 * v for v in lam)
+    exponents = (doubled, (0,) * n) if family == "x" else ((0,) * n, doubled)
+    return Polynomial(n, dict.fromkeys(rearrangements(Monomial(*exponents)), 1))
+
+
+def bidegree_components(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
+    """Split ``f`` into its bihomogeneous parts, keyed by (x-degree, y-degree); the parts sum to ``f``."""
+    buckets: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
+    for m, c in terms(f):
+        buckets.setdefault((sum(m.p), sum(m.q)), {})[m] = c
+    return {bd: Polynomial(f.n, part) for bd, part in sorted(buckets.items())}
+
+
+def ordered_representative(m: Monomial) -> Monomial:
+    """Transversal oracle: the ordered monomial sharing the averaging orbit of ``m``.
+
+    Sorts the exponent pairs (p_k, sign_twist(q_k)) in decreasing order,
+    independently of ``is_ordered``, which checks that order pair by
+    pair; requires every p_k + q_k even.
+    """
+    if m.odd_slot() is not None:
+        raise ValueError("monomial has a slot with odd total exponent; its average is zero")
+    pairs = sorted(zip(m.p, m.q), key=lambda pq: (pq[0], sign_twist(pq[1])), reverse=True)
+    return Monomial(tuple(pq[0] for pq in pairs), tuple(pq[1] for pq in pairs))
+
+
 def rho_bruteforce(f: Polynomial) -> Polynomial:
     """Averaging oracle: sum the action of every group element, then divide.
 
     Independent of the production path, which averages per orbit and
     never enumerates the group.
     """
-    total = Polynomial.zero(f.n)
-    for sigma in enumerate_group(f.n):
-        total = total + act(sigma, f)
-    return total * Fraction(1, group_order(f.n))
+    return mul(poly_sum(f.n, (act(sigma, f) for sigma in enumerate_group(f.n))), Fraction(1, group_order(f.n)))
 
 
 def generators(n: int) -> list[SignedPermutation]:
@@ -110,28 +231,12 @@ def generator_invariant(f: Polynomial) -> bool:
     return all(act(g, f) == f for g in generators(f.n))
 
 
-def act_on_family(sigma: SignedPermutation, f: Polynomial, family: str) -> Polynomial:
-    """Image of ``f`` under ``sigma`` acting on the x or the y variables alone."""
-    acc: dict[Monomial, Fraction] = {}
-    for m, c in f.items():
-        exps = m.p if family == "x" else m.q
-        moved = [0] * f.n
-        sign = 1
-        for i, v in enumerate(sigma.window):
-            moved[abs(v) - 1] = exps[i]
-            if v < 0 and exps[i] % 2:
-                sign = -sign
-        image = Monomial(tuple(moved), m.q) if family == "x" else Monomial(m.p, tuple(moved))
-        acc[image] = acc.get(image, Fraction(0)) + sign * c
-    return Polynomial(f.n, acc)
-
-
 def family_invariant(f: Polynomial) -> bool:
     """Separate-invariance oracle: every generator fixes ``f`` acting on x alone and on y alone.
 
     Independent of the production path, which decides it by orbits.
     """
-    return all(act_on_family(g, f, family) == f for family in "xy" for g in generators(f.n))
+    return all(act(g, f, family) == f for family in "xy" for g in generators(f.n))
 
 
 def windows(n: int) -> Iterator[tuple[int, ...]]:
@@ -182,12 +287,12 @@ def random_even_monomial(rng: random.Random, n: int, max_total: int) -> Monomial
 
 def random_invariant(rng: random.Random, n: int, max_total: int = 10) -> Polynomial:
     """Random invariant built as a combination of orbit averages."""
-    f = Polynomial.zero(n)
+    f = Polynomial(n)
     for _ in range(rng.randint(1, 3)):
         m = random_even_monomial(rng, n, max_total)
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         if coeff:
-            f = f + rho(Polynomial.from_monomial(m, coeff))
+            f = add(f, rho(Polynomial.from_monomial(m, coeff)))
     return f
 
 
@@ -222,10 +327,10 @@ def label_polynomial(n: int, labels: dict) -> Polynomial:
     Independent of ``BasisExpansion.coefficient``, which lists the terms
     of each product from cached rearrangements.
     """
-    total = Polynomial.zero(n)
-    for (nu, mu), scalar in labels.items():
-        total = total + monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * scalar
-    return total
+    return poly_sum(n, (
+        mul(mul(monomial_sym_squares(nu, "x", n), monomial_sym_squares(mu, "y", n)), scalar)
+        for (nu, mu), scalar in labels.items()
+    ))
 
 
 def evaluate_full(expansion: BasisExpansion) -> Polynomial:
@@ -234,10 +339,10 @@ def evaluate_full(expansion: BasisExpansion) -> Polynomial:
     Independent of the production path, which walks the terms of each
     label times c_sigma alone by orbit and averages the sum once.
     """
-    total = Polynomial.zero(expansion.n)
-    for sigma, labels in expansion.entries.items():
-        total = total + label_polynomial(expansion.n, labels) * averaged_basis(sigma)
-    return total
+    return poly_sum(expansion.n, (
+        mul(label_polynomial(expansion.n, labels), averaged_basis(sigma))
+        for sigma, labels in expansion.entries.items()
+    ))
 
 
 @cache
@@ -272,7 +377,7 @@ def full_candidate(sigma: SignedPermutation, nu, mu) -> Polynomial:
     at the ordered monomials.
     """
     n = sigma.n
-    return monomial_sym_squares(nu, "x", n) * monomial_sym_squares(mu, "y", n) * averaged_basis(sigma)
+    return mul(mul(monomial_sym_squares(nu, "x", n), monomial_sym_squares(mu, "y", n)), averaged_basis(sigma))
 
 
 def counted_product(dec: Decomposition, columns: list[Monomial]) -> dict[Monomial, Fraction]:
@@ -289,7 +394,7 @@ def counted_product(dec: Decomposition, columns: list[Monomial]) -> dict[Monomia
     hits: dict[tuple, int] = {}
     for r in distinct_permutations(2 * v for v in dec.nu):
         for s in distinct_permutations(2 * v for v in dec.mu):
-            pairs = tuple(sorted(zip(map(add, r, c.p), map(add, s, c.q))))
+            pairs = tuple(sorted(zip(map(operator.add, r, c.p), map(operator.add, s, c.q))))
             hits[pairs] = hits.get(pairs, 0) + 1
     by_orbit = {tuple(sorted(zip(w.p, w.q))): w for w in columns}
     assert set(hits) <= set(by_orbit), "a product term lies outside the columns"
@@ -314,12 +419,11 @@ def straighten_full(f: Polynomial) -> BasisExpansion:
             assert previous is None or order_key(m) < previous, "leading term failed to decrease"
             previous = order_key(m)
             dec = decompose(m)
-            coeff = monomial_sym_squares(dec.nu, "x", f.n) * monomial_sym_squares(dec.mu, "y", f.n)
-            product = coeff * averaged_basis(dec.sigma)
+            product = full_candidate(dec.sigma, dec.nu, dec.mu)
             scalar = remainder.coefficient(m) / product.coefficient(m)
             label = (dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True)))
             scalars[label] = scalars.get(label, 0) + scalar
-            remainder = remainder - scalar * product
+            remainder = sub(remainder, mul(product, scalar))
     # a sum that cancels is not stored
     expansion = BasisExpansion(f.n)
     for (sigma, nu, mu), scalar in scalars.items():

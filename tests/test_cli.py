@@ -15,7 +15,7 @@ import signsym.cli as cli
 import signsym.descent_basis as descent_basis_module
 import signsym.hilbert as hilbert_module
 import signsym.straighten as straighten_module
-from helpers import clear_hilbert_caches, mono, record_table_builds
+from helpers import clear_hilbert_caches, mono, record_table_builds, unit
 from signsym.cli import main
 from signsym.poly import Polynomial, rho
 from signsym.hilbert import verify_basis_rank
@@ -179,7 +179,7 @@ def test_straighten_refuses_a_monomial_listed_twice(capsys, monkeypatch):
 
 
 def test_straighten_constant(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(Polynomial.one(2).to_json())))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(unit(2).to_json())))
     code, out, _ = run(capsys, "straighten")
     assert code == 0
     assert out.strip() == "[1,2]: 1"

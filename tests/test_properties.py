@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import family_invariant, rho_bruteforce, straighten_full
+from helpers import act, add, compose, family_invariant, mul, rho_bruteforce, straighten_full
 from signsym.cli import main
-from signsym.poly import Monomial, Polynomial, act, rho
+from signsym.poly import Monomial, Polynomial, rho
 from signsym.signed_perm import SignedPermutation
 from signsym.straighten import BasisExpansion, evaluate, straighten
 
@@ -29,7 +29,7 @@ def deterministic(max_examples):
 def rho_combinations(draw):
     """A combination of rho of monomials at rank <= 3, total degree <= 6."""
     n = draw(st.integers(1, 3))
-    f = Polynomial.zero(n)
+    f = Polynomial(n)
     for _ in range(draw(st.integers(1, 3))):
         # Mostly even slots (p_k + q_k even), since rho of any other
         # monomial is 0.
@@ -43,7 +43,7 @@ def rho_combinations(draw):
             q.append(slot - p[-1])
         m = Monomial(tuple(p), tuple(q))
         coeff = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
-        f = f + rho(Polynomial.from_monomial(m, coeff))
+        f = add(f, rho(Polynomial.from_monomial(m, coeff)))
     return f
 
 
@@ -79,7 +79,7 @@ def test_rho_linear_idempotent_and_equal_to_the_group_average(args):
     rf = rho(f)
     assert rf == rho_bruteforce(f)
     assert rho(rf) == rf
-    assert rho(f + g * c) == rf + rho(g) * c
+    assert rho(add(f, mul(g, c))) == add(rf, mul(rho(g), c))
 
 
 @deterministic(60)
@@ -90,7 +90,7 @@ def test_rho_linear_idempotent_and_equal_to_the_group_average(args):
 )
 def test_action_composes(args):
     sigma, tau, f = args
-    assert act(sigma, act(tau, f)) == act(sigma * tau, f)
+    assert act(sigma, act(tau, f)) == act(compose(sigma, tau), f)
 
 
 @st.composite
@@ -172,5 +172,3 @@ def windows_with_one_bad_entry(draw):
 def test_window_validation_refuses_floats_and_bools(window):
     with pytest.raises(ValueError, match="not an integer"):
         SignedPermutation(tuple(window))
-    with pytest.raises(ValueError, match="not an integer"):
-        SignedPermutation.from_json({"window": window})

@@ -15,24 +15,24 @@ import signsym.descent_basis as descent_basis_module
 import signsym.poly as poly_module
 import signsym.straighten as straighten_module
 from helpers import (
+    add,
     averaged_basis,
+    bidegree_components,
     evaluate_full,
     family_invariant,
     mono,
+    monomial_sym_squares,
+    mul,
+    ordered_representative,
     poly,
     random_even_monomial,
     random_invariant,
     sp,
     straighten_full,
+    unit,
 )
 from signsym.descent_basis import ordered_monomials, partitions_fixed_length
-from signsym.poly import (
-    Polynomial,
-    bidegree_components,
-    is_separately_invariant,
-    monomial_sym_squares,
-    rho,
-)
+from signsym.poly import Polynomial, is_separately_invariant, rho
 from signsym.hilbert import verify_basis_rank
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 from signsym.straighten import BasisExpansion, evaluate, evaluates_to, straighten
@@ -45,14 +45,12 @@ def averaged(m):
 def test_straighten_worked_example():
     f = averaged(mono((2, 0), (2, 0)))
     expansion = straighten(f)
-    identity = SignedPermutation.identity(2)
+    identity = sp(1, 2)
     assert expansion.entries == {identity: {((1, 0), (1, 0)): Fraction(1, 2)}, sp(2, 1): {((0, 0), (0, 0)): -1}}
-    assert expansion.coefficient(identity) == (
-        monomial_sym_squares((1, 0), "x", 2)
-        * monomial_sym_squares((1, 0), "y", 2)
-        * Fraction(1, 2)
+    assert expansion.coefficient(identity) == mul(
+        mul(monomial_sym_squares((1, 0), "x", 2), monomial_sym_squares((1, 0), "y", 2)), Fraction(1, 2)
     )
-    assert expansion.coefficient(sp(2, 1)) == Polynomial.one(2) * Fraction(-1)
+    assert expansion.coefficient(sp(2, 1)) == mul(unit(2), -1)
     assert evaluate(expansion) == f
 
 
@@ -66,9 +64,9 @@ def test_reduce_step_even_power_example():
 
 
 def test_straighten_constant():
-    expansion = straighten(Polynomial.one(3))
-    assert expansion.entries == {SignedPermutation.identity(3): {((0, 0, 0), (0, 0, 0)): 1}}
-    assert straighten(Polynomial.zero(2)).entries == {}
+    expansion = straighten(unit(3))
+    assert expansion.entries == {sp(1, 2, 3): {((0, 0, 0), (0, 0, 0)): 1}}
+    assert straighten(Polynomial(2)).entries == {}
 
 
 def test_straighten_rejects_non_invariant():
@@ -137,7 +135,7 @@ def test_straighten_column_cap_at_its_boundary(monkeypatch):
     # bidegree's stream is cut one past what is left of the cap, before
     # the bidegree is walked.
     assert descent_basis_module.COLUMN_GUARD == 100_000
-    f = averaged(mono((2, 0), (0, 0))) + averaged(mono((2, 0), (2, 0)))
+    f = add(averaged(mono((2, 0), (0, 0))), averaged(mono((2, 0), (2, 0))))
     wide = len(list(ordered_monomials(2, 2, 2)))
     assert wide > 2
     expansion = straighten(f)
@@ -263,17 +261,16 @@ def test_support_bound_and_parity():
             for sigma in straighten(component).entries:
                 st = statistics(sigma)
                 st_inv = statistics(sigma.inverse())
-                assert st_inv.fmaj <= bd.a and st.fmaj <= bd.b
-                assert st_inv.fmaj % 2 == bd.a % 2
-                assert st.fmaj % 2 == bd.b % 2
+                a, b = bd
+                assert st_inv.fmaj <= a and st.fmaj <= b
+                assert st_inv.fmaj % 2 == a % 2
+                assert st.fmaj % 2 == b % 2
 
 
 def test_invariant_support_contains_ordered_representatives():
     # each orbit in an invariant's support carries its ordered
     # representative with the same coefficient, which is what makes the
     # leading ordered term the true leading term
-    from signsym.descent_basis import ordered_representative
-
     rng = random.Random(61)
     for _ in range(10):
         f = random_invariant(rng, 3)
@@ -369,7 +366,7 @@ def test_evaluate_detects_mutated_expansions():
         # when its separate orbit is that one term
         coeff = expansion.coefficient(sigma)
         m, c = rng.choice(coeff.items())
-        changed = coeff + Polynomial.from_monomial(m, abs(c) + 1)
+        changed = add(coeff, Polynomial.from_monomial(m, abs(c) + 1))
         data = {"n": n, "entries": [{"sigma": list(sigma.window), "coeff": changed.to_json()}]}
         if family_invariant(changed):
             read = BasisExpansion.from_json(data).entries[sigma]
@@ -418,11 +415,11 @@ def test_expansion_refuses_a_sigma_of_another_rank_and_inexact_scalars():
     # c_sigma's exponents are never cut to n, and a scalar is an int or a
     # Fraction: rho(x1^2) is 1/2 m_(1,0)(x^2) at the identity of rank 2
     f = averaged(mono((2, 0), (0, 0)))
-    identity, label = SignedPermutation.identity(2), ((1, 0), (0, 0))
+    identity, label = sp(1, 2), ((1, 0), (0, 0))
     assert evaluates_to(BasisExpansion(2, {identity: {label: Fraction(1, 2)}}), f)
-    assert evaluate(BasisExpansion(2, {identity: {label: 1}})) == f * 2
+    assert evaluate(BasisExpansion(2, {identity: {label: 1}})) == mul(f, 2)
     refused = [(sp(1, 2, 3), Fraction(1, 2), "^sigma \\[1,2,3\\] has rank 3, not 2$")]
-    refused += [(identity, v, f"^the scalar of label .* is {v!r}, not an int or a Fraction$") for v in (0.5, 0.1, True)]
+    refused += [(identity, v, f"^{re.escape(f'scalar {v!r} is not an int or a Fraction')}$") for v in (0.5, 0.1, True)]
     for sigma, scalar, message in refused:
         bad = BasisExpansion(2, {sigma: {label: scalar}})
         uses = (lambda e: e.coefficient(sigma), BasisExpansion.to_json, evaluate, lambda e: evaluates_to(e, f))
@@ -460,7 +457,7 @@ def test_expansion_json_round_trip():
 
 
 def test_expansion_from_json_refuses_malformed():
-    one = Polynomial.one(2).to_json()
+    one = unit(2).to_json()
     refused = [
         [],
         {"n": 1.7, "entries": []},
@@ -472,19 +469,45 @@ def test_expansion_from_json_refuses_malformed():
         {"n": 2, "entries": [[2, 1]]},
         {"n": 2, "entries": [{"sigma": "21", "coeff": one}]},
         {"n": 2, "entries": [{"sigma": [2.0, 1], "coeff": one}]},
-        {"n": 2, "entries": [{"sigma": [1], "coeff": Polynomial.one(1).to_json()}]},
+        {"n": 2, "entries": [{"sigma": [1], "coeff": unit(1).to_json()}]},
         {"n": 2, "entries": [{"sigma": [2, 1], "coeff": 1}]},
-        {"n": 2, "entries": [{"sigma": [2, 1], "coeff": Polynomial.one(3).to_json()}]},
+        {"n": 2, "entries": [{"sigma": [2, 1], "coeff": unit(3).to_json()}]},
     ]
     for data in refused:
         with pytest.raises(ValueError):
             BasisExpansion.from_json(data)
 
 
+RANK_ONE = unit(1).to_json()
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"n": True, "entries": []}, 'an expansion must be a JSON object with a positive integer "n"'),
+        ({"n": 1.0, "entries": []}, 'an expansion must be a JSON object with a positive integer "n"'),
+        ({"n": "1", "entries": []}, 'an expansion must be a JSON object with a positive integer "n"'),
+        ([1], 'an expansion must be a JSON object with a positive integer "n"'),
+        ({"n": 1, "entries": [{"sigma": "1", "coeff": RANK_ONE}]}, "needs a window list and a coefficient of rank 1"),
+        ({"n": 1, "entries": [{"sigma": (1,), "coeff": RANK_ONE}]}, "needs a window list and a coefficient of rank 1"),
+        ({"n": 1, "entries": [{"coeff": RANK_ONE}]}, "needs a window list and a coefficient of rank 1"),
+        ({"n": 2, "entries": [{"sigma": [True, 2], "coeff": unit(2).to_json()}]}, "entry True at position 1 is not an integer"),
+        ({"n": 2, "entries": [{"sigma": [2, 1.0], "coeff": unit(2).to_json()}]}, "entry 1.0 at position 2 is not an integer"),
+    ],
+    ids=["rank True", "rank 1.0", "rank '1'", "not an object", "sigma str", "sigma tuple", "no sigma",
+         "sigma entry True", "sigma entry 1.0"],
+)
+def test_expansion_from_json_refuses_an_ill_typed_rank_or_window(data, message):
+    # a bool or a float is never read as a rank or a window entry, and a
+    # window is a JSON list, never a string or a tuple
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        BasisExpansion.from_json(data)
+
+
 def test_expansion_from_json_refuses_a_sigma_listed_twice():
     # a zero coefficient is not stored, but its sigma still counts as listed
-    one = Polynomial.one(2).to_json()
-    for first in (one, Polynomial.zero(2).to_json()):
+    one = unit(2).to_json()
+    for first in (one, Polynomial(2).to_json()):
         data = {"n": 2, "entries": [{"sigma": [2, 1], "coeff": first}, {"sigma": [1, 2], "coeff": one},
                                     {"sigma": [2, 1], "coeff": one}]}
         with pytest.raises(ValueError, match=re.escape("sigma [2,1] is listed twice")):

@@ -19,9 +19,9 @@ import signsym
 from helpers import mono, sp
 from signsym.descent_basis import decompose
 from signsym.hilbert import BiSeries, verify_basis_rank
-from signsym.poly import Bidegree, Monomial
+from signsym.poly import Monomial, Polynomial
 from signsym.signed_perm import SignedPermutation, statistics
-from signsym.straighten import BasisExpansion
+from signsym.straighten import BasisExpansion, evaluate
 
 # Each maker builds a fresh value, equal to every other value it builds.
 HASHABLE_VALUES = {
@@ -30,7 +30,6 @@ HASHABLE_VALUES = {
     "StatisticsProfile": lambda: statistics(sp(2, -1, -4, 3)),
     "Decomposition": lambda: decompose(mono((3, 1), (1, 3))),
     "CellReport": lambda: verify_basis_rank(2, 2, 2),
-    "Bidegree": lambda: Bidegree(2, 1),
 }
 
 
@@ -56,7 +55,6 @@ def test_attributes_cannot_be_assigned(kind):
 def test_reprs_name_their_fields():
     assert repr(mono((1, 0), (0, 1))) == "Monomial(p=(1, 0), q=(0, 1))"
     assert repr(sp(2, -1)) == "SignedPermutation(window=(2, -1))"
-    assert repr(Bidegree(2, 1)) == "Bidegree(a=2, b=1)"
     assert repr(verify_basis_rank(2, 2, 2)) == "CellReport(n=2, a=2, b=2, rank=3, dim=3, series=3)"
     assert repr(BasisExpansion(2)) == "BasisExpansion(n=2, entries={})"
 
@@ -71,8 +69,12 @@ def test_tuple_arithmetic_does_not_leak_through(value):
             k * value
         with pytest.raises(TypeError):
             value * k
-    # the product of two values is still the type's own
-    assert type(value * value) is type(value)
+    # monomials multiply; signed permutations compose by helpers.compose
+    if isinstance(value, Monomial):
+        assert type(value * value) is Monomial
+    else:
+        with pytest.raises(TypeError):
+            value * value
 
 
 def test_vectors_become_tuples_and_values_pickle():
@@ -104,6 +106,23 @@ def test_biseries_refuses_a_non_positive_coefficient_and_a_key_outside_its_trunc
     series = BiSeries({(0, 0): 1, (2, 2): 3}, 4)
     assert series == BiSeries(coefficients={(0, 0): 1, (2, 2): 3}, truncation=4)
     assert series.total_mass() == 4
+
+
+SCALAR_ENTRY_POINTS = {
+    "Polynomial": lambda c: Polynomial(1, {mono((2,), (0,)): c}),
+    "BiSeries coefficient": lambda c: BiSeries({(0, 0): c}, truncation=2),
+    "BiSeries key": lambda c: BiSeries({(c, 0): 1}, truncation=2),
+    "BasisExpansion": lambda c: evaluate(BasisExpansion(1, {sp(1): {((1,), (0,)): c}})),
+}
+
+
+@pytest.mark.parametrize("scalar", [0.1, True, "1", None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+def test_every_scalar_entry_point_refuses_a_scalar_that_is_not_an_int_or_a_fraction(entry, scalar):
+    # one rule for every exact scalar: a float is never rounded to a
+    # Fraction, nor a bool or a string read as a number
+    with pytest.raises(ValueError, match=f"^{re.escape(f'scalar {scalar!r} is not an int or a Fraction')}$"):
+        SCALAR_ENTRY_POINTS[entry](scalar)
 
 
 def test_basis_expansion_is_a_mutable_value():
