@@ -101,21 +101,15 @@ def _integer_option(text: str) -> int:
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
+    # Signs and lengths are left to ``Monomial``.
     entries = [v.strip() for v in text.split(",")]
     if not all(ASCII_INTEGER.fullmatch(v) for v in entries):
         raise ValueError(f"exponent list {text!r} must be comma-separated integers")
-    values = tuple(int(v) for v in entries)
-    if any(v < 0 for v in values):
-        raise ValueError(f"exponents must be non-negative, got {text!r}")
-    return values
+    return tuple(int(v) for v in entries)
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
-    p = _parse_exponents(args.p)
-    q = _parse_exponents(args.q)
-    if len(p) != len(q):
-        raise ValueError(f"exponent lists differ in length: {len(p)} vs {len(q)}")
-    m = Monomial(p, q)
+    m = Monomial(_parse_exponents(args.p), _parse_exponents(args.q))
     averaged = rho(Polynomial.from_monomial(m))
     _emit(args, averaged.to_json, averaged.text)
     return 0

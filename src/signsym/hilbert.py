@@ -27,15 +27,16 @@ once.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from . import descent_basis, scan
 from .descent_basis import cell_columns, decompose, ordered_monomials, product_coefficients
 from .poly import Monomial
-from .signed_perm import ENUMERATION_GUARD, RankGuardError, check_rank, check_scalar, group_order
+from .signed_perm import check_rank, check_walk
 
 #: Rank cap for the plain-permutation equidistribution check.
 MAJ_INV_GUARD = 7
@@ -54,17 +55,16 @@ class BiSeries(namedtuple("BiSeries", "coefficients truncation")):
 
     ``coefficients`` maps (a, b) to the coefficient of s^a t^b.  Only
     strictly positive coefficients are stored; keys never exceed the
-    truncation bound in total degree.  ``check_scalar`` refuses a key
-    entry or a coefficient that is not an int or a Fraction.
+    truncation bound in total degree.  Key entries and coefficients must
+    be ints; a bool or a Fraction is refused.
     """
 
     __slots__ = ()
 
     def __new__(cls, coefficients: Mapping[tuple[int, int], int], truncation: int) -> BiSeries:
         for (a, b), c in coefficients.items():
-            if not type(a) is type(b) is type(c) is int:  # the scan's ints skip the call
-                for v in (a, b, c):
-                    check_scalar(v)
+            if not type(a) is type(b) is type(c) is int:
+                raise ValueError(f"key ({a!r}, {b!r}) and coefficient {c!r} must be integers")
             if c <= 0:
                 raise ValueError(f"stored coefficient at ({a},{b}) must be positive")
             if a < 0 or b < 0 or a + b > truncation:
@@ -80,12 +80,6 @@ class BiSeries(namedtuple("BiSeries", "coefficients truncation")):
         return sum(self.coefficients.values())
 
 
-def _check_rank(n: int) -> None:
-    check_rank(n)
-    if n > ENUMERATION_GUARD:
-        raise RankGuardError(f"rank {n} exceeds the guard {ENUMERATION_GUARD}: the group has {group_order(n)} elements")
-
-
 def fmaj_numerator(n: int) -> BiSeries:
     """Generating function counting elements by (fmaj of inverse, fmaj).
 
@@ -93,7 +87,7 @@ def fmaj_numerator(n: int) -> BiSeries:
     symmetric under swapping the two degrees, since inversion is an
     involution.
     """
-    _check_rank(n)
+    check_walk(n)
     counts = scan.fmaj_pair_counts(n)
     return BiSeries(counts, truncation=2 * n * n)
 
@@ -141,14 +135,14 @@ def _widest_table(n: int) -> list[tuple[tuple[int, ...], ...]]:
 def series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     """Series coefficients of rank n: entry [a][b] is that of s^a t^b, for every a + b <= max_total.
 
-    The numerator behind the series scans the whole group, so ranks above
-    ``ENUMERATION_GUARD`` are refused.  A total whose dense table would
+    The numerator behind the series scans the whole group, so
+    ``check_walk`` refuses the rank.  A total whose dense table would
     exceed ``SERIES_TABLE_GUARD`` entries is refused before anything is
     built, and so is a total that is not a non-negative integer.  The
     widest table of the rank is handed out while it holds ``max_total``;
     a larger total builds one table at that total, which replaces it.
     """
-    _check_rank(n)
+    check_walk(n)
     if type(max_total) is not int or max_total < 0:
         raise ValueError(f"total degree {max_total!r} is not a non-negative integer")
     entries = (max_total + 1) ** 2
@@ -281,10 +275,23 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     return CellReport(n=n, a=a, b=b, rank=_leading_column_rank(rows), dim=len(columns), series=series)
 
 
+def _maj_inv_counts(n: int) -> tuple[Counter[int], Counter[int]]:
+    # The major index and the inversion number counted over the plain
+    # permutations of 1..n, in one walk; ranks above ``MAJ_INV_GUARD``
+    # are refused.
+    check_rank(n)
+    if n > MAJ_INV_GUARD:
+        raise ValueError(f"rank {n} exceeds the guard {MAJ_INV_GUARD}: {math.factorial(n)} permutations")
+    maj: Counter[int] = Counter()
+    inv: Counter[int] = Counter()
+    for perm in permutations(range(1, n + 1)):
+        maj[sum(i for i in range(1, n) if perm[i - 1] > perm[i])] += 1
+        inv[sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))] += 1
+    return maj, inv
+
+
 def maj_inv_equidistribution(n: int) -> bool:
     """Whether major index and inversion number are equidistributed on
     plain permutations of 1..n; ranks above ``MAJ_INV_GUARD`` are refused."""
-    check_rank(n)
-    if n > MAJ_INV_GUARD:
-        raise RankGuardError(f"rank {n} exceeds the guard {MAJ_INV_GUARD}: {math.factorial(n)} permutations")
-    return scan.maj_counts(n) == scan.inv_counts(n)
+    maj, inv = _maj_inv_counts(n)
+    return maj == inv

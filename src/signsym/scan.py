@@ -1,18 +1,17 @@
-"""Exhaustive statistics scans over the signed and plain permutation groups.
+"""The exhaustive flag-major scan over the signed permutation group.
 
-Each scan aggregates a statistic over every element of the rank-n
-signed permutation group (or the plain symmetric group) without building
-element objects.  The flag-major scan walks the n! plain permutations pi
-and takes all 2^n signings of each at once, as integer vectors indexed
-by the sign mask (bit k set when slot k is negative).  A descent between
-adjacent slots depends only on their two sign bits and on how the two
-absolute values compare: (+,+) is a descent iff the left value is
-larger, (-,-) iff it is smaller, (+,-) always and (-,+) never.  The
-inverse has k, with the sign of slot k, at position pi(k), so its
-descent at position j follows the same rule on the sign bits of the
-slots pi^-1(j) and pi^-1(j+1), whose values compare as those two slot
-numbers do.  On both sides fmaj is the number of negative entries plus
-2j for each descent at position j.
+The scan counts every element of the rank-n signed permutation group by
+(fmaj of inverse, fmaj) without building element objects.  It walks the
+n! plain permutations pi and takes all 2^n signings of each at once, as
+integer vectors indexed by the sign mask (bit k set when slot k is
+negative).  A descent between adjacent slots depends only on their two
+sign bits and on how the two absolute values compare: (+,+) is a descent
+iff the left value is larger, (-,-) iff it is smaller, (+,-) always and
+(-,+) never.  The inverse has k, with the sign of slot k, at position
+pi(k), so its descent at position j follows the same rule on the sign
+bits of the slots pi^-1(j) and pi^-1(j+1), whose values compare as those
+two slot numbers do.  On both sides fmaj is the number of negative
+entries plus 2j for each descent at position j.
 """
 
 from __future__ import annotations
@@ -63,27 +62,3 @@ def fmaj_pair_counts(n: int) -> dict[tuple[int, int], int]:
         counts.update(zip(fmaj_inv, fmaj))
     return dict(counts)
 
-
-def maj_counts(n: int) -> dict[int, int]:
-    """Distribution of the major index over plain permutations of 1..n."""
-    check_rank(n)
-    counts: dict[int, int] = {}
-    for perm in permutations(range(1, n + 1)):
-        maj = sum(i for i in range(1, n) if perm[i - 1] > perm[i])
-        counts[maj] = counts.get(maj, 0) + 1
-    return counts
-
-
-def inv_counts(n: int) -> dict[int, int]:
-    """Distribution of the inversion number over plain permutations of 1..n."""
-    check_rank(n)
-    counts: dict[int, int] = {}
-    for perm in permutations(range(1, n + 1)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if perm[i] > perm[j]
-        )
-        counts[inv] = counts.get(inv, 0) + 1
-    return counts

@@ -29,19 +29,22 @@ ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 #: numerator scan, whose cost is the 2^n * n! group elements: about ten
 #: million at rank 8, where the scan takes 6-7 s and a full
 #: ``enumerate_group`` walk about 47 s (2-vCPU Xeon); rank 9 has 18
-#: times as many elements.  Past the cap a walk is refused loudly
-#: instead of silently burning time.
+#: times as many elements.  Past the cap ``check_walk``, its one
+#: reader, refuses a walk loudly instead of silently burning time.
 ENUMERATION_GUARD = 8
-
-
-class RankGuardError(ValueError):
-    """A group walk refused because the group is too large to enumerate."""
 
 
 def check_rank(n: int) -> None:
     """Refuse a rank that is not a positive ``int``; bools and floats are refused too."""
     if type(n) is not int or n < 1:
         raise ValueError(f"rank {n!r} is not a positive integer")
+
+
+def check_walk(n: int) -> None:
+    """Refuse a rank as ``check_rank`` does, or one whose group is too large to walk."""
+    check_rank(n)
+    if n > ENUMERATION_GUARD:
+        raise ValueError(f"rank {n} exceeds the guard {ENUMERATION_GUARD}: the group has {group_order(n)} elements")
 
 
 def check_scalar(c: object) -> None:
@@ -174,14 +177,9 @@ def enumerate_group(n: int) -> Iterator[SignedPermutation]:
     """Yield every rank-n signed permutation exactly once.
 
     The stream is ordered lexicographically on windows under plain
-    integer order (so -k sorts before k).  Ranks above
-    ``ENUMERATION_GUARD`` are refused with the size they would stream.
+    integer order (so -k sorts before k).  ``check_walk`` refuses the rank.
     """
-    check_rank(n)
-    if n > ENUMERATION_GUARD:
-        raise RankGuardError(
-            f"rank {n} exceeds the enumeration guard {ENUMERATION_GUARD}: refusing to stream {group_order(n)} elements"
-        )
+    check_walk(n)
     values = [v for v in range(-n, n + 1) if v != 0]
 
     def rec(prefix: tuple[int, ...], used: frozenset[int]) -> Iterator[SignedPermutation]:

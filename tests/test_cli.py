@@ -1,11 +1,13 @@
 """Command-line interface behavior and schema round trips."""
 
+import argparse
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -109,6 +111,12 @@ def test_rho_bad_exponents(capsys):
         code, out, err = run(capsys, "rho", "--p", p, "--q", "0")
         assert (code, out) == (1, "")
         assert err.startswith("error: exponent list") and "comma-separated integers" in err
+    # lengths and signs are Monomial's to refuse
+    for p, message in (
+        ("1,2", "exponent vectors must be nonempty and of equal length, got 2 and 1 entries"),
+        ("-1", "exponents must be non-negative integers, got (-1,) and (0,)"),
+    ):
+        assert run(capsys, "rho", "--p", p, "--q", "0") == (1, "", f"error: {message}\n")
 
 
 def test_straighten_pipeline(capsys, monkeypatch):
@@ -465,6 +473,28 @@ def test_one_parser_serves_many_calls(capsys, monkeypatch):
         codes.append(code)
     assert codes == [0, 0, 0, 0, 0, 0, 1, 0]
     assert cli._build_parser() is parser
+
+
+def test_closed_pipe_points_stdout_at_devnull(capsys, monkeypatch):
+    # In process: the exit code is 1, nothing is reported, and stdout's
+    # descriptor is pointed at devnull for the flush Python retries at exit.
+    def closed(args):
+        raise BrokenPipeError
+
+    calls = []
+    fake_os = types.SimpleNamespace(
+        devnull=os.devnull,
+        O_WRONLY=os.O_WRONLY,
+        open=lambda path, flags: calls.append(("open", path, flags)) or 42,
+        dup2=lambda fd, fd2: calls.append(("dup2", fd, fd2)),
+    )
+    parser = types.SimpleNamespace(parse_args=lambda argv: argparse.Namespace(handler=closed))
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "os", fake_os)
+    monkeypatch.setattr("sys.stdout", types.SimpleNamespace(fileno=lambda: 7))
+    assert main(["stats", "[1]"]) == 1
+    assert calls == [("open", os.devnull, os.O_WRONLY), ("dup2", 42, 7)]
+    assert capsys.readouterr().err == ""
 
 
 def test_closed_pipe_exits_without_traceback():

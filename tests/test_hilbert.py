@@ -41,7 +41,7 @@ from signsym.hilbert import (
 )
 from signsym import scan
 from signsym.poly import Polynomial, orbit_key, orbit_sums, rearrangement_count
-from signsym.signed_perm import RankGuardError, enumerate_group, group_order, statistics
+from signsym.signed_perm import enumerate_group, group_order, statistics
 
 
 def poincare_product(n):
@@ -84,7 +84,7 @@ def test_fmaj_numerator_guard(monkeypatch):
     # rank 8 reaches the scan; rank 9 is refused before it
     monkeypatch.setattr(scan, "fmaj_pair_counts", lambda n: {(0, 0): group_order(n)})
     assert fmaj_numerator(8).total_mass() == group_order(8)
-    with pytest.raises(RankGuardError, match="^rank 9 exceeds the guard 8: the group has 185794560 elements$"):
+    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8: the group has 185794560 elements$"):
         fmaj_numerator(9)
 
 
@@ -412,12 +412,26 @@ def test_maj_inv_equidistribution_small():
     assert maj_inv_equidistribution(3)
     assert maj_inv_equidistribution(6)
     assert maj_inv_equidistribution(7)
-    with pytest.raises(RankGuardError, match="^rank 8 exceeds the guard 7: 40320 permutations$"):
+    with pytest.raises(ValueError, match="^rank 8 exceeds the guard 7: 40320 permutations$"):
         maj_inv_equidistribution(8)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_maj_inv_counts_against_object_oracle(n):
+    maj_oracle = {}
+    inv_oracle = {}
+    for sigma in enumerate_group(n):
+        if min(sigma.window) < 0:
+            continue
+        st = statistics(sigma)
+        maj_oracle[st.maj] = maj_oracle.get(st.maj, 0) + 1
+        inv = inversion_count(sigma.window)
+        inv_oracle[inv] = inv_oracle.get(inv, 0) + 1
+    assert hilbert_module._maj_inv_counts(n) == (maj_oracle, inv_oracle)
+
+
 def test_maj_inv_distributions_from_first_principles():
-    # independent recomputation at rank 4 without the scan kernels
+    # independent recomputation at rank 4 without ``_maj_inv_counts``
     maj = {}
     inv = {}
     for perm in itertools.permutations(range(1, 5)):

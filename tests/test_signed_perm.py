@@ -11,7 +11,6 @@ from signsym import hilbert, scan
 from signsym.descent_basis import ordered_monomials
 from signsym.poly import Polynomial
 from signsym.signed_perm import (
-    RankGuardError,
     SignedPermutation,
     enumerate_group,
     group_order,
@@ -60,6 +59,12 @@ def test_parse_errors(text, fragment):
 def test_constructor_refuses_non_integer_entries(window):
     with pytest.raises(ValueError, match="not an integer"):
         SignedPermutation(window)
+
+
+def test_constructor_refuses_an_empty_window():
+    # parse_window refuses "[]" on its own; the constructor has the same rule
+    with pytest.raises(ValueError, match="^window must contain at least one entry$"):
+        SignedPermutation(())
 
 
 def test_compose_with_inverse_is_identity():
@@ -120,7 +125,7 @@ def test_enumerate_lexicographic_order():
 def test_enumerate_guard():
     # rank 8 streams, rank 9 is refused with the size it would stream
     assert next(enumerate_group(8)).window == tuple(range(-8, 0))
-    with pytest.raises(RankGuardError, match="rank 9 exceeds the enumeration guard 8: refusing to stream 185794560"):
+    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8: the group has 185794560 elements$"):
         next(enumerate_group(9))
 
 
@@ -129,8 +134,7 @@ RANK_ENTRY_POINTS = {
     "enumerate_group": enumerate_group,
     "group_order": group_order,
     "fmaj_pair_counts": scan.fmaj_pair_counts,
-    "maj_counts": scan.maj_counts,
-    "inv_counts": scan.inv_counts,
+    "_maj_inv_counts": hilbert._maj_inv_counts,
     "fmaj_numerator": hilbert.fmaj_numerator,
     "fmaj_distribution": hilbert.fmaj_distribution,
     "series_table": lambda n: hilbert.series_table(n, 3),

@@ -74,6 +74,22 @@ def test_straighten_rejects_non_invariant():
         straighten(poly(2, (1, (1, 0), (0, 0))))
 
 
+def test_straighten_refuses_a_product_that_is_not_triangular(monkeypatch):
+    # The walk trusts the kernel's products to lead positively at their
+    # own column and to reach no earlier one; each net names its breach.
+    f = averaged(mono((2, 0), (2, 0)))
+    kernel = straighten_module.product_coefficients
+    monkeypatch.setattr(straighten_module, "product_coefficients", lambda dec, index: {})
+    message = "leading coefficient of the reduction product must be positive; got 0 for x1^2 y1^2"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        straighten(f)
+    # the second column's product also reaches back to column 0
+    monkeypatch.setattr(straighten_module, "product_coefficients", lambda dec, index: {0: 1, **kernel(dec, index)})
+    message = "straightening of bidegree (2, 2) left a nonzero remainder; the reduction products are not triangular"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        straighten(f)
+
+
 def no_expansion(*args):
     raise AssertionError("no expansion may be built past the cap")
 

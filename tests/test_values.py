@@ -108,21 +108,43 @@ def test_biseries_refuses_a_non_positive_coefficient_and_a_key_outside_its_trunc
     assert series.total_mass() == 4
 
 
+# Each entry point with what it makes of a scalar and the refusal it gives.
 SCALAR_ENTRY_POINTS = {
-    "Polynomial": lambda c: Polynomial(1, {mono((2,), (0,)): c}),
-    "BiSeries coefficient": lambda c: BiSeries({(0, 0): c}, truncation=2),
-    "BiSeries key": lambda c: BiSeries({(c, 0): 1}, truncation=2),
-    "BasisExpansion": lambda c: evaluate(BasisExpansion(1, {sp(1): {((1,), (0,)): c}})),
+    "Polynomial": (
+        lambda c: Polynomial(1, {mono((2,), (0,)): c}),
+        lambda c: f"scalar {c!r} is not an int or a Fraction",
+    ),
+    "BasisExpansion": (
+        lambda c: evaluate(BasisExpansion(1, {sp(1): {((1,), (0,)): c}})),
+        lambda c: f"scalar {c!r} is not an int or a Fraction",
+    ),
+    "BiSeries coefficient": (
+        lambda c: BiSeries({(0, 0): c}, truncation=2),
+        lambda c: f"key (0, 0) and coefficient {c!r} must be integers",
+    ),
+    "BiSeries key": (
+        lambda c: BiSeries({(c, 0): 1}, truncation=2),
+        lambda c: f"key ({c!r}, 0) and coefficient 1 must be integers",
+    ),
 }
+INEXACT_SCALARS = [0.1, True, "1", None]
 
 
-@pytest.mark.parametrize("scalar", [0.1, True, "1", None], ids=repr)
-@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "entry,scalar",
+    [
+        pytest.param(entry, scalar, id=f"{entry}-{scalar!r}")
+        for entry in sorted(SCALAR_ENTRY_POINTS)
+        # a series counts, so it holds ints only: even an integral Fraction is refused
+        for scalar in INEXACT_SCALARS + ([Fraction(1, 2), Fraction(2)] if entry.startswith("BiSeries") else [])
+    ],
+)
 def test_every_scalar_entry_point_refuses_a_scalar_that_is_not_an_int_or_a_fraction(entry, scalar):
     # one rule for every exact scalar: a float is never rounded to a
     # Fraction, nor a bool or a string read as a number
-    with pytest.raises(ValueError, match=f"^{re.escape(f'scalar {scalar!r} is not an int or a Fraction')}$"):
-        SCALAR_ENTRY_POINTS[entry](scalar)
+    make, message = SCALAR_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message(scalar))}$"):
+        make(scalar)
 
 
 def test_basis_expansion_is_a_mutable_value():
