@@ -16,15 +16,16 @@ import os
 import sys
 from collections.abc import Callable
 
-from . import descent_basis, hilbert
+from . import hilbert
 from .descent_basis import (
+    check_columns,
     descent_monomial,
     diagonal_descent_monomial,
     diagonal_signed_descent_monomial,
     signed_descent_monomial,
 )
 from .poly import Monomial, Polynomial, rho
-from .signed_perm import ASCII_INTEGER, parse_window, statistics
+from .signed_perm import ASCII_INTEGER, check_degree, parse_integers, parse_window, statistics
 from .straighten import evaluates_to, straighten
 
 #: Default total-degree bound of the verify and hilbert tables.
@@ -100,16 +101,9 @@ def _integer_option(text: str) -> int:
     return int(text)
 
 
-def _parse_exponents(text: str) -> tuple[int, ...]:
-    # Signs and lengths are left to ``Monomial``.
-    entries = [v.strip() for v in text.split(",")]
-    if not all(ASCII_INTEGER.fullmatch(v) for v in entries):
-        raise ValueError(f"exponent list {text!r} must be comma-separated integers")
-    return tuple(int(v) for v in entries)
-
-
 def _cmd_rho(args: argparse.Namespace) -> int:
-    m = Monomial(_parse_exponents(args.p), _parse_exponents(args.q))
+    # Signs and lengths are left to ``Monomial``.
+    m = Monomial(parse_integers(args.p), parse_integers(args.q))
     averaged = rho(Polynomial.from_monomial(m))
     _emit(args, averaged.to_json, averaged.text)
     return 0
@@ -139,10 +133,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     table = hilbert.series_table(args.n, args.max_degree)
     cells = [(a, b) for a in range(args.max_degree + 1) for b in range(args.max_degree + 1 - a)]
     columns = sum(table[a][b] for a, b in cells)
-    if columns > descent_basis.COLUMN_GUARD:
-        raise ValueError(
-            f"total degree <= {args.max_degree} has {columns} ordered columns, above the cap of {descent_basis.COLUMN_GUARD}"
-        )
+    check_columns(columns, f"total degree <= {args.max_degree} has {columns} ordered columns, above")
     reports = [hilbert.verify_basis_rank(args.n, a, b) for a, b in cells]
     all_pass = all(r.passed for r in reports)
     _emit(
@@ -270,8 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if getattr(args, "max_degree", 0) < 0:
-            raise ValueError("--max-degree must be non-negative")
+        check_degree(getattr(args, "max_degree", 0))
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -27,12 +27,19 @@ from itertools import groupby, islice
 from operator import add, ge
 
 from .poly import Monomial, distinct_permutations, orbit_key
-from .signed_perm import SignedPermutation, check_rank, statistics
+from .signed_perm import SignedPermutation, check_degree, check_rank, statistics
 
 #: Cap on the ordered columns, one basis product each, of a ``straighten``
 #: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
 #: in 4.5 s and 105 MB, ``--n 3 --max-degree 34`` 90,465 in 6 s (2-vCPU Xeon).
 COLUMN_GUARD = 100_000
+
+
+def check_columns(count: int, what: str) -> None:
+    """Refuse ``count`` ordered columns past ``COLUMN_GUARD``: the message is ``what``,
+    its head, followed by the cap."""
+    if count > COLUMN_GUARD:
+        raise ValueError(f"{what} the cap of {COLUMN_GUARD}")
 
 
 def _require_positive(pi: SignedPermutation, kind: str) -> None:
@@ -266,14 +273,14 @@ def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
 
     p runs over the partitions of a; each tie block of p takes its y
     exponents directly in the order the transversal needs, so no
-    exponent pair is built and then refused.  A rank or a degree that is
-    not an ``int`` is refused at the call, before any monomial is drawn;
-    a negative degree yields nothing.
+    exponent pair is built and then refused.  ``check_rank`` and
+    ``check_degree`` refuse the arguments at the call, before any monomial
+    is drawn.
     """
     check_rank(n)
-    if type(a) is not int or type(b) is not int:
-        raise ValueError(f"degrees ({a!r}, {b!r}) are not integers")
-    return _ordered_monomials(n, a, b) if a >= 0 and b >= 0 else iter(())
+    check_degree(a)
+    check_degree(b)
+    return _ordered_monomials(n, a, b)
 
 
 def _ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
@@ -297,17 +304,17 @@ def doubled_rearrangements(part: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     return tuple(distinct_permutations(2 * v for v in part))
 
 
-def cell_columns(n: int, a: int, b: int, allowance: int) -> tuple[list[Monomial], dict[tuple[tuple[int, int], ...], int]]:
+def cell_columns(n: int, a: int, b: int, drawn: int = 0) -> tuple[list[Monomial], dict[tuple[tuple[int, int], ...], int]]:
     """The ordered monomials of bidegree (a, b) in decreasing order, and each one's
     ``orbit_key`` mapped to its position, so position 0 is the largest column.
 
-    At most ``allowance + 1`` columns are drawn; a bidegree with more than
-    ``allowance`` is refused before any is sorted.  A caller passes what
-    is left of ``COLUMN_GUARD``.
+    A caller that has already drawn ``drawn`` columns, at most
+    ``COLUMN_GUARD``, passes that count.  At most one column past the cap
+    is drawn, and a bidegree that takes the count past it is refused
+    before any column is sorted.
     """
-    columns = list(islice(ordered_monomials(n, a, b), allowance + 1))
-    if len(columns) > allowance:
-        raise ValueError(f"bidegree ({a}, {b}) takes the ordered columns past the cap of {COLUMN_GUARD}")
+    columns = list(islice(ordered_monomials(n, a, b), COLUMN_GUARD - drawn + 1))
+    check_columns(drawn + len(columns), f"bidegree ({a}, {b}) takes the ordered columns past")
     columns.sort(key=order_key, reverse=True)
     return columns, {key: j for j, key in enumerate(map(orbit_key, columns))}
 

@@ -33,10 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from . import descent_basis, scan
-from .descent_basis import cell_columns, decompose, ordered_monomials, product_coefficients
+from . import scan
+from .descent_basis import cell_columns, check_columns, decompose, ordered_monomials, product_coefficients
 from .poly import Monomial
-from .signed_perm import check_rank, check_walk
+from .signed_perm import check_degree, check_rank, check_walk
 
 #: Rank cap for the plain-permutation equidistribution check.
 MAJ_INV_GUARD = 7
@@ -136,15 +136,14 @@ def series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     """Series coefficients of rank n: entry [a][b] is that of s^a t^b, for every a + b <= max_total.
 
     The numerator behind the series scans the whole group, so
-    ``check_walk`` refuses the rank.  A total whose dense table would
-    exceed ``SERIES_TABLE_GUARD`` entries is refused before anything is
-    built, and so is a total that is not a non-negative integer.  The
-    widest table of the rank is handed out while it holds ``max_total``;
-    a larger total builds one table at that total, which replaces it.
+    ``check_walk`` refuses the rank, and ``check_degree`` the total.  A
+    total whose dense table would exceed ``SERIES_TABLE_GUARD`` entries is
+    refused before anything is built.  The widest table of the rank is
+    handed out while it holds ``max_total``; a larger total builds one
+    table at that total, which replaces it.
     """
     check_walk(n)
-    if type(max_total) is not int or max_total < 0:
-        raise ValueError(f"total degree {max_total!r} is not a non-negative integer")
+    check_degree(max_total)
     entries = (max_total + 1) ** 2
     if entries > SERIES_TABLE_GUARD:
         raise ValueError(
@@ -157,14 +156,10 @@ def series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     return held[0]
 
 
-def _check_degrees(a: int, b: int) -> None:
-    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
-        raise ValueError(f"degrees ({a!r}, {b!r}) are not non-negative integers")
-
-
 def series_coefficient(n: int, a: int, b: int) -> int:
     """Coefficient of s^a t^b in the bigraded Hilbert series, read from ``series_table(n, a + b)``."""
-    _check_degrees(a, b)
+    check_degree(a)
+    check_degree(b)
     return series_table(n, a + b)[a][b]
 
 
@@ -175,10 +170,9 @@ def invariant_dimension(n: int, a: int, b: int) -> int:
     slot averages to 0, and the averages of the remaining monomials span
     the slice; ordered monomials have every slot even and meet each such
     orbit exactly once, and averages of distinct orbits have disjoint
-    supports, so they form a basis.  Degrees are checked as in
-    ``series_coefficient``; ``ordered_monomials`` checks the rank.
+    supports, so they form a basis.  ``ordered_monomials`` checks the
+    rank and the degrees.
     """
-    _check_degrees(a, b)
     return sum(1 for _ in ordered_monomials(n, a, b))
 
 
@@ -223,7 +217,7 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dic
     at rank 4 (13,238 columns), on a 2-vCPU Xeon.  A bad rank or degree
     is refused by ``ordered_monomials``, which ``cell_columns`` draws at once.
     """
-    columns, index = cell_columns(n, a, b, descent_basis.COLUMN_GUARD)
+    columns, index = cell_columns(n, a, b)
     return columns, (product_coefficients(dec, index) for dec in map(decompose, columns))
 
 
@@ -264,13 +258,11 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     forces the elements of D to be distinct, and dim = series then gives
     D = C, a basis of the cell.  There is one candidate per column, so
     ``dim`` and ``generators`` both count the columns.  The series is
-    read first, so that its guards, and a series above
-    ``descent_basis.COLUMN_GUARD`` columns, refuse a cell before any
-    candidate is built.
+    read first, so that its guards, and ``check_columns`` on the series,
+    refuse a cell before any candidate is built.
     """
     series = series_coefficient(n, a, b)
-    if series > descent_basis.COLUMN_GUARD:
-        raise ValueError(f"cell ({a}, {b}) has {series} ordered columns, above the cap of {descent_basis.COLUMN_GUARD}")
+    check_columns(series, f"cell ({a}, {b}) has {series} ordered columns, above")
     columns, rows = candidate_rows(n, a, b)
     return CellReport(n=n, a=a, b=b, rank=_leading_column_rank(rows), dim=len(columns), series=series)
 

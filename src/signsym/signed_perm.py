@@ -17,8 +17,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-#: An integer in ASCII digits, as window entries and CLI integers are
-#: written: int() alone also reads "1_0" and non-ASCII digits.
+#: An integer in ASCII digits, as window entries, exponent lists and CLI
+#: integers are written: int() alone also reads "1_0" and non-ASCII digits.
 ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 #: An exact coefficient string of the polynomial JSON schema: an
@@ -38,6 +38,12 @@ def check_rank(n: int) -> None:
     """Refuse a rank that is not a positive ``int``; bools and floats are refused too."""
     if type(n) is not int or n < 1:
         raise ValueError(f"rank {n!r} is not a positive integer")
+
+
+def check_degree(d: int) -> None:
+    """Refuse a degree that is not a non-negative ``int``; bools and floats are refused too."""
+    if type(d) is not int or d < 0:
+        raise ValueError(f"degree {d!r} is not a non-negative integer")
 
 
 def check_walk(n: int) -> None:
@@ -166,11 +172,16 @@ def parse_window(text: str) -> SignedPermutation:
     body = s[1:-1].strip()
     if not body:
         raise ValueError("empty window")
-    entries = [entry.strip() for entry in body.split(",")]
+    return SignedPermutation(parse_integers(body))
+
+
+def parse_integers(text: str) -> tuple[int, ...]:
+    """Parse comma-separated ASCII integers like "2, -1,3" (spaces tolerated)."""
+    entries = [entry.strip() for entry in text.split(",")]
     for pos, entry in enumerate(entries, start=1):
         if not ASCII_INTEGER.fullmatch(entry):
             raise ValueError(f"entry {entry!r} at position {pos} is not an integer")
-    return SignedPermutation(tuple(int(entry) for entry in entries))
+    return tuple(map(int, entries))
 
 
 def enumerate_group(n: int) -> Iterator[SignedPermutation]:

@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from . import descent_basis, poly
 from .descent_basis import (
     cell_columns,
     decompose,
@@ -47,6 +46,7 @@ from .poly import (
     Polynomial,
     _invariance_failure,
     _orbits,
+    check_terms,
     is_separately_invariant,
     json_object,
     orbit_key,
@@ -54,7 +54,7 @@ from .poly import (
     rearrangement_count,
     rho,
 )
-from .signed_perm import SignedPermutation, check_scalar
+from .signed_perm import SignedPermutation, check_rank, check_scalar
 
 #: The partitions (nu, mu) of m_nu(x^2) m_mu(y^2).
 Label = tuple[tuple[int, ...], tuple[int, ...]]
@@ -70,12 +70,14 @@ class BasisExpansion:
     names the same product, and ``coefficient`` and ``evaluate`` add the
     scalars of labels that name one product.  They refuse, with
     ValueError, a sigma whose rank is not n, a part without n entries
-    and a scalar that is not an int or a Fraction.
+    and a scalar that is not an int or a Fraction; ``check_rank`` refuses
+    n at construction.
     """
 
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: dict[SignedPermutation, dict[Label, Fraction]] | None = None):
+        check_rank(n)
         self.n = n
         self.entries = {} if entries is None else entries
 
@@ -162,17 +164,17 @@ def straighten(f: Polynomial) -> BasisExpansion:
     The orbit sums of each bidegree are read at the ordered monomials
     of that bidegree and reduced by one walk over them in decreasing
     order.  The products are triangular, so the walk must leave a zero
-    remainder at every column; anything else raises RuntimeError.  More
-    than ``descent_basis.COLUMN_GUARD`` columns over all bidegrees, each
-    drawn by ``cell_columns`` against what is left of that cap, or more
-    than ``poly.TERM_GUARD`` product terms are refused before the walk
-    or the product that would pass the cap.
+    remainder at every column; anything else raises RuntimeError.
+    ``cell_columns``, told how many columns came before, refuses the
+    bidegree whose columns pass the cap over all bidegrees, before its
+    walk; ``check_terms`` refuses the product whose terms, summed over
+    all products, pass their cap, before it is built.
     """
     orbits = _orbits(f, orbit_key)
     reason = _invariance_failure(f, orbits)
     if reason is not None:
         raise ValueError(f"input is not invariant: {reason}")
-    allowance, terms = descent_basis.COLUMN_GUARD, 0
+    drawn = terms = 0
     # The scalar of m_nu(x^2) m_mu(y^2) in each sigma's coefficient.  A
     # column names its (sigma, nu, sorted mu) uniquely and is visited
     # once, so each key is set once.
@@ -182,16 +184,16 @@ def straighten(f: Polynomial) -> BasisExpansion:
     for key, members in orbits.items():
         components.setdefault(tuple(map(sum, zip(*key))), {})[key] = len(members) * f.coefficient(members[0])
     for bd, sums in sorted(components.items()):
-        columns, index = cell_columns(f.n, *bd, allowance)
-        allowance -= len(columns)
+        columns, index = cell_columns(f.n, *bd, drawn)
+        drawn += len(columns)
+        what = f"products at bidegree {bd} take the terms past"
         # the index lists the columns in order
         remainder = [sums.get(key, 0) for key in index]
         for j, w in enumerate(columns):
             if remainder[j]:
                 dec = decompose(w)
                 terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
-                if terms > poly.TERM_GUARD:
-                    raise ValueError(f"products reach {terms} terms at bidegree {bd}, above the cap of {poly.TERM_GUARD}")
+                check_terms(terms, what)
                 product = product_coefficients(dec, index)
                 lead = product.get(j, 0)
                 if lead <= 0:

@@ -107,6 +107,12 @@ def sub(f: Polynomial, g: Polynomial) -> Polynomial:
     return add(f, neg(g))
 
 
+def mono_product(m: Monomial, w: Monomial) -> Monomial:
+    """x^(p + p') y^(q + q'): the exponent vectors of two monomials of one rank, added."""
+    _check_ranks(m, w)
+    return Monomial(tuple(map(operator.add, m.p, w.p)), tuple(map(operator.add, m.q, w.q)))
+
+
 def mul(f: Polynomial, g) -> Polynomial:
     """f * g for a polynomial g, or f scaled by an int or Fraction g.
 
@@ -119,7 +125,7 @@ def mul(f: Polynomial, g) -> Polynomial:
     acc: dict[Monomial, Fraction] = {}
     for m1, c1 in terms(f):
         for m2, c2 in terms(g):
-            m = m1 * m2
+            m = mono_product(m1, m2)
             acc[m] = acc.get(m, Fraction(0)) + c1 * c2
     return Polynomial(f.n, acc)
 

@@ -13,6 +13,7 @@ from helpers import (
     averaged_basis,
     evaluate_full,
     inversion_count,
+    mono_product,
     random_invariant,
     rho_bruteforce,
     sp,
@@ -126,7 +127,7 @@ def test_criterion_3_decomposition_theorems():
                         assert twist[i] >= twist[j]
                 # reconstruction through the descent monomial of sigma
                 even = mono([2 * v for v in dec.nu], [2 * v for v in dec.mu])
-                assert even * diagonal_signed_descent_monomial(sigma) == m
+                assert mono_product(even, diagonal_signed_descent_monomial(sigma)) == m
                 checked += 1
     assert checked > 1000
     elapsed = time.perf_counter() - started

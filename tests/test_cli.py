@@ -100,9 +100,9 @@ def test_rho_json_output(capsys):
 
 
 def test_rho_bad_exponents(capsys):
+    # exponent lists are read by signed_perm.parse_integers, as windows are
     code, _, err = run(capsys, "rho", "--p", "2,x", "--q", "0,0")
-    assert code != 0
-    assert "comma-separated" in err
+    assert (code, err) == (1, "error: entry 'x' at position 2 is not an integer\n")
     code, _, err = run(capsys, "rho", "--p", "2", "--q", "0,0")
     assert code != 0
     assert "length" in err
@@ -110,7 +110,7 @@ def test_rho_bad_exponents(capsys):
     for p in ("1_0", "\u0662", "1.0", "+ 1"):
         code, out, err = run(capsys, "rho", "--p", p, "--q", "0")
         assert (code, out) == (1, "")
-        assert err.startswith("error: exponent list") and "comma-separated integers" in err
+        assert err == f"error: entry {p!r} at position 1 is not an integer\n"
     # lengths and signs are Monomial's to refuse
     for p, message in (
         ("1,2", "exponent vectors must be nonempty and of equal length, got 2 and 1 entries"),
@@ -375,7 +375,6 @@ def test_hilbert_numerator(capsys):
         # no subcommand takes a guard option
         (["hilbert", "--n", "2", "--rank-guard", "\u0663"], 1, "error: unrecognized arguments: --rank-guard \u0663\n"),
         (["rho", "--p", "2", "--q", "0", "--rank-guard", "9"], 1, "error: unrecognized arguments: --rank-guard 9\n"),
-        (["verify", "--n", "2", "--max-degree", "-1"], 1, "error: --max-degree must be non-negative\n"),
         (["hilbert", "--n", "0"], 1, "error: rank 0 is not a positive integer\n"),
     ],
 )

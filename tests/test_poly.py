@@ -42,6 +42,7 @@ from signsym.poly import (
     rho,
 )
 from signsym.signed_perm import enumerate_group
+from signsym.straighten import BasisExpansion, evaluates_to, straighten
 
 
 def random_polynomial(rng, n, terms=4, max_exp=3):
@@ -79,16 +80,21 @@ def test_coefficients_are_fractions():
         assert all(type(c) is Fraction for _, c in g.items())
 
 
+@pytest.mark.parametrize(
+    "reader",
+    [rho, orbit_sums, is_invariant, is_separately_invariant, straighten, lambda f: evaluates_to(BasisExpansion(1), f)],
+    ids=["rho", "orbit_sums", "is_invariant", "is_separately_invariant", "straighten", "evaluates_to"],
+)
+def test_term_readers_refuse_what_is_not_a_polynomial(reader):
+    # one TypeError from ``_orbits``, not an AttributeError from deep inside
+    with pytest.raises(TypeError, match="^expected a Polynomial, got dict$"):
+        reader({mono((2,), (0,)): 1})
+
+
 def test_polynomial_refuses_a_key_that_is_not_a_monomial():
     for key in (((2,), (0,)), "x1^2", None):
         with pytest.raises(ValueError, match=f"^{re.escape(f'term key {key!r} is not a Monomial')}$"):
             Polynomial(1, {key: 1})
-
-
-def test_monomials_of_different_ranks_do_not_multiply():
-    assert mono((1, 0), (0, 1)) * mono((1, 1), (0, 0)) == mono((2, 1), (0, 1))
-    with pytest.raises(ValueError, match="^rank mismatch: 1 vs 2$"):
-        mono((1,), (0,)) * mono((1, 0), (0, 1))
 
 
 def test_polynomial_equality_and_repr():

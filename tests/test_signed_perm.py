@@ -1,22 +1,28 @@
 """Group structure and descent statistics of signed permutations."""
 
+import contextlib
+import io
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
-from helpers import compose, generators, sp
+from helpers import compose, generators, record_table_builds, sp
 from signsym import hilbert, scan
-from signsym.descent_basis import ordered_monomials
+from signsym.cli import main
+from signsym.descent_basis import cell_columns, ordered_monomials
 from signsym.poly import Polynomial
 from signsym.signed_perm import (
     SignedPermutation,
     enumerate_group,
     group_order,
+    parse_integers,
     parse_window,
     statistics,
 )
+from signsym.straighten import BasisExpansion
 
 
 def test_parse_window_example():
@@ -53,6 +59,14 @@ def test_parse_tolerates_spaces():
 def test_parse_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_window(text)
+
+
+def test_parse_integers():
+    # the one reader of comma-separated integers, for windows and exponent lists
+    assert parse_integers(" 2, -1 ,+3") == (2, -1, 3)
+    for text, message in (("", "entry '' at position 1"), ("1,,2", "entry '' at position 2"), ("1,1_0", "entry '1_0' at position 2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+            parse_integers(text)
 
 
 @pytest.mark.parametrize("window", [(1.0, 2), (True, 2), (2, "1"), (2.0, -1.0), (1, None)])
@@ -131,6 +145,7 @@ def test_enumerate_guard():
 
 RANK_ENTRY_POINTS = {
     "Polynomial": Polynomial,
+    "BasisExpansion": BasisExpansion,
     "enumerate_group": enumerate_group,
     "group_order": group_order,
     "fmaj_pair_counts": scan.fmaj_pair_counts,
@@ -154,6 +169,56 @@ def test_every_rank_entry_point_refuses_a_rank_that_is_not_a_positive_int(entry,
     # is refused too, with the same message everywhere
     with pytest.raises(ValueError, match=f"^{re.escape(f'rank {rank!r} is not a positive integer')}$"):
         RANK_ENTRY_POINTS[entry](rank)
+
+
+def _command_line(*argv):
+    # The command with ``--max-degree d``, whose one ``error:`` line and exit
+    # status 1 are raised as the ValueError behind them.
+    def call(d):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--max-degree", str(d)])
+        assert (code, out.getvalue()) == (1, "")
+        (line,) = err.getvalue().splitlines()
+        raise ValueError(line.removeprefix("error: "))
+
+    return call
+
+
+DEGREE_ENTRY_POINTS = {
+    "ordered_monomials(a)": lambda d: ordered_monomials(2, d, 2),
+    "ordered_monomials(b)": lambda d: ordered_monomials(2, 2, d),
+    "cell_columns": lambda d: cell_columns(2, d, 2),
+    "candidate_rows": lambda d: hilbert.candidate_rows(2, 2, d),
+    "invariant_dimension": lambda d: hilbert.invariant_dimension(2, d, 2),
+    "series_coefficient(a)": lambda d: hilbert.series_coefficient(2, d, 2),
+    "series_coefficient(b)": lambda d: hilbert.series_coefficient(2, 2, d),
+    "series_table": lambda d: hilbert.series_table(2, d),
+    "verify_basis_rank": lambda d: hilbert.verify_basis_rank(2, 2, d),
+    "signsym verify": _command_line("verify", "--n", "2"),
+    "signsym hilbert": _command_line("hilbert", "--n", "2"),
+    "signsym hilbert --numerator": _command_line("hilbert", "--n", "2", "--numerator"),
+}
+
+#: Each library entry point is asked every bad degree; a command line can
+#: spell only the negative one, since ``--max-degree`` refuses the others
+#: as not an int.
+DEGREE_REFUSALS = [
+    (entry, degree)
+    for entry in sorted(DEGREE_ENTRY_POINTS)
+    for degree in ([-1] if entry.startswith("signsym ") else [-1, True, 2.0, Fraction(2), "2", None])
+]
+
+
+@pytest.mark.parametrize("entry,degree", DEGREE_REFUSALS, ids=[f"{e}-{d!r}" for e, d in DEGREE_REFUSALS])
+def test_every_degree_entry_point_refuses_a_degree_that_is_not_a_non_negative_int(monkeypatch, entry, degree):
+    # one rule for every degree, at the call and before any table is
+    # built: a warm rank does not hand out its table for a bad total either
+    built = record_table_builds(monkeypatch, hilbert._series_table)
+    hilbert.series_table(2, 3)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'degree {degree!r} is not a non-negative integer')}$"):
+        DEGREE_ENTRY_POINTS[entry](degree)
+    assert built == [3]
 
 
 def test_statistics_example():

@@ -5,9 +5,11 @@ oracle ``helpers.straighten_full`` (which asserts strict descent of the
 leading term at every step) and by evaluating expansions back.
 """
 
+import ast
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,7 +138,7 @@ def test_straighten_guard(monkeypatch):
     calls.clear()
     monkeypatch.setattr(poly_module, "TERM_GUARD", terms - 1)
     monkeypatch.setattr(straighten_module, "BasisExpansion", no_expansion)
-    message = f"^products reach {terms} terms at bidegree \\(4, 2\\), above the cap of {terms - 1}$"
+    message = f"^products at bidegree \\(4, 2\\) take the terms past the cap of {terms - 1}$"
     with pytest.raises(ValueError, match=message):
         straighten(f)
     assert len(calls) == reduced - 1
@@ -458,8 +460,31 @@ def test_one_binding_per_cap(monkeypatch):
     monkeypatch.undo()
     assert verify_basis_rank(2, 2, 2).passed
     monkeypatch.setattr(poly_module, "TERM_GUARD", 0)
-    with pytest.raises(ValueError, match="^products reach 4 terms at bidegree \\(2, 2\\), above the cap of 0$"):
+    with pytest.raises(ValueError, match="^products at bidegree \\(2, 2\\) take the terms past the cap of 0$"):
         straighten(f)
+
+
+def test_each_cap_is_read_only_in_its_own_module():
+    # Code only: a docstring may name a cap.  The owner compares its cap
+    # once, in check_columns or check_terms.
+    owners = {"COLUMN_GUARD": "descent_basis.py", "TERM_GUARD": "poly.py"}
+    for path in sorted(Path(straighten_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cap, owner in owners.items():
+            reads = [
+                node for node in ast.walk(tree)
+                if (isinstance(node, ast.Name) and node.id == cap)
+                or (isinstance(node, ast.Attribute) and node.attr == cap)
+                or (isinstance(node, ast.alias) and node.name == cap)
+            ]
+            compares = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and any(read in reads for read in ast.walk(node))
+            ]
+            if path.name == owner:
+                assert reads and len(compares) == 1, (cap, path.name)
+            else:
+                assert not reads, (cap, path.name)
 
 
 def test_expansion_json_round_trip():
