@@ -44,7 +44,7 @@ MAJ_INV_GUARD = 7
 #: Cap on the entries of one dense series table, (total + 1)^2 for the
 #: largest total asked for, so total degree 499 at most.  At the cap the
 #: table takes about 0.04 s per unit of rank on top of the numerator
-#: scan (0.2 s besides the scan's 0.03 s at rank 6 on a 2-vCPU Xeon)
+#: scan (0.2 s besides the scan's 0.006 s at rank 6 on a 2-vCPU Xeon)
 #: and raises the peak RSS of a rank-6 build from 16 to 27 MB; four
 #: times the cap took 0.32 s and 46 MB at rank 2.
 SERIES_TABLE_GUARD = 250_000

@@ -68,6 +68,10 @@ class Monomial(namedtuple("Monomial", "p q")):
 
     __mul__ = __rmul__ = __add__
 
+    def __radd__(self, other: object):
+        # NotImplemented here would hand ``tuple + value`` to the tuple's concatenation
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and {type(self).__name__!r}")
+
     def text(self) -> str:
         parts = []
         for name, exps in (("x", self.p), ("y", self.q)):

@@ -2,25 +2,35 @@
 
 The scan counts every element of the rank-n signed permutation group by
 (fmaj of inverse, fmaj) without building element objects.  It walks the
-n! plain permutations pi and takes all 2^n signings of each at once, as
-integer vectors indexed by the sign mask (bit k set when slot k is
-negative).  A descent between adjacent slots depends only on their two
-sign bits and on how the two absolute values compare: (+,+) is a descent
-iff the left value is larger, (-,-) iff it is smaller, (+,-) always and
-(-,+) never.  The inverse has k, with the sign of slot k, at position
-pi(k), so its descent at position j follows the same rule on the sign
-bits of the slots pi^-1(j) and pi^-1(j+1), whose values compare as those
-two slot numbers do.  On both sides fmaj is the number of negative
-entries plus 2j for each descent at position j.
+n! plain permutations pi and takes all 2^n signings of each at once.  A
+descent between adjacent slots depends only on their two signs and on
+how the two absolute values compare, and the rule reads one sign: when
+the left absolute value is the larger, it is a descent iff the left
+entry is positive, and otherwise iff the right entry is negative.  The
+inverse has k, with the sign of slot k, at position pi(k), so its
+descent at position j follows the same rule on the slots pi^-1(j) and
+pi^-1(j+1), whose values compare as those two slot numbers do.  On both
+sides fmaj is the number of negative entries plus 2j for each descent
+at position j.
+
+The signings ride in the lanes of one Python int: sign mask m (bit k set
+when slot k is negative) owns the 16 bits from bit 16m, which hold
+fmaj_inv * K + fmaj with K = n^2 + 1.  Both statistics are at most n^2,
+so a lane holds at most (n^2 + 1)^2 - 1, below 2^16 up to rank 15, and
+no sum carries from one lane into the next.  A descent at position j is
+then one addition for all signings: of the lanes where the deciding
+slot has the deciding sign, scaled by 2j on the direct side and by 2jK
+on the inverse side.  Each permutation's lanes are counted straight
+from the int's bytes.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import permutations
-from operator import add
 
-from .signed_perm import check_rank
+from .signed_perm import check_walk
 
 #: Name of the scan implementation.  Benchmark results record it and
 #: refuse to compare runs that differ in it, so it stays even though
@@ -30,35 +40,35 @@ BACKEND = "python"
 
 def fmaj_pair_counts(n: int) -> dict[tuple[int, int], int]:
     """Counts of (fmaj of inverse, fmaj) over the whole rank-n signed group."""
-    check_rank(n)
+    check_walk(n)
+    K = n * n + 1
     masks = range(1 << n)
 
-    def descents(j: int, left: int, right: int, larger: bool) -> list[int]:
-        # Over the sign masks: 2j where the entry of slot ``left``,
-        # followed at position j by the entry of slot ``right``, makes a
-        # descent, else 0; ``larger`` says whether the left absolute
-        # value is the larger one.
-        out = []
-        for mask in masks:
-            sl, sr = mask >> left & 1, mask >> right & 1
-            out.append(2 * j if sl < sr or (sl == sr and larger != sl) else 0)
-        return out
+    def lanes(weights) -> int:
+        # one int whose lane ``mask`` holds weights[mask]
+        return sum(w << 16 * mask for mask, w in enumerate(weights))
 
-    # direct[j][larger]: slots j-1 and j at position j; inverse[j][l][r]:
-    # slots l and r at position j, compared as slot numbers.
-    direct = [[descents(j, j - 1, j, larger) for larger in (False, True)] for j in range(1, n)]
+    # negative[k] / positive[k]: 1 in the lanes where slot k is negative / positive
+    negative = [lanes(mask >> k & 1 for mask in masks) for k in range(n)]
+    positive = [lanes(1 - (mask >> k & 1) for mask in masks) for k in range(n)]
+    # direct[j][larger]: the descent at position j between slots j-1 and j,
+    # ``larger`` saying whether the left absolute value is the larger one;
+    # inverse[j][l][r]: the inverse's descent at position j between slots l
+    # and r, compared as slot numbers.
+    direct = [(2 * j * negative[j], 2 * j * positive[j - 1]) for j in range(1, n)]
     inverse = [
-        [[descents(j, l, r, l > r) if l != r else [] for r in range(n)] for l in range(n)]
+        [[2 * j * K * (positive[l] if l > r else negative[r]) for r in range(n)] for l in range(n)]
         for j in range(1, n)
     ]
-    negatives = [mask.bit_count() for mask in masks]
-    counts: Counter[tuple[int, int]] = Counter()
+    # every lane starts at its number of negatives on both sides
+    start = lanes(mask.bit_count() * (K + 1) for mask in masks)
+    size = 2 << n  # bytes, two per lane
+    counts: Counter[int] = Counter()
     for perm in permutations(range(n)):
         where = sorted(range(n), key=perm.__getitem__)  # slot of each value
-        fmaj = fmaj_inv = negatives
+        v = start
         for j in range(1, n):
-            fmaj = list(map(add, fmaj, direct[j - 1][perm[j - 1] > perm[j]]))
-            fmaj_inv = list(map(add, fmaj_inv, inverse[j - 1][where[j - 1]][where[j]]))
-        counts.update(zip(fmaj_inv, fmaj))
-    return dict(counts)
-
+            v += direct[j - 1][perm[j - 1] > perm[j]] + inverse[j - 1][where[j - 1]][where[j]]
+        # native byte order, so that each unsigned short read back is one lane
+        counts.update(memoryview(v.to_bytes(size, sys.byteorder)).cast("H"))
+    return {divmod(key, K): c for key, c in counts.items()}

@@ -27,10 +27,11 @@ ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 #: Rank cap of the group walks, ``enumerate_group`` and the Hilbert
 #: numerator scan, whose cost is the 2^n * n! group elements: about ten
-#: million at rank 8, where the scan takes 6-7 s and a full
+#: million at rank 8, where the scan takes 1.4-1.6 s and a full
 #: ``enumerate_group`` walk about 47 s (2-vCPU Xeon); rank 9 has 18
-#: times as many elements.  Past the cap ``check_walk``, its one
-#: reader, refuses a walk loudly instead of silently burning time.
+#: times as many elements.  The scan's 16-bit lanes hold its statistics
+#: only up to rank 15.  Past the cap ``check_walk``, its one reader,
+#: refuses a walk loudly instead of silently burning time.
 ENUMERATION_GUARD = 8
 
 
@@ -126,6 +127,10 @@ class SignedPermutation(namedtuple("SignedPermutation", "window")):
         return NotImplemented  # not the tuple's concatenation, nor its repetition under ``*``
 
     __mul__ = __rmul__ = __add__
+
+    def __radd__(self, other: object):
+        # NotImplemented here would hand ``tuple + value`` to the tuple's concatenation
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and {type(self).__name__!r}")
 
     def inverse(self) -> "SignedPermutation":
         return SignedPermutation(window_inverse(self.window))

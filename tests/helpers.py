@@ -263,13 +263,57 @@ def window_fmaj(w: tuple[int, ...]) -> int:
 def window_pair_counts(n: int) -> dict[tuple[int, int], int]:
     """Window-walk oracle: counts of (fmaj of inverse, fmaj), one window at a time.
 
-    Independent of ``scan.fmaj_pair_counts``, which takes all signings of
-    a plain permutation at once by the sign rule for descents.
+    Independent of ``scan.fmaj_pair_counts``, which packs all signings of
+    a plain permutation into the lanes of one int and applies the sign
+    rule for descents to every lane with one addition.
     """
     counts: dict[tuple[int, int], int] = {}
     for w in windows(n):
         key = (window_fmaj(window_inverse(w)), window_fmaj(w))
         counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def vector_pair_counts(n: int) -> dict[tuple[int, int], int]:
+    """List-vector oracle: counts of (fmaj of inverse, fmaj), one list per statistic.
+
+    It takes the 2^n signings of each plain permutation at once, as
+    lists indexed by the sign mask (bit k set when slot k is negative),
+    and adds each descent's contribution to them entry by entry by the
+    four-case sign rule: (+,+) is a descent iff the left absolute value
+    is larger, (-,-) iff it is smaller, (+,-) always and (-,+) never.
+    Fast enough for rank 7, where the window walk is not, and
+    independent of ``scan.fmaj_pair_counts``, which reduces the rule to
+    one sign and keeps both statistics of all signings in one int.
+    """
+    masks = range(1 << n)
+
+    def descents(j: int, left: int, right: int, larger: bool) -> list[int]:
+        # 2j where the entry of slot ``left``, followed at position j by
+        # the entry of slot ``right``, makes a descent, else 0
+        out = []
+        for mask in masks:
+            sl, sr = mask >> left & 1, mask >> right & 1
+            out.append(2 * j if sl < sr or (sl == sr and larger != sl) else 0)
+        return out
+
+    # direct[j][larger]: slots j-1 and j at position j; inverse[j][l][r]:
+    # slots l and r at position j, compared as slot numbers.
+    direct = [[descents(j, j - 1, j, larger) for larger in (False, True)] for j in range(1, n)]
+    inverse = [
+        [[descents(j, l, r, l > r) if l != r else [] for r in range(n)] for l in range(n)]
+        for j in range(1, n)
+    ]
+    negatives = [mask.bit_count() for mask in masks]
+    counts: dict[tuple[int, int], int] = {}
+    for perm in permutations(range(n)):
+        where = sorted(range(n), key=perm.__getitem__)  # slot of each value
+        fmaj = fmaj_inv = negatives
+        for j in range(1, n):
+            fmaj = list(map(operator.add, fmaj, direct[j - 1][perm[j - 1] > perm[j]]))
+            fmaj_inv = list(map(operator.add, fmaj_inv, inverse[j - 1][where[j - 1]][where[j]]))
+        for key in zip(fmaj_inv, fmaj):
+            counts[key] = counts.get(key, 0) + 1
     return counts
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from helpers import window_fmaj, window_pair_counts, windows
+from helpers import vector_pair_counts, window_fmaj, window_pair_counts, windows
 from signsym import scan
-from signsym.signed_perm import enumerate_group, group_order, statistics
+from signsym.signed_perm import ENUMERATION_GUARD, enumerate_group, group_order, statistics
 
 
 def pair_counts_oracle(n):
@@ -23,6 +23,12 @@ def test_fmaj_pair_counts_against_object_oracle(n):
 @pytest.mark.parametrize("n", [5, 6])
 def test_fmaj_pair_counts_against_window_walk(n):
     assert scan.fmaj_pair_counts(n) == window_pair_counts(n)
+
+
+def test_fmaj_pair_counts_against_list_vectors_at_rank_7():
+    # rank 7 is out of the window walk's reach, and its lanes are wider
+    # than any rank above checks
+    assert scan.fmaj_pair_counts(7) == vector_pair_counts(7)
 
 
 def test_fmaj_pair_counts_keeps_no_state():
@@ -54,6 +60,18 @@ def test_windows_are_the_group_once_each(n):
 def test_rank_validation():
     with pytest.raises(ValueError):
         scan.fmaj_pair_counts(0)
+
+
+def test_fmaj_pair_counts_refuses_a_walk_past_the_guard():
+    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8: the group has 185794560 elements$"):
+        scan.fmaj_pair_counts(9)
+
+
+def test_lanes_cannot_carry_at_the_guard():
+    # both statistics are at most n^2, so a lane holds at most
+    # (n^2 + 1)^2 - 1; a guard past rank 15 would let one lane carry
+    # into the next
+    assert (ENUMERATION_GUARD**2 + 1) ** 2 <= 1 << 16
 
 
 def test_facade_exports_active_backend():

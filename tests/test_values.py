@@ -73,6 +73,16 @@ def test_tuple_arithmetic_does_not_leak_through(value):
             value * other
 
 
+@pytest.mark.parametrize(
+    "left, value",
+    [(((1,),), sp(1)), (((2,),), mono((2,), (0,))), ((), sp(2, -1))],
+    ids=["SignedPermutation", "Monomial", "empty tuple"],
+)
+def test_a_tuple_on_the_left_does_not_concatenate(left, value):
+    with pytest.raises(TypeError, match=f"for \\+: 'tuple' and '{type(value).__name__}'$"):
+        left + value
+
+
 def test_vectors_become_tuples_and_values_pickle():
     m = Monomial([1, 0], iter((0, 1)))
     assert m == mono((1, 0), (0, 1)) and type(m.p) is tuple and type(m.q) is tuple
