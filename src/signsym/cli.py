@@ -55,16 +55,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     _emit(
         args,
         lambda: {
-            "n": sigma.n,
-            "window": list(sigma.window),
+            **st._asdict(),
             "descent_set": sorted(st.descent_set),
-            "d": list(st.d),
-            "eps": list(st.eps),
-            "f": list(st.f),
-            "maj": st.maj,
-            "neg": st.neg,
-            "fmaj": st.fmaj,
-            "inverse": list(inverse.window),
+            "n": sigma.n,
+            "window": sigma.window,
+            "inverse": inverse.window,
         },
         lambda: "\n".join(
             [

@@ -27,7 +27,7 @@ from itertools import groupby, islice
 from operator import add, ge
 
 from .poly import Monomial, distinct_permutations, orbit_key
-from .signed_perm import SignedPermutation, check_degree, check_rank, statistics
+from .signed_perm import SignedPermutation, Value, check_degree, check_rank, statistics
 
 #: Cap on the ordered columns, one basis product each, of a ``straighten``
 #: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
@@ -151,7 +151,7 @@ def compare(m: Monomial, w: Monomial) -> int:
     return 0
 
 
-class Decomposition(namedtuple("Decomposition", "sigma nu delta mu gamma")):
+class Decomposition(Value, namedtuple("Decomposition", "sigma nu delta mu gamma")):
     """Witness of p = 2*nu + delta and q = 2*mu + gamma for an ordered monomial.
 
     ``sigma`` is the signed index permutation; delta and gamma are the

@@ -26,7 +26,6 @@ once.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
@@ -36,10 +35,7 @@ from itertools import permutations
 from . import scan
 from .descent_basis import cell_columns, check_columns, decompose, ordered_monomials, product_coefficients
 from .poly import Monomial
-from .signed_perm import check_degree, check_rank, check_walk
-
-#: Rank cap for the plain-permutation equidistribution check.
-MAJ_INV_GUARD = 7
+from .signed_perm import Value, check_degree, check_walk
 
 #: Cap on the entries of one dense series table, (total + 1)^2 for the
 #: largest total asked for, so total degree 499 at most.  At the cap the
@@ -50,7 +46,7 @@ MAJ_INV_GUARD = 7
 SERIES_TABLE_GUARD = 250_000
 
 
-class BiSeries(namedtuple("BiSeries", "coefficients truncation")):
+class BiSeries(Value, namedtuple("BiSeries", "coefficients truncation")):
     """Truncated bivariate series with non-negative integer coefficients.
 
     ``coefficients`` maps (a, b) to the coefficient of s^a t^b.  Only
@@ -70,8 +66,6 @@ class BiSeries(namedtuple("BiSeries", "coefficients truncation")):
             if a < 0 or b < 0 or a + b > truncation:
                 raise ValueError(f"key ({a},{b}) outside truncation {truncation}")
         return tuple.__new__(cls, (coefficients, truncation))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
     def coefficient(self, a: int, b: int) -> int:
         return self.coefficients.get((a, b), 0)
@@ -221,7 +215,7 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dic
     return columns, (product_coefficients(dec, index) for dec in map(decompose, columns))
 
 
-class CellReport(namedtuple("CellReport", "n a b rank dim series")):
+class CellReport(Value, namedtuple("CellReport", "n a b rank dim series")):
     """Result of the degreewise freeness check at one bidegree cell, all ints."""
 
     __slots__ = ()
@@ -269,11 +263,9 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
 
 def _maj_inv_counts(n: int) -> tuple[Counter[int], Counter[int]]:
     # The major index and the inversion number counted over the plain
-    # permutations of 1..n, in one walk; ranks above ``MAJ_INV_GUARD``
-    # are refused.
-    check_rank(n)
-    if n > MAJ_INV_GUARD:
-        raise ValueError(f"rank {n} exceeds the guard {MAJ_INV_GUARD}: {math.factorial(n)} permutations")
+    # permutations of 1..n, in one walk, which ``check_walk`` refuses past
+    # its cap.
+    check_walk(n)
     maj: Counter[int] = Counter()
     inv: Counter[int] = Counter()
     for perm in permutations(range(1, n + 1)):
@@ -284,6 +276,6 @@ def _maj_inv_counts(n: int) -> tuple[Counter[int], Counter[int]]:
 
 def maj_inv_equidistribution(n: int) -> bool:
     """Whether major index and inversion number are equidistributed on
-    plain permutations of 1..n; ranks above ``MAJ_INV_GUARD`` are refused."""
+    plain permutations of 1..n; ``check_walk`` refuses the rank."""
     maj, inv = _maj_inv_counts(n)
     return maj == inv

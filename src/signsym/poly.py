@@ -15,8 +15,9 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
+from itertools import accumulate
 
-from .signed_perm import ASCII_FRACTION, check_rank, check_scalar
+from .signed_perm import ASCII_FRACTION, Value, check_rank, check_scalar
 
 Scalar = int | Fraction
 
@@ -26,16 +27,24 @@ Scalar = int | Fraction
 TERM_GUARD = 100_000
 
 
-def check_terms(count: int, what: str) -> None:
-    """Refuse ``count`` terms past ``TERM_GUARD``: the message is ``what``, its head,
-    followed by the cap."""
+def check_terms(count: int, what: str, *args: object) -> None:
+    """Refuse ``count`` terms past ``TERM_GUARD``.  The message, built only then,
+    is ``what`` formatted with ``args`` and with ``_count_text(count)`` as
+    ``{count}``, followed by the cap."""
     if count > TERM_GUARD:
-        raise ValueError(f"{what} the cap of {TERM_GUARD}")
+        raise ValueError(f"{what.format(*args, count=_count_text(count))} the cap of {TERM_GUARD}")
+
+
+def _count_text(count: int) -> str:
+    """``count`` in digits up to 64 bits, else as its order of magnitude: Python
+    refuses to print an int past 4,300 digits, and no reader needs one."""
+    return str(count) if count.bit_length() <= 64 else f"about 10^{round(math.log10(count))}"
+
 
 _ZERO = Fraction(0)
 
 
-class Monomial(namedtuple("Monomial", "p q")):
+class Monomial(Value, namedtuple("Monomial", "p q")):
     """x^p y^q as a pair of dense exponent vectors of equal length."""
 
     __slots__ = ()
@@ -53,8 +62,6 @@ class Monomial(namedtuple("Monomial", "p q")):
             raise ValueError(f"exponents must be non-negative integers, got {p} and {q}")
         return tuple.__new__(cls, (p, q))
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
-
     @property
     def n(self) -> int:
         return len(self.p)
@@ -62,15 +69,6 @@ class Monomial(namedtuple("Monomial", "p q")):
     def odd_slot(self) -> int | None:
         """First slot k (from 1) with p_k + q_k odd, whose sign flip negates this monomial."""
         return next((k for k, (a, b) in enumerate(zip(self.p, self.q), start=1) if (a + b) % 2), None)
-
-    def __add__(self, other: object):
-        return NotImplemented  # not the tuple's concatenation, nor its repetition under ``*``
-
-    __mul__ = __rmul__ = __add__
-
-    def __radd__(self, other: object):
-        # NotImplemented here would hand ``tuple + value`` to the tuple's concatenation
-        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and {type(self).__name__!r}")
 
     def text(self) -> str:
         parts = []
@@ -261,9 +259,10 @@ def _orbits(f: Polynomial, key: Callable[[Monomial], object]) -> dict[object, li
 
 
 def rearrangement_count(items: Iterable) -> int:
-    """Number of distinct rearrangements of a finite sequence."""
-    counts = Counter(items)
-    return math.factorial(sum(counts.values())) // math.prod(math.factorial(k) for k in counts.values())
+    """Number of distinct rearrangements of a finite sequence, the multinomial
+    of its multiplicities as a product of binomials."""
+    counts = Counter(items).values()
+    return math.prod(map(math.comb, accumulate(counts), counts))
 
 
 def orbit_sums(f: Polynomial) -> dict[tuple[tuple[int, int], ...], Fraction]:
@@ -296,8 +295,7 @@ def rho(f: Polynomial) -> Polynomial:
     """
     sums = orbit_sums(f)
     sizes = list(map(rearrangement_count, sums))
-    terms = sum(sizes)
-    check_terms(terms, f"the average has {terms} terms, above")
+    check_terms(sum(sizes), "the average has {count} terms, above")
     acc: dict[Monomial, Fraction] = {}
     for (key, c), size in zip(sums.items(), sizes):
         acc.update(dict.fromkeys(rearrangements(Monomial(*zip(*key))), c / size))
@@ -309,8 +307,9 @@ def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) ->
     # members with one coefficient each, or None.
     for key, members in orbits.items():
         first = members[0]
-        if len(members) != size(key):
-            return f"the orbit of {first.text()} has {len(members)} of its {size(key)} terms"
+        full = size(key)
+        if len(members) != full:
+            return f"the orbit of {first.text()} has {len(members)} of its {_count_text(full)} terms"
         if any(f._terms[m] != f._terms[first] for m in members):
             return f"the orbit of {first.text()} has unequal coefficients"
     return None

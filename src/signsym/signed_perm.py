@@ -11,7 +11,6 @@ major and flag-major indices.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
 from collections.abc import Iterator
@@ -25,13 +24,14 @@ ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 #: ASCII integer, optionally over an ASCII denominator.
 ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-#: Rank cap of the group walks, ``enumerate_group`` and the Hilbert
-#: numerator scan, whose cost is the 2^n * n! group elements: about ten
-#: million at rank 8, where the scan takes 1.4-1.6 s and a full
-#: ``enumerate_group`` walk about 47 s (2-vCPU Xeon); rank 9 has 18
-#: times as many elements.  The scan's 16-bit lanes hold its statistics
-#: only up to rank 15.  Past the cap ``check_walk``, its one reader,
-#: refuses a walk loudly instead of silently burning time.
+#: Rank cap of the walks over the group and over its plain permutations:
+#: ``enumerate_group``, the Hilbert numerator scan (2^n * n! elements,
+#: about ten million at rank 8, where the scan takes 1.4-1.6 s and a full
+#: ``enumerate_group`` walk about 47 s on a 2-vCPU Xeon; rank 9 has 18
+#: times as many) and the n! permutations of ``maj_inv_equidistribution``
+#: (0.2-0.4 s at rank 8).  The scan's 16-bit lanes hold its statistics only
+#: up to rank 15.  Past the cap ``check_walk``, its one reader, refuses a
+#: walk loudly instead of silently burning time.
 ENUMERATION_GUARD = 8
 
 
@@ -48,10 +48,10 @@ def check_degree(d: int) -> None:
 
 
 def check_walk(n: int) -> None:
-    """Refuse a rank as ``check_rank`` does, or one whose group is too large to walk."""
+    """Refuse a rank as ``check_rank`` does, or one past ``ENUMERATION_GUARD``, too large to walk."""
     check_rank(n)
     if n > ENUMERATION_GUARD:
-        raise ValueError(f"rank {n} exceeds the guard {ENUMERATION_GUARD}: the group has {group_order(n)} elements")
+        raise ValueError(f"rank {n} exceeds the guard {ENUMERATION_GUARD}")
 
 
 def check_scalar(c: object) -> None:
@@ -60,10 +60,43 @@ def check_scalar(c: object) -> None:
         raise ValueError(f"scalar {c!r} is not an int or a Fraction")
 
 
-def group_order(n: int) -> int:
-    """Order of the rank-n signed permutation group, 2^n * n!."""
-    check_rank(n)
-    return (1 << n) * math.factorial(n)
+class Value(tuple):
+    """Base of the package's value and record types, each a namedtuple.
+
+    A tuple underneath, for a cheap import and cheap hashing, but none of
+    the tuple's arithmetic or order leaks through: ``+`` and ``*`` are
+    refused, and so are ``<``, ``<=``, ``>`` and ``>=``, with TypeError.  A
+    value equals only a value of its own class, never a plain tuple.
+    ``_make``, and so ``_replace``, goes through the constructor and its
+    checks.
+    """
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __add__(self, other: object):
+        return NotImplemented  # not the tuple's concatenation, nor its repetition under ``*``
+
+    __mul__ = __rmul__ = __add__
+
+    def __radd__(self, other: object):
+        # NotImplemented here would hand ``tuple + value`` to the tuple's concatenation
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and {type(self).__name__!r}")
+
+    def __lt__(self, other: object):
+        # NotImplemented here would hand ``tuple < value`` to the tuple's order
+        raise TypeError(f"{type(self).__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
 
 def window_descent_counts(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -85,7 +118,7 @@ def window_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class SignedPermutation(namedtuple("SignedPermutation", "window")):
+class SignedPermutation(Value, namedtuple("SignedPermutation", "window")):
     """A signed permutation in window notation.
 
     The window lists the images of 1..n as nonzero integers whose
@@ -117,20 +150,9 @@ class SignedPermutation(namedtuple("SignedPermutation", "window")):
             seen.add(abs(value))
         return tuple.__new__(cls, (window,))
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
-
     @property
     def n(self) -> int:
         return len(self.window)
-
-    def __add__(self, other: object):
-        return NotImplemented  # not the tuple's concatenation, nor its repetition under ``*``
-
-    __mul__ = __rmul__ = __add__
-
-    def __radd__(self, other: object):
-        # NotImplemented here would hand ``tuple + value`` to the tuple's concatenation
-        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and {type(self).__name__!r}")
 
     def inverse(self) -> "SignedPermutation":
         return SignedPermutation(window_inverse(self.window))
@@ -139,7 +161,7 @@ class SignedPermutation(namedtuple("SignedPermutation", "window")):
         return "[" + ",".join(str(v) for v in self.window) + "]"
 
 
-class StatisticsProfile(namedtuple("StatisticsProfile", "descent_set d eps f maj neg fmaj")):
+class StatisticsProfile(Value, namedtuple("StatisticsProfile", "descent_set d eps f maj neg fmaj")):
     """All descent statistics of one signed permutation.
 
     The descent set is a frozenset, d, eps and f are tuples and the rest

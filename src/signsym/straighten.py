@@ -186,14 +186,13 @@ def straighten(f: Polynomial) -> BasisExpansion:
     for bd, sums in sorted(components.items()):
         columns, index = cell_columns(f.n, *bd, drawn)
         drawn += len(columns)
-        what = f"products at bidegree {bd} take the terms past"
         # the index lists the columns in order
         remainder = [sums.get(key, 0) for key in index]
         for j, w in enumerate(columns):
             if remainder[j]:
                 dec = decompose(w)
                 terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
-                check_terms(terms, what)
+                check_terms(terms, "products at bidegree {} take the terms past", bd)
                 product = product_coefficients(dec, index)
                 lead = product.get(j, 0)
                 if lead <= 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -30,7 +31,6 @@ from signsym.poly import (
 from signsym.signed_perm import (
     SignedPermutation,
     enumerate_group,
-    group_order,
     statistics,
     window_inverse,
 )
@@ -56,6 +56,11 @@ def record_table_builds(monkeypatch, build) -> list[int]:
     monkeypatch.setattr(hilbert_module, "_series_table", recorded)
     clear_hilbert_caches()
     return built
+
+
+def group_order(n: int) -> int:
+    """Order of the rank-n signed permutation group, 2^n * n!."""
+    return (1 << n) * math.factorial(n)
 
 
 def sp(*window: int) -> SignedPermutation:

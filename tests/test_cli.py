@@ -47,11 +47,11 @@ def test_stats_text(capsys):
 def test_stats_json(capsys):
     code, out, _ = run(capsys, "stats", "--format", "json", "[2,-1,-4,3]")
     assert code == 0
-    data = json.loads(out)
-    assert data["fmaj"] == 8
-    assert data["f"] == [4, 3, 1, 0]
-    assert data["descent_set"] == [1, 2]
-    assert data["inverse"] == [-2, 1, 4, -3]
+    # the profile's fields, with the window, its rank and its inverse, in key order
+    assert out == (
+        '{"d": [2, 1, 0, 0], "descent_set": [1, 2], "eps": [0, 1, 1, 0], "f": [4, 3, 1, 0], "fmaj": 8, '
+        '"inverse": [-2, 1, 4, -3], "maj": 3, "n": 4, "neg": 2, "window": [2, -1, -4, 3]}\n'
+    )
 
 
 def test_stats_trivial(capsys):
@@ -201,6 +201,20 @@ def test_straighten_rejects_non_invariant(capsys, monkeypatch):
     assert err == "error: input is not invariant: the term x1 has an odd total exponent in slot 1\n"
 
 
+def test_a_count_too_long_to_print_is_refused_by_its_order_of_magnitude(capsys, monkeypatch):
+    # 2,000 distinct exponent pairs: an orbit of 2000! (5,736 digits)
+    # members, past what Python prints as an int
+    p = [2 * k for k in range(2000)]
+    code, out, err = run(capsys, "rho", "--p", ",".join(map(str, p)), "--q", ",".join(["0"] * 2000))
+    assert (code, out, err) == (1, "", "error: the average has about 10^5736 terms, above the cap of 100000\n")
+    payload = {"n": 2000, "terms": [{"p": p, "q": [0] * 2000, "coeff": 1}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, "straighten")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input is not invariant: the orbit of x2^2 x3^4 ")
+    assert err.endswith(" x2000^3998 has 1 of its about 10^5736 terms\n")
+
+
 def test_straighten_rejects_malformed_json(capsys, monkeypatch):
     term = '{"n": 1, "terms": [{"p": %s, "q": [1], "coeff": %s}]}'
     for payload in (
@@ -245,15 +259,19 @@ def test_verify_rank_four_within_default_guard(capsys):
 
 
 def test_verify_guard_refusal(capsys, monkeypatch):
-    # rank 9 is refused by the group order of the numerator scan, before
-    # it runs; a table of 586,651 columns is refused by its column count
+    # rank 9 is refused by the rank cap of the numerator scan, before it
+    # runs; a table of 586,651 columns is refused by its column count
     def no_scan(n):
         raise AssertionError("no scan may run past a guard")
 
     monkeypatch.setattr(hilbert_module.scan, "fmaj_pair_counts", no_scan)
     clear_hilbert_caches()
     code, out, err = run(capsys, "verify", "--n", "9")
-    assert (code, out, err) == (1, "", "error: rank 9 exceeds the guard 8: the group has 185794560 elements\n")
+    assert (code, out, err) == (1, "", "error: rank 9 exceeds the guard 8\n")
+    # the refusal computes no group order, which past about rank 1,700
+    # has more digits than Python prints
+    code, out, err = run(capsys, "verify", "--n", "3000000")
+    assert (code, out, err) == (1, "", "error: rank 3000000 exceeds the guard 8\n")
     monkeypatch.undo()
     code, out, err = run(capsys, "verify", "--n", "2", "--max-degree", "100")
     assert (code, out) == (1, "")
@@ -353,7 +371,9 @@ def test_hilbert_honours_rank_guard(capsys, monkeypatch, extra):
     monkeypatch.setattr(hilbert_module.scan, "fmaj_pair_counts", no_scan)
     clear_hilbert_caches()
     code, out, err = run(capsys, "hilbert", "--n", "9", "--max-degree", "2", *extra)
-    assert (code, out, err) == (1, "", "error: rank 9 exceeds the guard 8: the group has 185794560 elements\n")
+    assert (code, out, err) == (1, "", "error: rank 9 exceeds the guard 8\n")
+    code, out, err = run(capsys, "hilbert", "--n", "3000000", *extra)
+    assert (code, out, err) == (1, "", "error: rank 3000000 exceeds the guard 8\n")
 
 
 def test_hilbert_numerator(capsys):

@@ -15,6 +15,7 @@ from helpers import (
     full_candidate,
     full_support_rank,
     group_candidates,
+    group_order,
     inversion_count,
     mono,
     rational_rank,
@@ -41,7 +42,7 @@ from signsym.hilbert import (
 )
 from signsym import scan
 from signsym.poly import Polynomial, orbit_key, orbit_sums, rearrangement_count
-from signsym.signed_perm import enumerate_group, group_order, statistics
+from signsym.signed_perm import enumerate_group, statistics
 
 
 def poincare_product(n):
@@ -84,7 +85,7 @@ def test_fmaj_numerator_guard(monkeypatch):
     # rank 8 reaches the scan; rank 9 is refused before it
     monkeypatch.setattr(scan, "fmaj_pair_counts", lambda n: {(0, 0): group_order(n)})
     assert fmaj_numerator(8).total_mass() == group_order(8)
-    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8: the group has 185794560 elements$"):
+    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8$"):
         fmaj_numerator(9)
 
 
@@ -382,8 +383,9 @@ def test_maj_inv_equidistribution_small():
     assert maj_inv_equidistribution(3)
     assert maj_inv_equidistribution(6)
     assert maj_inv_equidistribution(7)
-    with pytest.raises(ValueError, match="^rank 8 exceeds the guard 7: 40320 permutations$"):
-        maj_inv_equidistribution(8)
+    assert maj_inv_equidistribution(8)
+    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8$"):
+        maj_inv_equidistribution(9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, the signed action, and the averaging operator."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -31,6 +32,7 @@ from signsym.descent_basis import partitions_fixed_length
 from signsym.poly import (
     Monomial,
     Polynomial,
+    _count_text,
     _invariance_failure,
     _orbits,
     distinct_permutations,
@@ -209,6 +211,12 @@ def test_rho_guard(monkeypatch):
         rho(f)
 
 
+def test_a_count_past_64_bits_prints_as_its_order_of_magnitude():
+    assert _count_text(2**64 - 1) == "18446744073709551615"
+    assert _count_text(2**64) == "about 10^19"
+    assert _count_text(math.factorial(2000)) == "about 10^5736"
+
+
 def test_rho_matches_bruteforce():
     # the orbit formula must agree with the full group average
     rng = random.Random(17)
@@ -289,8 +297,6 @@ def test_vanishing_dichotomy_exhaustive():
 
 def test_rho_even_orbit_formula():
     # for all-even-sum monomials the average is the plain orbit sum
-    import math
-
     for n in (1, 2, 3):
         rng = random.Random(n)
         for _ in range(8):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from helpers import vector_pair_counts, window_fmaj, window_pair_counts, windows
+from helpers import group_order, vector_pair_counts, window_fmaj, window_pair_counts, windows
 from signsym import scan
-from signsym.signed_perm import ENUMERATION_GUARD, enumerate_group, group_order, statistics
+from signsym.signed_perm import ENUMERATION_GUARD, enumerate_group, statistics
 
 
 def pair_counts_oracle(n):
@@ -63,7 +63,7 @@ def test_rank_validation():
 
 
 def test_fmaj_pair_counts_refuses_a_walk_past_the_guard():
-    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8: the group has 185794560 elements$"):
+    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8$"):
         scan.fmaj_pair_counts(9)
 
 

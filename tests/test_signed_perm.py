@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import compose, generators, record_table_builds, sp
+from helpers import compose, generators, group_order, record_table_builds, sp
 from signsym import hilbert, scan
 from signsym.cli import main
 from signsym.descent_basis import cell_columns, ordered_monomials
@@ -17,7 +17,6 @@ from signsym.poly import Polynomial
 from signsym.signed_perm import (
     SignedPermutation,
     enumerate_group,
-    group_order,
     parse_integers,
     parse_window,
     statistics,
@@ -137,9 +136,9 @@ def test_enumerate_lexicographic_order():
 
 
 def test_enumerate_guard():
-    # rank 8 streams, rank 9 is refused with the size it would stream
+    # rank 8 streams, rank 9 is refused before anything is streamed
     assert next(enumerate_group(8)).window == tuple(range(-8, 0))
-    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8: the group has 185794560 elements$"):
+    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8$"):
         next(enumerate_group(9))
 
 
@@ -147,7 +146,6 @@ RANK_ENTRY_POINTS = {
     "Polynomial": Polynomial,
     "BasisExpansion": BasisExpansion,
     "enumerate_group": enumerate_group,
-    "group_order": group_order,
     "fmaj_pair_counts": scan.fmaj_pair_counts,
     "_maj_inv_counts": hilbert._maj_inv_counts,
     "fmaj_numerator": hilbert.fmaj_numerator,

@@ -3,9 +3,10 @@
 They are tuples underneath, for a cheap import and cheap hashing; these
 tests pin what they promise beyond that: equality and hashing by value,
 no attribute assignment, the keyword repr, a check on every construction,
-and no tuple arithmetic leaking through.
+and no tuple arithmetic, order or equality leaking through.
 """
 
+import operator
 import pickle
 import re
 import subprocess
@@ -31,6 +32,8 @@ HASHABLE_VALUES = {
     "Decomposition": lambda: decompose(mono((3, 1), (1, 3))),
     "CellReport": lambda: verify_basis_rank(2, 2, 2),
 }
+# A series holds a dict, so it is a value that does not hash.
+VALUES = {**HASHABLE_VALUES, "BiSeries": lambda: BiSeries({(0, 0): 1, (2, 2): 3}, truncation=4)}
 
 
 @pytest.mark.parametrize("kind", sorted(HASHABLE_VALUES))
@@ -42,9 +45,17 @@ def test_equal_values_are_equal_and_hash_equal(kind):
     assert len({first, second}) == 1
 
 
-@pytest.mark.parametrize("kind", sorted(HASHABLE_VALUES) + ["BiSeries"])
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_a_value_equals_no_plain_tuple(kind):
+    value = VALUES[kind]()
+    plain = tuple(value)
+    assert not value == plain and value != plain
+    assert not plain == value and plain != value
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
 def test_attributes_cannot_be_assigned(kind):
-    value = BiSeries({(0, 0): 1}, truncation=2) if kind == "BiSeries" else HASHABLE_VALUES[kind]()
+    value = VALUES[kind]()
     field = type(value)._fields[0]
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
@@ -59,8 +70,9 @@ def test_reprs_name_their_fields():
     assert repr(BasisExpansion(2)) == "BasisExpansion(n=2, entries={})"
 
 
-@pytest.mark.parametrize("value", [mono((1, 0), (0, 1)), sp(2, -1)], ids=lambda v: type(v).__name__)
-def test_tuple_arithmetic_does_not_leak_through(value):
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_tuple_arithmetic_does_not_leak_through(kind):
+    value = VALUES[kind]()
     for other in (value, 1, (1,)):
         with pytest.raises(TypeError):
             value + other
@@ -73,10 +85,22 @@ def test_tuple_arithmetic_does_not_leak_through(value):
             value * other
 
 
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_values_have_no_order(kind):
+    # ``sorted`` over values needs a key, such as ``order_key`` or the window
+    value = VALUES[kind]()
+    for left, right in ((value, VALUES[kind]()), (value, tuple(value)), (tuple(value), value), ((), value)):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match=f"^{kind} values have no order$"):
+                compare(left, right)
+    with pytest.raises(TypeError):
+        sorted([value, VALUES[kind]()])
+
+
 @pytest.mark.parametrize(
     "left, value",
-    [(((1,),), sp(1)), (((2,),), mono((2,), (0,))), ((), sp(2, -1))],
-    ids=["SignedPermutation", "Monomial", "empty tuple"],
+    [(tuple(VALUES[kind]()), VALUES[kind]()) for kind in sorted(VALUES)] + [((), sp(2, -1))],
+    ids=sorted(VALUES) + ["empty tuple"],
 )
 def test_a_tuple_on_the_left_does_not_concatenate(left, value):
     with pytest.raises(TypeError, match=f"for \\+: 'tuple' and '{type(value).__name__}'$"):
@@ -87,7 +111,8 @@ def test_vectors_become_tuples_and_values_pickle():
     m = Monomial([1, 0], iter((0, 1)))
     assert m == mono((1, 0), (0, 1)) and type(m.p) is tuple and type(m.q) is tuple
     assert SignedPermutation([2, -1]).window == (2, -1)
-    for value in (m, sp(2, -1), statistics(sp(2, -1)), verify_basis_rank(2, 2, 2)):
+    for make in VALUES.values():
+        value = make()
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
 
@@ -100,6 +125,10 @@ def test_replace_and_make_check_like_the_constructor():
     with pytest.raises(ValueError, match=r"^stored coefficient at \(1,1\) must be positive$"):
         BiSeries._make(({(1, 1): 0}, 2))
     assert sp(2, -1)._replace(window=(1, 2)) == sp(1, 2)
+    for make in VALUES.values():
+        value = make()
+        copy = value._replace()
+        assert copy == value and type(copy) is type(value)
 
 
 def test_biseries_refuses_a_non_positive_coefficient_and_a_key_outside_its_truncation():
