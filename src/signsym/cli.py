@@ -128,7 +128,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     table = hilbert.series_table(args.n, args.max_degree)
     cells = [(a, b) for a in range(args.max_degree + 1) for b in range(args.max_degree + 1 - a)]
     columns = sum(table[a][b] for a, b in cells)
-    check_columns(columns, f"total degree <= {args.max_degree} has {columns} ordered columns, above")
+    check_columns(columns, "total degree <= {} has {count} ordered columns, above", args.max_degree)
     reports = [hilbert.verify_basis_rank(args.n, a, b) for a, b in cells]
     all_pass = all(r.passed for r in reports)
     _emit(

@@ -35,11 +35,12 @@ from .signed_perm import SignedPermutation, Value, check_degree, check_rank, sta
 COLUMN_GUARD = 100_000
 
 
-def check_columns(count: int, what: str) -> None:
-    """Refuse ``count`` ordered columns past ``COLUMN_GUARD``: the message is ``what``,
-    its head, followed by the cap."""
+def check_columns(count: int, what: str, *args: object) -> None:
+    """Refuse ``count`` ordered columns past ``COLUMN_GUARD``.  The message, built
+    only then, is ``what`` formatted with ``args`` and with ``count`` as
+    ``{count}``, followed by the cap."""
     if count > COLUMN_GUARD:
-        raise ValueError(f"{what} the cap of {COLUMN_GUARD}")
+        raise ValueError(f"{what.format(*args, count=count)} the cap of {COLUMN_GUARD}")
 
 
 def _require_positive(pi: SignedPermutation, kind: str) -> None:
@@ -314,7 +315,7 @@ def cell_columns(n: int, a: int, b: int, drawn: int = 0) -> tuple[list[Monomial]
     before any column is sorted.
     """
     columns = list(islice(ordered_monomials(n, a, b), COLUMN_GUARD - drawn + 1))
-    check_columns(drawn + len(columns), f"bidegree ({a}, {b}) takes the ordered columns past")
+    check_columns(drawn + len(columns), "bidegree ({}, {}) takes the ordered columns past", a, b)
     columns.sort(key=order_key, reverse=True)
     return columns, {key: j for j, key in enumerate(map(orbit_key, columns))}
 

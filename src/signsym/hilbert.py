@@ -40,7 +40,7 @@ from .signed_perm import Value, check_degree, check_walk
 #: Cap on the entries of one dense series table, (total + 1)^2 for the
 #: largest total asked for, so total degree 499 at most.  At the cap the
 #: table takes about 0.04 s per unit of rank on top of the numerator
-#: scan (0.2 s besides the scan's 0.006 s at rank 6 on a 2-vCPU Xeon)
+#: scan (0.2 s besides the scan's 0.003 s at rank 6 on a 2-vCPU Xeon)
 #: and raises the peak RSS of a rank-6 build from 16 to 27 MB; four
 #: times the cap took 0.32 s and 46 MB at rank 2.
 SERIES_TABLE_GUARD = 250_000
@@ -77,9 +77,12 @@ class BiSeries(Value, namedtuple("BiSeries", "coefficients truncation")):
 def fmaj_numerator(n: int) -> BiSeries:
     """Generating function counting elements by (fmaj of inverse, fmaj).
 
-    The total mass is the group order and the coefficient table is
+    The total mass is the group order.  The coefficient table is
     symmetric under swapping the two degrees, since inversion is an
-    involution.
+    involution, and palindromic, the coefficient at (a, b) equal to the
+    one at (n^2 - a, n^2 - b), since negation sigma -> -sigma sends fmaj
+    to n^2 - fmaj on both sides; the scan walks a quarter of the group
+    and puts both folds back.
     """
     check_walk(n)
     counts = scan.fmaj_pair_counts(n)
@@ -256,7 +259,7 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     refuse a cell before any candidate is built.
     """
     series = series_coefficient(n, a, b)
-    check_columns(series, f"cell ({a}, {b}) has {series} ordered columns, above")
+    check_columns(series, "cell ({}, {}) has {count} ordered columns, above", a, b)
     columns, rows = candidate_rows(n, a, b)
     return CellReport(n=n, a=a, b=b, rank=_leading_column_rank(rows), dim=len(columns), series=series)
 

@@ -25,12 +25,12 @@ ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 #: Rank cap of the walks over the group and over its plain permutations:
-#: ``enumerate_group``, the Hilbert numerator scan (2^n * n! elements,
-#: about ten million at rank 8, where the scan takes 1.4-1.6 s and a full
-#: ``enumerate_group`` walk about 47 s on a 2-vCPU Xeon; rank 9 has 18
-#: times as many) and the n! permutations of ``maj_inv_equidistribution``
-#: (0.2-0.4 s at rank 8).  The scan's 16-bit lanes hold its statistics only
-#: up to rank 15.  Past the cap ``check_walk``, its one reader, refuses a
+#: ``enumerate_group`` (2^n * n! elements, about ten million at rank 8,
+#: where a full walk takes 50-55 s on a 2-vCPU Xeon; rank 9 has 18 times
+#: as many), the Hilbert numerator scan (a quarter of them by its two
+#: folds, 0.4-0.5 s at rank 8) and the n! permutations of
+#: ``maj_inv_equidistribution`` (0.2-0.4 s at rank 8).  The scan's 16-bit
+#: lanes hold its statistics only up to rank 15.  Past the cap ``check_walk``, its one reader, refuses a
 #: walk loudly instead of silently burning time.
 ENUMERATION_GUARD = 8
 

@@ -322,6 +322,63 @@ def vector_pair_counts(n: int) -> dict[tuple[int, int], int]:
     return counts
 
 
+def _partitions(n: int, largest: int = 0) -> Iterator[tuple[int, ...]]:
+    """Every partition of n, parts in decreasing order, with parts at most ``largest`` when it is given."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _fake_degree(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> list[int]:
+    """Coefficients of q^0..q^(n^2) in the fake degree of the bipartition (lam, mu):
+    q^(2n(lam) + 2n(mu) + |mu|) prod_{i<=n} (1 - q^(2i)) / prod_h (1 - q^(2h)),
+    h over the hook lengths of both shapes, with n(lam) = sum_i (i-1) lam_i."""
+    size = n * n + 1
+    shift = sum(2 * i * part for i, part in enumerate(lam)) + sum(2 * i * part for i, part in enumerate(mu)) + sum(mu)
+    f = [0] * size
+    f[shift] = 1
+    for i in range(1, n + 1):
+        for k in range(size - 1, 2 * i - 1, -1):
+            f[k] -= f[k - 2 * i]
+    for shape in (lam, mu):
+        conjugate = [sum(1 for part in shape if part > j) for j in range(shape[0] if shape else 0)]
+        for i, part in enumerate(shape):
+            for j in range(part):
+                h = part - j + conjugate[j] - i - 1
+                # exact division by 1 - q^(2h): a running sum of stride 2h
+                for k in range(2 * h, size):
+                    f[k] += f[k - 2 * h]
+    return f
+
+
+def fake_degree_numerator(n: int) -> dict[tuple[int, int], int]:
+    """Fake-degree oracle: counts of (fmaj of inverse, fmaj) as the sum of
+    F(s) F(t) over the bipartitions (lam, mu) of n, F the fake degree.
+
+    The pair's generating function is the numerator of the Hilbert
+    series.  By Chevalley, Q[x] is free over Sym(x^2) with coinvariant
+    algebra R the regular representation, so the invariants of Q[x, y]
+    are Sym(x^2) (x) Sym(y^2) (x) (R_x (x) R_y)^{B_n}, and the numerator
+    is the sum of F(s) F(t) over the irreducible characters, all real,
+    with F the graded multiplicity of each in R.  Independent of
+    ``scan.fmaj_pair_counts``: no permutation is walked and no symmetry
+    of the pair is assumed.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for k in range(n + 1):
+        for lam in _partitions(k):
+            for mu in _partitions(n - k):
+                f = _fake_degree(lam, mu, n)
+                support = [(d, c) for d, c in enumerate(f) if c]
+                for a, ca in support:
+                    for b, cb in support:
+                        counts[a, b] = counts.get((a, b), 0) + ca * cb
+    return counts
+
+
 def inversion_count(window) -> int:
     return sum(
         1

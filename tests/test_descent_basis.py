@@ -8,8 +8,10 @@ import pytest
 
 from helpers import counted_product, mono, mono_product, ordered_representative, sp
 from signsym.descent_basis import (
+    COLUMN_GUARD,
     _classes,
     cell_columns,
+    check_columns,
     compare,
     decompose,
     descent_monomial,
@@ -338,3 +340,11 @@ def test_ordered_monomials_enumeration():
         got = [(m.p, m.q) for m in ordered_monomials(n, a, b)]
         assert sorted(got) == expected, (n, a, b)
         assert len(set(got)) == len(got)
+
+
+def test_check_columns_builds_its_message_only_when_refusing():
+    # under the cap the message is never formatted: "{9}" would raise
+    # IndexError; past it the message is ``what`` formatted, then the cap
+    check_columns(COLUMN_GUARD, "{9}")
+    with pytest.raises(ValueError, match=r"^cell \(2, 3\) has 100001 ordered columns, above the cap of 100000$"):
+        check_columns(COLUMN_GUARD + 1, "cell ({}, {}) has {count} ordered columns, above", 2, 3)

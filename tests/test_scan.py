@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import group_order, vector_pair_counts, window_fmaj, window_pair_counts, windows
+from helpers import fake_degree_numerator, group_order, vector_pair_counts, window_fmaj, window_pair_counts, windows
 from signsym import scan
 from signsym.signed_perm import ENUMERATION_GUARD, enumerate_group, statistics
 
@@ -13,6 +13,15 @@ def pair_counts_oracle(n):
         key = (statistics(sigma.inverse()).fmaj, statistics(sigma).fmaj)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def assert_inversion_and_negation_symmetric(counts, n):
+    # counts[a, b] = counts[b, a] = counts[n^2 - a, n^2 - b]: inversion
+    # swaps the pair, and negation sends each fmaj to n^2 minus it
+    top = n * n
+    for (a, b), c in counts.items():
+        assert counts.get((b, a)) == c, (a, b)
+        assert counts.get((top - a, top - b)) == c, (a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -28,7 +37,23 @@ def test_fmaj_pair_counts_against_window_walk(n):
 def test_fmaj_pair_counts_against_list_vectors_at_rank_7():
     # rank 7 is out of the window walk's reach, and its lanes are wider
     # than any rank above checks
-    assert scan.fmaj_pair_counts(7) == vector_pair_counts(7)
+    oracle = vector_pair_counts(7)
+    assert_inversion_and_negation_symmetric(oracle, 7)
+    assert scan.fmaj_pair_counts(7) == oracle
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_fmaj_pair_counts_against_fake_degrees(n):
+    # the one check at rank 8 besides the CLI digests, and it assumes
+    # neither of the symmetries that the scan folds by
+    assert scan.fmaj_pair_counts(n) == fake_degree_numerator(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_window_walk_is_inversion_and_negation_symmetric(n):
+    # the identities the scan's folds rest on, on an oracle that walks
+    # every window and folds nothing
+    assert_inversion_and_negation_symmetric(window_pair_counts(n), n)
 
 
 def test_fmaj_pair_counts_keeps_no_state():
