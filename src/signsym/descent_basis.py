@@ -15,7 +15,11 @@ it, is the number of terms in the column's orbit.  The kernel returns
 those term counts as plain integers at column positions;
 ``cell_columns`` draws the columns of a bidegree, under
 ``COLUMN_GUARD``, numbers them in decreasing order and keys them by
-orbit, so each term is one lookup.
+orbit, each exponent pair coded as one int by ``pair_codes``, so each
+term is one sort of ints and one lookup.  The rearrangements of 2*nu
+are merged into classes once per (nu, sigma) and bidegree, and what
+depends on sigma alone, c_sigma and the slot pairs its ties compare,
+once per sigma.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import groupby, islice
-from operator import add, ge
+from operator import add, ge, sub
 
-from .poly import Monomial, distinct_permutations, orbit_key
+from .poly import Monomial, distinct_permutations
 from .signed_perm import SignedPermutation, Value, check_degree, check_rank, statistics
 
 #: Cap on the ordered columns, one basis product each, of a ``straighten``
 #: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
-#: in 4.5 s and 105 MB, ``--n 3 --max-degree 34`` 90,465 in 6 s (2-vCPU Xeon).
+#: in 2.3 s and 57 MB, ``--n 3 --max-degree 34`` 90,465 in 2.6-3.2 s and
+#: 17 MB (2-vCPU Xeon).
 COLUMN_GUARD = 100_000
 
 
@@ -118,8 +123,8 @@ def signed_index_permutation(m: Monomial) -> SignedPermutation:
 
 
 def _index_window(m: Monomial) -> tuple[int, ...]:
-    signed = [j if m.q[j - 1] % 2 == 0 else -j for j in range(1, m.n + 1)]
-    return tuple(sorted(signed, key=lambda s: (-m.q[abs(s) - 1], s)))
+    # The signed slots sorted by (-q_j, signed slot); no two pairs tie.
+    return tuple([s for _, s in sorted([(-v, -j if v % 2 else j) for j, v in enumerate(m.q, start=1)])])
 
 
 def order_key(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -173,16 +178,36 @@ def _check(condition: bool, message: str, *args: object) -> None:
 
 
 @lru_cache(maxsize=None)
-def _descent_data(window: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int, ...], tuple[int, ...]]:
+def _descent_data(window: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], tuple[tuple[str, int, int], ...]]:
     # sigma with the exponents (delta, gamma) of c_sigma, once per window,
-    # with the checks that depend on sigma alone
+    # with the checks that depend on sigma alone, and the slot pairs
+    # (i, j) the tie checks compare: j and the previous slot i of its
+    # value in delta, and likewise in gamma, which covers every pair of
+    # slots sharing a value.
     sigma = SignedPermutation(window)
     c = diagonal_signed_descent_monomial(sigma)
     delta, gamma = c.p, c.q
     _check(all(map(ge, delta, delta[1:])), "delta not weakly decreasing")
     gamma_along = [gamma[abs(v) - 1] for v in window]
     _check(all(map(ge, gamma_along, gamma_along[1:])), "gamma not weakly decreasing along sigma")
-    return sigma, delta, gamma
+    ties = []
+    for name, seq in (("delta", delta), ("gamma", gamma)):
+        previous: dict[int, int] = {}
+        for j, v in enumerate(seq):
+            if v in previous:
+                ties.append((name, previous[v], j))
+            previous[v] = j
+    return sigma, delta, gamma, tuple(ties)
+
+
+def _halves(exps: tuple[int, ...], flags: tuple[int, ...], what: str) -> tuple[int, ...]:
+    # (exps - flags) / 2, every slot checked even and non-negative in one
+    # pass; the first slot that fails is looked for only then.
+    rest = tuple(map(sub, exps, flags))
+    if any([v < 0 or v % 2 for v in rest]):
+        slot = next(i for i, v in enumerate(rest, start=1) if v < 0 or v % 2)
+        _check(False, "{} not even non-negative at slot {}", what, slot)
+    return tuple([v // 2 for v in rest])
 
 
 def decompose(m: Monomial) -> Decomposition:
@@ -193,44 +218,30 @@ def decompose(m: Monomial) -> Decomposition:
     are revalidated at runtime and raise RuntimeError on violation.
     delta and gamma are the exponents of
     ``diagonal_signed_descent_monomial(sigma)``, built and checked once
-    per sigma.
+    per sigma, with the slot pairs whose ties the twist order must
+    respect; each vector is then checked in one pass.  A monomial that
+    is not ordered is refused with ValueError.
     """
     if not is_ordered(m):
         raise ValueError("decompose is only defined for ordered monomials")
+    return _decompose(m)
+
+
+def _decompose(m: Monomial) -> Decomposition:
+    # ``decompose`` for a monomial already known to be ordered, such as a
+    # column that ``ordered_monomials`` built; every check but that one.
     window = _index_window(m)
-    sigma, delta, gamma = _descent_data(window)
-    n = m.n
-
-    nu = []
-    mu = []
-    for i in range(n):
-        rest_p = m.p[i] - delta[i]
-        _check(rest_p >= 0 and rest_p % 2 == 0, "p - delta not even non-negative at slot {}", i + 1)
-        nu.append(rest_p // 2)
-        rest_q = m.q[i] - gamma[i]
-        _check(rest_q >= 0 and rest_q % 2 == 0, "q - gamma not even non-negative at slot {}", i + 1)
-        mu.append(rest_q // 2)
-    nu = tuple(nu)
-    mu = tuple(mu)
-
+    sigma, delta, gamma, ties = _descent_data(window)
+    nu = _halves(m.p, delta, "p - delta")
+    mu = _halves(m.q, gamma, "q - gamma")
     _check(all(map(ge, nu, nu[1:])), "nu not weakly decreasing")
     mu_along = [mu[abs(v) - 1] for v in window]
     _check(all(map(ge, mu_along, mu_along[1:])), "mu not weakly decreasing along sigma")
     # Within each value of delta, and of gamma, the twisted q must weakly
-    # decrease; checking each slot against the previous slot of its value
-    # covers every pair.
-    twisted = [sign_twist(v) for v in m.q]
-    for name, seq in (("delta", delta), ("gamma", gamma)):
-        previous: dict[int, int] = {}
-        for j, v in enumerate(seq):
-            i = previous.get(v)
-            if i is not None:
-                _check(
-                    twisted[i] >= twisted[j],
-                    "{} tie at slots {},{} breaks the twist order",
-                    name, i + 1, j + 1,
-                )
-            previous[v] = j
+    # decrease.
+    q = m.q
+    broken = next(((name, i + 1, j + 1) for name, i, j in ties if sign_twist(q[i]) < sign_twist(q[j])), None)
+    _check(broken is None, "{} tie at slots {},{} breaks the twist order", *(broken or ()))
     return Decomposition(sigma, nu, delta, mu, gamma)
 
 
@@ -305,35 +316,71 @@ def doubled_rearrangements(part: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     return tuple(distinct_permutations(2 * v for v in part))
 
 
-def cell_columns(n: int, a: int, b: int, drawn: int = 0) -> tuple[list[Monomial], dict[tuple[tuple[int, int], ...], int]]:
-    """The ordered monomials of bidegree (a, b) in decreasing order, and each one's
-    ``orbit_key`` mapped to its position, so position 0 is the largest column.
+def pair_codes(xs: tuple[int, ...], ys: tuple[int, ...], base: int) -> tuple[int, ...]:
+    """The exponent pairs (x_i, y_i) coded as the ints x_i * base + y_i.
 
-    A caller that has already drawn ``drawn`` columns, at most
-    ``COLUMN_GUARD``, passes that count.  At most one column past the cap
-    is drawn, and a bidegree that takes the count past it is refused
-    before any column is sorted.
+    While every y_i is below ``base`` the code is one-to-one on pairs and
+    orders them as tuples are ordered, so sorted codes name an averaging
+    orbit as ``poly.orbit_key`` names it, one int per slot in place of a
+    pair.  Within one bidegree (a, b) every y exponent is at most b, and
+    ``cell_columns`` takes base = b + 1.  The code is linear: the codes
+    of (x + r, y + s) are those of (x, y) with r * base + s added, so long
+    as y + s stays below ``base``.
+    """
+    return tuple(map(add, map(base.__mul__, xs), ys))
+
+
+class ColumnIndex(dict):
+    """The position of each ordered column of one bidegree, keyed by its
+    sorted ``pair_codes`` at ``base``.
+
+    ``classes`` holds the class table of each (nu, sigma) that
+    ``product_coefficients`` has met in the bidegree, so that the columns
+    sharing nu and sigma, which differ only in mu, build it once; it
+    lives as long as the index.
+    """
+
+    __slots__ = ("base", "classes")
+
+    def __init__(self, columns: list[Monomial], base: int):
+        super().__init__((tuple(sorted(pair_codes(w.p, w.q, base))), j) for j, w in enumerate(columns))
+        self.base = base
+        self.classes: dict[tuple[tuple[int, ...], SignedPermutation], dict[tuple[int, ...], int]] = {}
+
+
+def cell_columns(n: int, a: int, b: int, drawn: int = 0) -> tuple[list[Monomial], ColumnIndex]:
+    """The ordered monomials of bidegree (a, b) in decreasing order, and their
+    ``ColumnIndex``, so position 0 is the largest column.
+
+    The index keys each column by its exponent pairs coded as the ints
+    p_i * (b + 1) + q_i and sorted, so that a product term is looked up
+    by one sort of ints.  A caller that has already drawn ``drawn``
+    columns, at most ``COLUMN_GUARD``, passes that count.  At most one
+    column past the cap is drawn, and a bidegree that takes the count
+    past it is refused before any column is sorted.
     """
     columns = list(islice(ordered_monomials(n, a, b), COLUMN_GUARD - drawn + 1))
     check_columns(drawn + len(columns), "bidegree ({}, {}) takes the ordered columns past", a, b)
     columns.sort(key=order_key, reverse=True)
-    return columns, {key: j for j, key in enumerate(map(orbit_key, columns))}
+    return columns, ColumnIndex(columns, b + 1)
 
 
-def _classes(dec: Decomposition) -> dict[tuple[tuple[int, int], ...], int]:
-    # The distinct rearrangements r of 2*nu, counted by the sorted pairs
-    # (r_i + delta_i, gamma_i).  The pair sequences of two r in one class
+def _classes(dec: Decomposition, base: int) -> dict[tuple[int, ...], int]:
+    # The distinct rearrangements r of 2*nu, counted by the sorted codes
+    # of the pairs (r_i + delta_i, gamma_i), each r_i * base plus the code
+    # of (delta_i, gamma_i).  The pair sequences of two r in one class
     # differ by a permutation of the slots; applied to s it permutes the
     # rearrangements of 2*mu and keeps each term's orbit, so as s runs
     # over all of them both r meet each orbit equally often.
-    classes: dict[tuple[tuple[int, int], ...], int] = {}
+    flags = pair_codes(dec.delta, dec.gamma, base)
+    classes: dict[tuple[int, ...], int] = {}
     for r in doubled_rearrangements(dec.nu):
-        key = tuple(sorted(zip(map(add, r, dec.delta), dec.gamma)))
+        key = tuple(sorted(pair_codes(r, flags, base)))
         classes[key] = classes.get(key, 0) + 1
     return classes
 
 
-def product_coefficients(dec: Decomposition, index: dict[tuple[tuple[int, int], ...], int]) -> dict[int, int]:
+def product_coefficients(dec: Decomposition, index: ColumnIndex) -> dict[int, int]:
     """Term counts of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the positions of ``index``.
 
     c_sigma is x^delta y^gamma, and m_nu(x^2) m_mu(y^2) is invariant, so
@@ -345,19 +392,26 @@ def product_coefficients(dec: Decomposition, index: dict[tuple[tuple[int, int], 
     in its orbit.  The returned map sends each column position with a
     nonzero count to that count, an int.
     The r are walked once per class of ``_classes``, weighted by the
-    class size.  ``index`` must hold every column of the product's
-    bidegree; a term outside it raises RuntimeError.
+    class size; the class table of (nu, sigma) is built once per
+    ``index``.  A class holds its pairs as codes, and adding s to the
+    codes adds it to the y exponents, since no term's y exponent reaches
+    the base, so each term's key is one sort of ints.  ``index`` must
+    hold every column of the product's bidegree; a term outside it
+    raises RuntimeError.
     """
-    counts: dict[tuple[tuple[int, int], ...], int] = {}
+    table = (dec.nu, dec.sigma)
+    classes = index.classes.get(table)
+    if classes is None:
+        classes = index.classes[table] = _classes(dec, index.base)
+    counts: dict[tuple[int, ...], int] = {}
     ss = doubled_rearrangements(tuple(sorted(dec.mu, reverse=True)))
-    for pairs, weight in _classes(dec).items():
-        xs, gs = zip(*pairs)
+    for codes, weight in classes.items():
         for s in ss:
-            key = tuple(sorted(zip(xs, map(add, gs, s))))
+            key = tuple(sorted(map(add, codes, s)))
             counts[key] = counts.get(key, 0) + weight
-    out = {}
-    for key, count in counts.items():
-        j = index.get(key)
-        _check(j is not None, "a product term has the orbit {}, which is not a column", key)
-        out[j] = count
-    return out
+    positions = list(map(index.get, counts))
+    if None in positions:
+        outside = next(key for key, j in zip(counts, positions) if j is None)
+        pairs = tuple(divmod(code, index.base) for code in outside)
+        _check(False, "a product term has the orbit {}, which is not a column", pairs)
+    return dict(zip(positions, counts.values()))

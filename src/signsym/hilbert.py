@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from . import scan
-from .descent_basis import cell_columns, check_columns, decompose, ordered_monomials, product_coefficients
+from .descent_basis import _decompose, cell_columns, check_columns, ordered_monomials, product_coefficients
 from .poly import Monomial
 from .signed_perm import Value, check_degree, check_walk
 
@@ -205,17 +205,19 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dic
     """The ordered columns of cell (a, b) in decreasing order, and one row per column.
 
     Row j is lazy: ``decompose`` splits column j as x^(2 nu) y^(2 mu)
-    c_sigma, and ``product_coefficients`` gives the orbit sums, as term
-    counts, of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the column positions
-    of the cell that ``cell_columns`` numbers.  The product is zero at every
-    larger column, so row j is nonzero at j and at larger positions only.
-    Rows and rank for every cell up to total degree 16 take about
-    1.2 s at rank 8 (5,448 columns), and up to degree 20 about 1.2 s
-    at rank 4 (13,238 columns), on a 2-vCPU Xeon.  A bad rank or degree
+    c_sigma, with every check but ``is_ordered``, which the columns pass
+    by construction, and ``product_coefficients`` gives the orbit sums,
+    as term counts, of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the column
+    positions of the cell that ``cell_columns`` numbers.  The product is
+    zero at every larger column, so row j is nonzero at j and at larger
+    positions only.  Rows and rank for every cell up to total degree 16
+    take about 0.6 s at rank 8 (5,448 columns), and up to degree 20
+    about 0.55 s at rank 4 (13,238 columns), from cold caches on a
+    2-vCPU Xeon.  A bad rank or degree
     is refused by ``ordered_monomials``, which ``cell_columns`` draws at once.
     """
     columns, index = cell_columns(n, a, b)
-    return columns, (product_coefficients(dec, index) for dec in map(decompose, columns))
+    return columns, (product_coefficients(dec, index) for dec in map(_decompose, columns))
 
 
 class CellReport(Value, namedtuple("CellReport", "n a b rank dim series")):

@@ -35,10 +35,11 @@ from collections import Counter
 from fractions import Fraction
 
 from .descent_basis import (
+    _decompose,
     cell_columns,
-    decompose,
     diagonal_signed_descent_monomial,
     doubled_rearrangements,
+    pair_codes,
     product_coefficients,
 )
 from .poly import (
@@ -186,11 +187,13 @@ def straighten(f: Polynomial) -> BasisExpansion:
     for bd, sums in sorted(components.items()):
         columns, index = cell_columns(f.n, *bd, drawn)
         drawn += len(columns)
-        # the index lists the columns in order
-        remainder = [sums.get(key, 0) for key in index]
+        # the index lists the columns in order, keyed by their pairs' codes,
+        # which keep the order of the sorted pairs of an orbit key
+        coded = {pair_codes(*zip(*key), index.base): v for key, v in sums.items()}
+        remainder = [coded.get(key, 0) for key in index]
         for j, w in enumerate(columns):
             if remainder[j]:
-                dec = decompose(w)
+                dec = _decompose(w)
                 terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
                 check_terms(terms, "products at bidegree {} take the terms past", bd)
                 product = product_coefficients(dec, index)

@@ -6,10 +6,13 @@ import re
 
 import pytest
 
+import signsym.descent_basis as descent_basis_module
 from helpers import counted_product, mono, mono_product, ordered_representative, sp
 from signsym.descent_basis import (
     COLUMN_GUARD,
     _classes,
+    _decompose,
+    _descent_data,
     cell_columns,
     check_columns,
     compare,
@@ -20,6 +23,7 @@ from signsym.descent_basis import (
     is_ordered,
     order_key,
     ordered_monomials,
+    pair_codes,
     partitions_fixed_length,
     product_coefficients,
     sign_twist,
@@ -218,6 +222,64 @@ def test_decompose_trivial_and_error():
         decompose(mono((0, 2), (0, 2)))
 
 
+WORKED = mono((7, 6, 6, 5, 5, 3), (3, 8, 6, 3, 5, 5))
+
+
+@pytest.mark.parametrize(
+    "delta,gamma,ties,message",
+    [
+        ((3, 2, 2, 1, 1, 2), None, None, "p - delta not even non-negative at slot 6"),
+        ((9, 2, 2, 1, 1, 1), None, None, "p - delta not even non-negative at slot 1"),
+        (None, (2, 2, 2, 1, 1, 1), None, "q - gamma not even non-negative at slot 1"),
+        (None, (1, 2, 2, 1, 1, 7), None, "q - gamma not even non-negative at slot 6"),
+        ((5, 2, 2, 1, 1, 1), None, None, "nu not weakly decreasing"),
+        (None, (1, 2, 4, 1, 1, 1), None, "mu not weakly decreasing along sigma"),
+        (None, None, (("delta", 0, 1),), "delta tie at slots 1,2 breaks the twist order"),
+        (None, None, (("gamma", 0, 1),), "gamma tie at slots 1,2 breaks the twist order"),
+    ],
+    ids=["p-odd", "p-negative", "q-odd", "q-negative", "nu", "mu", "delta-tie", "gamma-tie"],
+)
+@pytest.mark.parametrize("entry", [decompose, _decompose], ids=["decompose", "_decompose"])
+def test_each_decompose_check_fires(monkeypatch, entry, delta, gamma, ties, message):
+    # The checks on the halved parts read delta, gamma and the tie pairs
+    # from _descent_data, once per sigma; a statistics bug that feeds them
+    # a wrong value must still be caught, by the check that names it, in
+    # the public entry and in the private one that skips is_ordered.
+    real = _descent_data
+    assert entry(WORKED).nu == (2, 2, 2, 2, 2, 1)
+
+    def broken(window):
+        sigma, real_delta, real_gamma, real_ties = real(window)
+        return sigma, delta or real_delta, gamma or real_gamma, real_ties if ties is None else ties
+
+    monkeypatch.setattr(descent_basis_module, "_descent_data", broken)
+    with pytest.raises(RuntimeError, match=f"^internal decomposition invariant violated: {re.escape(message)}$"):
+        entry(WORKED)
+
+
+def test_tie_pairs_chain_the_slots_of_each_value():
+    # the tie checks compare, for each value of delta and of gamma, its
+    # slots in increasing order, each with the next, which orders every
+    # pair of them; the list depends on sigma alone
+    window = decompose(WORKED).sigma.window
+    assert _descent_data(window)[3] == (
+        ("delta", 1, 2), ("delta", 3, 4), ("delta", 4, 5),
+        ("gamma", 1, 2), ("gamma", 0, 3), ("gamma", 3, 4), ("gamma", 4, 5),
+    )
+    chained = 0
+    for n in (1, 2, 3, 4):
+        for sigma in enumerate_group(n):
+            _, delta, gamma, ties = _descent_data(sigma.window)
+            expected = set()
+            for name, seq in (("delta", delta), ("gamma", gamma)):
+                for value in set(seq):
+                    slots = [i for i, v in enumerate(seq) if v == value]
+                    expected.update((name, i, j) for i, j in zip(slots, slots[1:]))
+            assert len(ties) == len(expected) and set(ties) == expected, sigma
+            chained += len(ties)
+    assert chained > 600
+
+
 def test_decompose_descent_monomial_example():
     dec = decompose(diagonal_signed_descent_monomial(sp(2, -1, -4, 3)))
     assert dec.sigma == sp(2, -1, -4, 3)
@@ -237,25 +299,49 @@ def test_class_walk_matches_a_plain_count_of_every_term():
     for n, a, b in cells:
         columns, index = cell_columns(n, a, b)
         assert columns == sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
-        assert index == {orbit_key(w): j for j, w in enumerate(columns)}
+        # each key decodes, code by code, to the column's sorted exponent pairs
+        assert index.base == b + 1
+        assert {tuple(divmod(code, b + 1) for code in key): j for key, j in index.items()} == {
+            orbit_key(w): j for j, w in enumerate(columns)
+        }
         for w in columns:
             dec = decompose(w)
             counts = product_coefficients(dec, index)
             assert all(type(count) is int for count in counts.values())
             expected = {v: c * rearrangement_count(orbit_key(v)) for v, c in counted_product(dec, columns).items()}
             assert {columns[j]: count for j, count in counts.items()} == expected, w.text()
-            classes = _classes(dec)
+            classes = _classes(dec, index.base)
             merged += any(k > 1 for k in classes.values())
             several += len(classes) > 1
     assert merged and several
+
+
+@pytest.mark.parametrize("n,a,b", [(2, 2, 12), (2, 0, 14), (2, 5, 11), (2, 7, 13), (3, 4, 10), (3, 5, 11)])
+def test_kernel_rows_at_the_code_boundary(n, a, b):
+    # Each pair (p, q) of a cell is coded as p * (b + 1) + q, one-to-one
+    # because no y exponent passes b.  The largest column of these cells
+    # puts all of b in one slot, at the top of the code's range.  At base
+    # b the pair (x, b) would code as (x + 1, 0), and in the cells with an
+    # odd b two columns would share a key: {(1, 11), (4, 0)} and
+    # {(3, 11), (2, 0)} in (5, 11), say.  The kernel's rows must be the
+    # plain term counts, as orbit sums, at every column.
+    columns, index = cell_columns(n, a, b)
+    assert b >= 10 and b in columns[0].q
+    assert len(index) == len(columns)
+    for w in columns:
+        dec = decompose(w)
+        counts = product_coefficients(dec, index)
+        expected = {v: c * rearrangement_count(orbit_key(v)) for v, c in counted_product(dec, columns).items()}
+        assert {columns[j]: count for j, count in counts.items()} == expected, w.text()
 
 
 def test_product_term_outside_the_index_raises():
     # a term whose orbit is not a column is a broken invariant, not a KeyError
     columns, index = cell_columns(3, 4, 4)
     dec = decompose(columns[0])
-    del index[orbit_key(columns[0])]
-    with pytest.raises(RuntimeError, match="internal decomposition invariant violated"):
+    del index[tuple(sorted(pair_codes(columns[0].p, columns[0].q, index.base)))]
+    message = f"internal decomposition invariant violated: a product term has the orbit {orbit_key(columns[0])}, which is not a column"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         product_coefficients(dec, index)
 
 

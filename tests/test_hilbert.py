@@ -347,7 +347,7 @@ def test_candidates_in_orbit_coordinates_against_full_products():
             # the kernel must merge rearrangements of 2*nu into a class of
             # weight > 1, and walk products of several classes
             dec = decompose(w)
-            classes = _classes(dec)
+            classes = _classes(dec, b + 1)
             merged += any(k > 1 for k in classes.values())
             several += len(classes) > 1
             full = full_candidate(dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True)))
