@@ -303,7 +303,8 @@ def _ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
             continue
         blocks = [(len(list(tie)), v % 2) for v, tie in groupby(p)]
         for q in _tie_block_fills((b - odd) // 2, blocks):
-            yield Monomial(p, q)
+            # partitions and tie-block fills are non-negative ints, n of each
+            yield Monomial._from_checked(p, q)
 
 
 @lru_cache(maxsize=None)

@@ -62,6 +62,14 @@ class Monomial(Value, namedtuple("Monomial", "p q")):
             raise ValueError(f"exponents must be non-negative integers, got {p} and {q}")
         return tuple.__new__(cls, (p, q))
 
+    @classmethod
+    def _from_checked(cls, p: tuple[int, ...], q: tuple[int, ...]) -> Monomial:
+        """x^p y^q with no check, for exponent tuples already known to be
+        valid: nonempty, of equal length, non-negative ints.  Each caller
+        says why its exponents are; anything from outside goes through
+        ``Monomial(p, q)``."""
+        return tuple.__new__(cls, (p, q))
+
     @property
     def n(self) -> int:
         return len(self.p)
@@ -81,10 +89,12 @@ class Monomial(Value, namedtuple("Monomial", "p q")):
         return " ".join(parts) if parts else "1"
 
 
-def json_object(data: object, what: str, key: str) -> tuple[int, list[dict]]:
+def json_object(data: object, what: str, key: str, fields: set[str]) -> tuple[int, list[dict]]:
     """The rank and the ``key`` list of a JSON object; bool and float ranks are refused.
 
     A missing ``key`` is refused, since a misspelt key would load as zero.
+    So is a key other than "n" and ``key`` in the object, or other than
+    ``fields`` in an entry of the list, since it would be dropped unread.
     """
     try:
         check_rank(data.get("n") if isinstance(data, dict) else None)
@@ -93,7 +103,19 @@ def json_object(data: object, what: str, key: str) -> tuple[int, list[dict]]:
     entries = data.get(key)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f'{what} needs "{key}", a list of objects')
+    _known_keys([data], {"n", key}, what)
+    _known_keys(entries, fields, f'an entry of "{key}"')
     return data["n"], entries
+
+
+def _known_keys(objs: list[dict], known: set[str], what: str) -> None:
+    # Refuses the first key of ``objs`` outside ``known``, named by its
+    # repr, which keeps a key holding a newline on the one line of the
+    # refusal.
+    unknown = set().union(*objs) - known
+    if unknown:
+        key = next(k for obj in objs for k in obj if k in unknown)
+        raise ValueError(f"{what} has an unknown key {key!r}")
 
 
 class Polynomial:
@@ -102,9 +124,16 @@ class Polynomial:
     Instances are immutable and zero coefficients are never stored.  A
     key that is not a ``Monomial`` of rank n, and a coefficient that is
     not an ``int`` or a ``Fraction``, are refused with ValueError.
+
+    Each term is checked once, where it enters: by this constructor, or
+    by ``from_json``, which checks what it reads and then builds through
+    ``_from_checked``, as do ``rho`` and ``BasisExpansion.coefficient``,
+    whose terms are made from checked ones.  The terms grouped by
+    ``orbit_key`` are kept once made, since the terms never change, so
+    each term's pairs are sorted once however many readers group them.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_groups")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         check_rank(n)
@@ -121,6 +150,18 @@ class Polynomial:
                 clean[m] = c
         self.n = n
         self._terms = clean
+        self._groups = None
+
+    @classmethod
+    def _from_checked(cls, n: int, terms: dict[Monomial, Fraction]) -> Polynomial:
+        """A polynomial that takes over ``terms`` with no check: every key a
+        ``Monomial`` of rank n, every value a nonzero ``Fraction``.  Each
+        caller says why its terms are."""
+        f = cls.__new__(cls)
+        f.n = n
+        f._terms = terms
+        f._groups = None
+        return f
 
     @classmethod
     def from_monomial(cls, m: Monomial, coeff: Scalar = 1) -> "Polynomial":
@@ -185,27 +226,43 @@ class Polynomial:
         # coefficients may also be exact fraction strings.  The fraction
         # is built from the integers that ``ASCII_FRACTION`` matched, never
         # by ``Fraction`` parsing the string, which would expand a decimal
-        # exponent such as "1e10000000" in full.
-        n, entries = json_object(data, "a polynomial", "terms")
+        # exponent such as "1e10000000" in full.  Each distinct string is
+        # parsed once per call.  As in ``Polynomial(n, terms)``, a term of
+        # another rank is refused only once every term has passed the
+        # other checks, and a zero coefficient is dropped only then.
+        n, entries = json_object(data, "a polynomial", "terms", {"p", "q", "coeff"})
         terms: dict[Monomial, Fraction] = {}
+        parsed: dict[str, Fraction] = {}
+        wrong_rank = None
+        zero = False
         for entry in entries:
             p, q, c = entry.get("p"), entry.get("q"), entry.get("coeff")
             if not (isinstance(p, list) and isinstance(q, list)):
                 raise ValueError(f"term exponents p and q must be lists of integers, got {entry!r}")
             if type(c) is int:
-                num, den = c, 1
+                coeff = Fraction(c)
+                zero = zero or not c
             else:
-                match = ASCII_FRACTION.fullmatch(c) if isinstance(c, str) else None
-                if match is None:
-                    raise ValueError(f"a coefficient must be an integer or a fraction string, got {c!r}")
-                num, den = int(match[1]), int(match[2] or 1)
-            if not den:
-                raise ValueError(f"coefficient {c!r} has a zero denominator")
+                coeff = parsed.get(c) if isinstance(c, str) else None
+                if coeff is None:
+                    match = ASCII_FRACTION.fullmatch(c) if isinstance(c, str) else None
+                    if match is None:
+                        raise ValueError(f"a coefficient must be an integer or a fraction string, got {c!r}")
+                    num, den = int(match[1]), int(match[2] or 1)
+                    if not den:
+                        raise ValueError(f"coefficient {c!r} has a zero denominator")
+                    coeff = parsed[c] = Fraction(num, den)
+                    zero = zero or not num
             m = Monomial(tuple(p), tuple(q))
             if m in terms:
                 raise ValueError(f"monomial {m.text()} is listed twice")
-            terms[m] = Fraction(num, den)
-        return cls(n, terms)
+            if wrong_rank is None and len(p) != n:
+                wrong_rank = m
+            terms[m] = coeff
+        if wrong_rank is not None:
+            raise ValueError(f"monomial rank {wrong_rank.n} does not match polynomial rank {n}")
+        # every key passed ``Monomial`` and has rank n; every value is a Fraction
+        return cls._from_checked(n, {m: c for m, c in terms.items() if c} if zero else terms)
 
 
 def distinct_permutations(items: Iterable) -> Iterator[tuple]:
@@ -234,7 +291,8 @@ def distinct_permutations(items: Iterable) -> Iterator[tuple]:
 
 def rearrangements(m: Monomial) -> list[Monomial]:
     """The distinct monomials whose exponent pairs (p_k, q_k) rearrange those of ``m``."""
-    return [Monomial(*zip(*pairs)) for pairs in distinct_permutations(zip(m.p, m.q))]
+    # a rearrangement of a checked monomial's exponents is checked
+    return [Monomial._from_checked(*zip(*pairs)) for pairs in distinct_permutations(zip(m.p, m.q))]
 
 
 def orbit_key(m: Monomial) -> tuple[tuple[int, int], ...]:
@@ -258,6 +316,15 @@ def _orbits(f: Polynomial, key: Callable[[Monomial], object]) -> dict[object, li
     return orbits
 
 
+def _orbit_groups(f: Polynomial) -> dict[tuple[tuple[int, int], ...], list[Monomial]]:
+    # The terms of ``f`` grouped by ``orbit_key``, made on the first call
+    # and kept on ``f``, whose terms never change.  ``_orbits`` refuses a
+    # non-polynomial before anything is kept.
+    if not isinstance(f, Polynomial) or f._groups is None:
+        f._groups = _orbits(f, orbit_key)
+    return f._groups
+
+
 def rearrangement_count(items: Iterable) -> int:
     """Number of distinct rearrangements of a finite sequence, the multinomial
     of its multiplicities as a product of binomials."""
@@ -275,9 +342,20 @@ def orbit_sums(f: Polynomial) -> dict[tuple[tuple[int, int], ...], Fraction]:
     ``rho`` maps them to the same polynomial.  On an invariant the sum at
     w is the orbit size times the coefficient at w, which is injective.
     No orbit is expanded, and the odd slots are looked for once per orbit.
+    The orbits are those ``f`` keeps, so its terms are grouped once
+    however often it is summed.  An orbit whose coefficients all equal
+    the first, as on an invariant, sums as their count times it.
     """
-    sums = {key: sum(f._terms[m] for m in ms) for key, ms in _orbits(f, orbit_key).items()}
-    return {key: c for key, c in sums.items() if c and not any((p + q) % 2 for p, q in key)}
+    sums = {}
+    for key, members in _orbit_groups(f).items():
+        if any((p + q) % 2 for p, q in key):
+            continue
+        coeffs = list(map(f._terms.__getitem__, members))
+        count = coeffs.count(coeffs[0])
+        c = count * coeffs[0] if count == len(coeffs) else sum(coeffs)
+        if c:
+            sums[key] = c
+    return sums
 
 
 def rho(f: Polynomial) -> Polynomial:
@@ -291,15 +369,18 @@ def rho(f: Polynomial) -> Polynomial:
     the orbit's (x, y) exponent pairs, so each orbit is walked once.
     The weight 1/|orbit| = |stabiliser|/n! is what averaging over all n!
     plain permutations gives.  More than ``TERM_GUARD`` orbit members
-    are refused before any is built.
+    are refused before any is built.  ``f``'s terms are grouped by orbit
+    once, and kept on ``f``; the terms built are checked already, as
+    rearrangements of the pairs of checked terms.
     """
     sums = orbit_sums(f)
     sizes = list(map(rearrangement_count, sums))
     check_terms(sum(sizes), "the average has {count} terms, above")
     acc: dict[Monomial, Fraction] = {}
     for (key, c), size in zip(sums.items(), sizes):
-        acc.update(dict.fromkeys(rearrangements(Monomial(*zip(*key))), c / size))
-    return Polynomial(f.n, acc)
+        # the pairs of a term of ``f`` and a nonzero Fraction over a count
+        acc.update(dict.fromkeys(rearrangements(Monomial._from_checked(*zip(*key))), c / size))
+    return Polynomial._from_checked(f.n, acc)
 
 
 def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) -> str | None:
@@ -310,16 +391,19 @@ def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) ->
         full = size(key)
         if len(members) != full:
             return f"the orbit of {first.text()} has {len(members)} of its {_count_text(full)} terms"
-        if any(f._terms[m] != f._terms[first] for m in members):
+        # ``list.count`` compares in C, by identity first
+        coeffs = list(map(f._terms.__getitem__, members))
+        if coeffs.count(coeffs[0]) != full:
             return f"the orbit of {first.text()} has unequal coefficients"
     return None
 
 
-def _invariance_failure(f: Polynomial, orbits: dict[tuple[tuple[int, int], ...], list[Monomial]]) -> str | None:
-    # Why ``f``, whose terms ``orbits`` groups by ``orbit_key``, is not
-    # invariant, naming a term of ``f``, or None when it is.  Every member
-    # of an orbit has the odd slots of its key, so they are looked for once
-    # per key; the first odd key holds the first odd term.
+def _invariance_failure(f: Polynomial) -> str | None:
+    # Why ``f`` is not invariant, naming a term of ``f``, or None when it
+    # is.  Every member of an orbit has the odd slots of its key, so they
+    # are looked for once per key; the first odd key holds the first odd
+    # term.
+    orbits = _orbit_groups(f)
     odd = next((ms[0] for key, ms in orbits.items() if any((p + q) % 2 for p, q in key)), None)
     if odd is not None:
         return f"the term {odd.text()} has an odd total exponent in slot {odd.odd_slot()}"
@@ -334,7 +418,7 @@ def is_invariant(f: Polynomial) -> bool:
     When every slot is even, the group only rearranges the exponent
     pairs, so each orbit must appear in full with one coefficient.
     """
-    return _invariance_failure(f, _orbits(f, orbit_key)) is None
+    return _invariance_failure(f) is None
 
 
 def is_separately_invariant(f: Polynomial) -> bool:

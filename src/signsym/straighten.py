@@ -46,11 +46,10 @@ from .poly import (
     Monomial,
     Polynomial,
     _invariance_failure,
-    _orbits,
+    _orbit_groups,
     check_terms,
     is_separately_invariant,
     json_object,
-    orbit_key,
     orbit_sums,
     rearrangement_count,
     rho,
@@ -93,13 +92,20 @@ class BasisExpansion:
     def coefficient(self, sigma: SignedPermutation) -> Polynomial:
         """The coefficient of ``sigma`` as a polynomial, the sum of scalar * m_nu(x^2) m_mu(y^2)."""
         # Each term is one distinct rearrangement of 2*nu in x times one
-        # of 2*mu in y, and distinct canonical labels share no term.
+        # of 2*mu in y, and distinct canonical labels share no term.  The
+        # first term of a label goes through ``Monomial``, so a part that is
+        # not non-negative ints is refused; the others rearrange its
+        # entries, so they are checked too.
         terms: dict[Monomial, Fraction] = {}
         for (nu, mu), scalar in _canonical(self.n, sigma, self.entries.get(sigma, {})).items():
-            ys = doubled_rearrangements(mu)
-            for xs in doubled_rearrangements(nu):
-                terms.update(dict.fromkeys((Monomial(xs, s) for s in ys), scalar))
-        return Polynomial(self.n, terms)
+            xss, ys = doubled_rearrangements(nu), doubled_rearrangements(mu)
+            Monomial(xss[0], ys[0])
+            if scalar:
+                scalar = Fraction(scalar)
+                for xs in xss:
+                    terms.update(dict.fromkeys([Monomial._from_checked(xs, s) for s in ys], scalar))
+        # every key has rank n, as ``_canonical`` checked; every value is a nonzero Fraction
+        return Polynomial._from_checked(self.n, terms)
 
     def items(self) -> list[tuple[SignedPermutation, Polynomial]]:
         """Each sigma with its coefficient polynomial, by increasing window."""
@@ -121,7 +127,7 @@ class BasisExpansion:
         A coefficient that is not separately invariant in x and y is
         refused; one whose terms are all zero is not stored.
         """
-        n, entries = json_object(data, "an expansion", "entries")
+        n, entries = json_object(data, "an expansion", "entries", {"sigma", "coeff"})
         exp = cls(n)
         for entry in entries:
             sigma, coeff = entry.get("sigma"), Polynomial.from_json(entry.get("coeff"))
@@ -171,8 +177,7 @@ def straighten(f: Polynomial) -> BasisExpansion:
     walk; ``check_terms`` refuses the product whose terms, summed over
     all products, pass their cap, before it is built.
     """
-    orbits = _orbits(f, orbit_key)
-    reason = _invariance_failure(f, orbits)
+    reason = _invariance_failure(f)
     if reason is not None:
         raise ValueError(f"input is not invariant: {reason}")
     drawn = terms = 0
@@ -182,7 +187,7 @@ def straighten(f: Polynomial) -> BasisExpansion:
     scalars: dict[SignedPermutation, dict[Label, Fraction]] = {}
     components: dict[tuple[int, int], dict[tuple[tuple[int, int], ...], Fraction]] = {}
     # On an invariant an orbit's sum is its member count times their one coefficient.
-    for key, members in orbits.items():
+    for key, members in _orbit_groups(f).items():
         components.setdefault(tuple(map(sum, zip(*key))), {})[key] = len(members) * f.coefficient(members[0])
     for bd, sums in sorted(components.items()):
         columns, index = cell_columns(f.n, *bd, drawn)

@@ -186,6 +186,19 @@ def test_straighten_refuses_a_monomial_listed_twice(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: monomial x1^2 is listed twice\n")
 
 
+def test_straighten_refuses_an_unknown_key(capsys, monkeypatch):
+    # one error line, the key's newline escaped by its repr
+    term = {"p": [2, 0], "q": [0, 0], "coeff": 1}
+    for payload, message in (
+        ({"n": 2, "terms": [term], "extra": 1}, "a polynomial has an unknown key 'extra'"),
+        ({"n": 2, "terms": [{**term, "r": 5}]}, "an entry of \"terms\" has an unknown key 'r'"),
+        ({"n": 2, "terms": [term], "a\nb": 1}, "a polynomial has an unknown key 'a\\nb'"),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, out, err = run(capsys, "straighten", "--verify")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_straighten_constant(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(unit(2).to_json())))
     code, out, _ = run(capsys, "straighten")

@@ -423,9 +423,12 @@ def test_ordered_monomials_enumeration():
         ps = [p for p in itertools.product(range(a + 1), repeat=n) if sum(p) == a]
         qs = [q for q in itertools.product(range(b + 1), repeat=n) if sum(q) == b]
         expected = sorted((p, q) for p in ps for q in qs if is_ordered(mono(p, q)))
-        got = [(m.p, m.q) for m in ordered_monomials(n, a, b)]
+        columns = list(ordered_monomials(n, a, b))
+        got = [(m.p, m.q) for m in columns]
         assert sorted(got) == expected, (n, a, b)
         assert len(set(got)) == len(got)
+        # the columns skip the constructor's checks, and would pass them
+        assert all(Monomial(*w) == w for w in columns)
 
 
 def test_check_columns_builds_its_message_only_when_refusing():

@@ -34,11 +34,9 @@ from signsym.poly import (
     Polynomial,
     _count_text,
     _invariance_failure,
-    _orbits,
     distinct_permutations,
     is_invariant,
     is_separately_invariant,
-    orbit_key,
     orbit_sums,
     rearrangement_count,
     rho,
@@ -350,7 +348,7 @@ def test_is_invariant_agrees_with_generator_action():
             for f in _perturbed_invariants(rng, n):
                 expected = generator_invariant(f)
                 assert is_invariant(f) == expected, f
-                reason = _invariance_failure(f, _orbits(f, orbit_key))
+                reason = _invariance_failure(f)
                 assert (reason is None) == expected, f
                 if reason is not None:
                     named = re.fullmatch(r"the (?:term|orbit of) (.+?) has .+", reason).group(1)
@@ -361,7 +359,7 @@ def test_is_invariant_agrees_with_generator_action():
 
 def test_invariance_failure_reasons():
     def failure(f):
-        return _invariance_failure(f, _orbits(f, orbit_key))
+        return _invariance_failure(f)
 
     assert failure(poly(2, (1, (1, 2), (0, 0)))) == "the term x1 x2^2 has an odd total exponent in slot 1"
     assert failure(poly(2, (1, (2, 0), (0, 0)))) == "the orbit of x1^2 has 1 of its 2 terms"
@@ -484,6 +482,87 @@ def test_polynomial_json_refuses_a_monomial_listed_twice():
         terms = [{"p": [1, 0], "q": [1, 0], "coeff": c} for c in coeffs]
         with pytest.raises(ValueError, match=re.escape("monomial x1 y1 is listed twice")):
             Polynomial.from_json({"n": 2, "terms": terms})
+
+
+def _terms(*terms):
+    return [{"p": list(p), "q": list(q), "coeff": c} for p, q, c in terms]
+
+
+@pytest.mark.parametrize(
+    "n,terms,message",
+    [
+        (1, _terms(((2,), (0,), "1/x"), ((0,), (2,), "1/x")),
+         "a coefficient must be an integer or a fraction string, got '1/x'"),
+        (1, _terms(((2,), (0,), "1/2"), ((0,), (2,), "1/2"), ((1,), (1,), "1/0")),
+         "coefficient '1/0' has a zero denominator"),
+        (1, _terms(((2,), (0,), "1/2"), ((0,), (2,), "1/2 ")),
+         "a coefficient must be an integer or a fraction string, got '1/2 '"),
+        (1, _terms(((2,), (0,), "1/2"), ((-1,), (0,), "1/2")),
+         "exponents must be non-negative integers, got (-1,) and (0,)"),
+        (2, _terms(((2, 0), (0, 0), "1/2"), ((0, 2), (0, 0), "1/2"), ((1,), (1,), "1/2")),
+         "monomial rank 1 does not match polynomial rank 2"),
+        (2, _terms(((2,), (0,), "1/2"), ((0, 2), (0, 0), "1/2"), ((1, 1), (1, 1), "x")),
+         "a coefficient must be an integer or a fraction string, got 'x'"),
+        (2, _terms(((2, 0), (0, 0), "1/2"), ((2,), (0,), "1/2"), ((1, 1), (1, 1), "1/0")),
+         "coefficient '1/0' has a zero denominator"),
+        (2, _terms(((2,), (0,), "1/2"), ((0, 2), (0, 0), "1/2"), ((0, 2), (0, 0), "1/2")),
+         "monomial x2^2 is listed twice"),
+        (2, _terms(((2, 0), (0, 0), "1/2"), ((2,), (0,), "0")),
+         "monomial rank 1 does not match polynomial rank 2"),
+        (2, _terms(((2, 0, 0), (0, 0, 0), "1/2"), ((2,), (0,), "1/2")),
+         "monomial rank 3 does not match polynomial rank 2"),
+        (1, _terms(((2,), (0,), 1), ((2,), (0,), "1")), "monomial x1^2 is listed twice"),
+        (1, _terms(((2,), (0,), 1), ((0,), (2,), True)),
+         "a coefficient must be an integer or a fraction string, got True"),
+    ],
+    ids=["bad string repeated", "zero denominator after a good repeated string", "a good string then one unlike it",
+         "bad exponent after a parsed string", "rank mismatch in a later term", "rank mismatch then a bad coefficient",
+         "rank mismatch then a zero denominator", "rank mismatch then a duplicate", "rank mismatch of a zero term",
+         "first of two rank mismatches", "int and string for one monomial", "bool after an equal int"],
+)
+def test_polynomial_json_refuses_as_every_term_were_parsed_afresh(n, terms, message):
+    # Each distinct coefficient string is parsed once per call; every term
+    # still passes every check, and of several faults the same is named.
+    # A rank mismatch, as in ``Polynomial(n, terms)``, is named only once
+    # every term has passed the other checks.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Polynomial.from_json({"n": n, "terms": terms})
+
+
+def test_polynomial_json_parses_each_coefficient_string_once():
+    data = {"n": 2, "terms": _terms(
+        ((2, 0), (0, 0), "1/30"), ((0, 2), (0, 0), "1/30"), ((2, 2), (0, 0), "2/60"), ((4, 0), (0, 0), 1),
+        ((0, 4), (0, 0), "1"), ((0, 0), (2, 0), 0), ((0, 0), (0, 2), "0/5"),
+    )}
+    f = Polynomial.from_json(data)
+    assert f == poly(2, (Fraction(1, 30), (2, 0), (0, 0)), (Fraction(1, 30), (0, 2), (0, 0)),
+                     (Fraction(1, 30), (2, 2), (0, 0)), (1, (4, 0), (0, 0)), (1, (0, 4), (0, 0)))
+    assert all(type(c) is Fraction for _, c in f.items())
+    # one Fraction for the repeated string, another for the equal one spelt otherwise
+    assert f.coefficient(mono((2, 0), (0, 0))) is f.coefficient(mono((0, 2), (0, 0)))
+    assert f.coefficient(mono((2, 2), (0, 0))) is not f.coefficient(mono((2, 0), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"n": 1, "terms": [], "extra": 1}, "a polynomial has an unknown key 'extra'"),
+        ({"n": 1, "terms": [], "N": 1}, "a polynomial has an unknown key 'N'"),
+        ({"n": 1, "terms": [], "a\nb": 1}, "a polynomial has an unknown key 'a\\nb'"),
+        ({"n": 1, "terms": _terms(((2,), (0,), 1)) + [{"p": [0], "q": [2], "coeff": 1, "r": 5}]},
+         "an entry of \"terms\" has an unknown key 'r'"),
+        ({"n": 1, "terms": [{"p": [2], "q": [0], "coef": 1}]}, "an entry of \"terms\" has an unknown key 'coef'"),
+        # the checks that ran before keep their place
+        ({"n": 0, "terms": [], "extra": 1}, 'a polynomial must be a JSON object with a positive integer "n"'),
+        ({"n": 1, "terms": [1, {"r": 5}]}, 'a polynomial needs "terms", a list of objects'),
+    ],
+    ids=["top level", "misspelt rank", "a newline in the key", "in a later term", "misspelt coefficient",
+         "after a bad rank", "after a bad term list"],
+)
+def test_polynomial_json_refuses_an_unknown_key(data, message):
+    # a key that nothing reads would be dropped silently
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Polynomial.from_json(data)
 
 
 def test_text_rendering():

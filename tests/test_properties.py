@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import act, add, compose, family_invariant, mul, rho_bruteforce, straighten_full
+from helpers import act, add, compose, family_invariant, label_polynomial, mul, rho_bruteforce, straighten_full
 from signsym.cli import main
 from signsym.poly import Monomial, Polynomial, rho
 from signsym.signed_perm import SignedPermutation
@@ -119,6 +119,53 @@ def test_json_round_trips(args):
     else:
         with pytest.raises(ValueError, match="is not separately invariant in x and y$"):
             BasisExpansion.from_json(data)
+
+
+def assert_checked(f):
+    # ``f`` equals itself rebuilt through the public, checked constructors:
+    # exponent tuples of non-negative ints, rank n, no zero, and Fractions
+    assert f == Polynomial(f.n, {Monomial(m.p, m.q): c for m, c in f.items()})
+    assert all(type(c) is Fraction for _, c in f.items())
+
+
+# A few strings, most of them repeated, so that the parse of each is reused.
+coefficient_texts = st.sampled_from(["1/30", "-1/30", "2/60", "+3/6", "-6/4", "0", "0/7"]) | st.integers(-2, 2)
+
+
+@st.composite
+def polynomial_json(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    pairs = draw(st.lists(st.tuples(exps, exps), max_size=8, unique_by=lambda pq: (tuple(pq[0]), tuple(pq[1]))))
+    return {"n": n, "terms": [{"p": p, "q": q, "coeff": draw(coefficient_texts)} for p, q in pairs]}
+
+
+@st.composite
+def raw_expansions_at(draw, n):
+    """An expansion of rank n whose labels may name one product twice, with int or Fraction scalars."""
+    part = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    labels = st.dictionaries(st.tuples(part, part), st.integers(-2, 2) | fractions, max_size=4)
+    return BasisExpansion(n, draw(st.dictionaries(signed_permutations(n), labels, max_size=2)))
+
+
+@deterministic(80)
+@given(rho_combinations(), polynomial_json(), st.integers(1, 3).flatmap(raw_expansions_at))
+def test_what_is_built_unchecked_passes_the_checks(f, data, expansion):
+    # from_json, rho and coefficient build their terms with no check, from
+    # terms already checked; each result is what the checks would give
+    read = Polynomial.from_json(data)
+    assert_checked(read)
+    assert read == Polynomial(data["n"], {
+        Monomial(tuple(t["p"]), tuple(t["q"])): Fraction(t["coeff"]) for t in data["terms"]
+    })
+    for g in (f, read):
+        assert_checked(rho(g))
+        assert_checked(Polynomial.from_json(json.loads(json.dumps(g.to_json()))))
+    for e in (straighten(f), expansion):
+        for sigma, labels in e.entries.items():
+            coefficient = e.coefficient(sigma)
+            assert_checked(coefficient)
+            assert coefficient == label_polynomial(e.n, labels)
 
 
 leaves = (

@@ -97,10 +97,12 @@ def no_expansion(*args):
 
 
 def test_straighten_groups_each_input_term_once(monkeypatch):
-    # the orbit sums are read from the grouping that the invariance check
-    # makes, so each term's exponent pairs are sorted once
-    f = averaged(mono((5, 3, 1, 1, 0, 0, 0), (3, 1, 3, 1, 2, 0, 0)))
-    expansion = straighten(f)
+    # the invariance check, the walk's orbit sums and the check of
+    # ``evaluates_to`` all read the grouping that the input keeps, so over
+    # ``straighten --verify`` each term's exponent pairs are sorted once
+    averaged_f = averaged(mono((5, 3, 1, 1, 0, 0, 0), (3, 1, 3, 1, 2, 0, 0)))
+    expansion = straighten(averaged_f)
+    f = Polynomial.from_json(averaged_f.to_json())
     keyed = []
     orbit_key = poly_module.orbit_key
 
@@ -108,9 +110,11 @@ def test_straighten_groups_each_input_term_once(monkeypatch):
         keyed.append(m)
         return orbit_key(m)
 
+    # also where ``straighten`` would find a name of its own
     for module in (poly_module, straighten_module):
-        monkeypatch.setattr(module, "orbit_key", counted)
+        monkeypatch.setattr(module, "orbit_key", counted, raising=False)
     assert straighten(f).entries == expansion.entries
+    assert evaluates_to(expansion, f)
     assert len(keyed) == len(f) and set(keyed) == set(f.monomials())
 
 
@@ -542,6 +546,26 @@ def test_expansion_from_json_refuses_an_ill_typed_rank_or_window(data, message):
     # a bool or a float is never read as a rank or a window entry, and a
     # window is a JSON list, never a string or a tuple
     with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        BasisExpansion.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [
+        (lambda data: data.update(extra=1), "an expansion has an unknown key 'extra'"),
+        (lambda data: data["entries"][0].update(label=1), "an entry of \"entries\" has an unknown key 'label'"),
+        (lambda data: data["entries"][0]["coeff"].update(extra=1), "a polynomial has an unknown key 'extra'"),
+        (lambda data: data["entries"][0]["coeff"]["terms"][-1].update(r=5),
+         "an entry of \"terms\" has an unknown key 'r'"),
+    ],
+    ids=["top level", "entry", "coefficient", "coefficient term"],
+)
+def test_expansion_from_json_refuses_an_unknown_key(spoil, message):
+    # each object of the schema keeps to its own keys
+    data = straighten(averaged(mono((2, 0), (0, 0)))).to_json()
+    assert BasisExpansion.from_json(data).entries
+    spoil(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BasisExpansion.from_json(data)
 
 
