@@ -17,21 +17,31 @@ those term counts as plain integers at column positions;
 ``COLUMN_GUARD``, numbers them in decreasing order and keys them by
 orbit, each exponent pair coded as one int by ``pair_codes``, so each
 term is one sort of ints and one lookup.  The rearrangements of 2*nu
-are merged into classes once per (nu, sigma) and bidegree, and what
-depends on sigma alone, c_sigma and the slot pairs its ties compare,
-once per sigma.
+are scaled by the code's base once per (nu, base) and merged into
+classes once per (nu, sigma) and bidegree.  What depends on sigma
+alone, c_sigma, the slot order it reads the y side along and the slot
+pairs its ties compare, is built once per sigma, and a column finds it
+by one lookup of its y exponents, which fix sigma.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby, islice
-from operator import add, ge, sub
+from operator import add, ge, or_, sub
 
 from .poly import Monomial, distinct_permutations
-from .signed_perm import SignedPermutation, Value, check_degree, check_rank, statistics
+from .signed_perm import (
+    SignedPermutation,
+    Value,
+    check_degree,
+    check_rank,
+    statistics,
+    window_descent_counts,
+    window_inverse,
+)
 
 #: Cap on the ordered columns, one basis product each, of a ``straighten``
 #: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
@@ -119,12 +129,13 @@ def signed_index_permutation(m: Monomial) -> SignedPermutation:
     """
     if not is_ordered(m):
         raise ValueError("signed index permutation is only defined for ordered monomials")
-    return SignedPermutation(_index_window(m))
+    return SignedPermutation(_index_window(m.q))
 
 
-def _index_window(m: Monomial) -> tuple[int, ...]:
-    # The signed slots sorted by (-q_j, signed slot); no two pairs tie.
-    return tuple([s for _, s in sorted([(-v, -j if v % 2 else j) for j, v in enumerate(m.q, start=1)])])
+def _index_window(q: tuple[int, ...]) -> tuple[int, ...]:
+    # The window that sorts the y exponents q: the signed slots sorted by
+    # (-q_j, signed slot); no two pairs tie.
+    return tuple([s for _, s in sorted([(-v, -j if v % 2 else j) for j, v in enumerate(q, start=1)])])
 
 
 def order_key(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -178,17 +189,28 @@ def _check(condition: bool, message: str, *args: object) -> None:
 
 
 @lru_cache(maxsize=None)
-def _descent_data(window: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], tuple[tuple[str, int, int], ...]]:
+def _descent_data(window: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[tuple[str, int, int], ...]]:
     # sigma with the exponents (delta, gamma) of c_sigma, once per window,
-    # with the checks that depend on sigma alone, and the slot pairs
-    # (i, j) the tie checks compare: j and the previous slot i of its
-    # value in delta, and likewise in gamma, which covers every pair of
-    # slots sharing a value.
+    # with the checks that depend on sigma alone.  delta_i is the flag
+    # number f_i = 2 d_i + eps_i of sigma^-1, and gamma at slot |sigma(i)|
+    # that of sigma, both read in one pass from the descent counts of the
+    # two windows and their signs.  ``order`` lists those slots |sigma(i)|
+    # - 1 by position, the order that gamma and mu decrease along.  The
+    # slot pairs (i, j) the tie checks compare are j and the previous slot
+    # i of its value in delta, and likewise in gamma, which covers every
+    # pair of slots sharing a value.
     sigma = SignedPermutation(window)
-    c = diagonal_signed_descent_monomial(sigma)
-    delta, gamma = c.p, c.q
+    inverse = window_inverse(window)
+    order = tuple([abs(v) - 1 for v in window])
+    delta = [0] * len(window)
+    gamma = [0] * len(window)
+    counts = zip(order, window_descent_counts(window), window, window_descent_counts(inverse), inverse)
+    for i, (k, d, v, d_inv, v_inv) in enumerate(counts):
+        delta[i] = 2 * d_inv + (v_inv < 0)
+        gamma[k] = 2 * d + (v < 0)
+    delta, gamma = tuple(delta), tuple(gamma)
     _check(all(map(ge, delta, delta[1:])), "delta not weakly decreasing")
-    gamma_along = [gamma[abs(v) - 1] for v in window]
+    gamma_along = [gamma[i] for i in order]
     _check(all(map(ge, gamma_along, gamma_along[1:])), "gamma not weakly decreasing along sigma")
     ties = []
     for name, seq in (("delta", delta), ("gamma", gamma)):
@@ -197,17 +219,36 @@ def _descent_data(window: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int
             if v in previous:
                 ties.append((name, previous[v], j))
             previous[v] = j
-    return sigma, delta, gamma, tuple(ties)
+    return sigma, delta, gamma, order, tuple(ties)
+
+
+@lru_cache(maxsize=None)
+def _y_descent_data(q: tuple[int, ...]) -> tuple[SignedPermutation, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    # sigma, delta, gamma and mu for the ordered monomials with y
+    # exponents q: q alone fixes the signed index permutation, and with it
+    # mu and the checks on the y side, so a column finds them by one
+    # lookup.  mu is halved and checked along sigma, and within each value
+    # of delta, and of gamma, the twisted q must weakly decrease.
+    sigma, delta, gamma, order, ties = _descent_data(_index_window(q))
+    mu = _halves(q, gamma, "q - gamma")
+    mu_along = [mu[i] for i in order]
+    _check(all(map(ge, mu_along, mu_along[1:])), "mu not weakly decreasing along sigma")
+    twisted = list(map(sign_twist, q))
+    broken = next(((name, i + 1, j + 1) for name, i, j in ties if twisted[i] < twisted[j]), None)
+    _check(broken is None, "{} tie at slots {},{} breaks the twist order", *(broken or ()))
+    return sigma, delta, gamma, mu
 
 
 def _halves(exps: tuple[int, ...], flags: tuple[int, ...], what: str) -> tuple[int, ...]:
-    # (exps - flags) / 2, every slot checked even and non-negative in one
-    # pass; the first slot that fails is looked for only then.
-    rest = tuple(map(sub, exps, flags))
-    if any([v < 0 or v % 2 for v in rest]):
+    # (exps - flags) / 2.  The differences are all even and non-negative
+    # exactly when their bitwise or is, so one pass checks every slot;
+    # the first slot that fails is looked for only then.
+    rest = list(map(sub, exps, flags))
+    bits = reduce(or_, rest, 0)
+    if bits < 0 or bits & 1:
         slot = next(i for i, v in enumerate(rest, start=1) if v < 0 or v % 2)
         _check(False, "{} not even non-negative at slot {}", what, slot)
-    return tuple([v // 2 for v in rest])
+    return tuple([v >> 1 for v in rest])
 
 
 def decompose(m: Monomial) -> Decomposition:
@@ -219,8 +260,10 @@ def decompose(m: Monomial) -> Decomposition:
     delta and gamma are the exponents of
     ``diagonal_signed_descent_monomial(sigma)``, built and checked once
     per sigma, with the slot pairs whose ties the twist order must
-    respect; each vector is then checked in one pass.  A monomial that
-    is not ordered is refused with ValueError.
+    respect.  The y exponents fix sigma, so mu and the checks on the y
+    side run once per y exponent vector, and nu is checked in one pass
+    per monomial.  A monomial that is not ordered is refused with
+    ValueError.
     """
     if not is_ordered(m):
         raise ValueError("decompose is only defined for ordered monomials")
@@ -230,18 +273,9 @@ def decompose(m: Monomial) -> Decomposition:
 def _decompose(m: Monomial) -> Decomposition:
     # ``decompose`` for a monomial already known to be ordered, such as a
     # column that ``ordered_monomials`` built; every check but that one.
-    window = _index_window(m)
-    sigma, delta, gamma, ties = _descent_data(window)
+    sigma, delta, gamma, mu = _y_descent_data(m.q)
     nu = _halves(m.p, delta, "p - delta")
-    mu = _halves(m.q, gamma, "q - gamma")
     _check(all(map(ge, nu, nu[1:])), "nu not weakly decreasing")
-    mu_along = [mu[abs(v) - 1] for v in window]
-    _check(all(map(ge, mu_along, mu_along[1:])), "mu not weakly decreasing along sigma")
-    # Within each value of delta, and of gamma, the twisted q must weakly
-    # decrease.
-    q = m.q
-    broken = next(((name, i + 1, j + 1) for name, i, j in ties if sign_twist(q[i]) < sign_twist(q[j])), None)
-    _check(broken is None, "{} tie at slots {},{} breaks the twist order", *(broken or ()))
     return Decomposition(sigma, nu, delta, mu, gamma)
 
 
@@ -362,8 +396,29 @@ def cell_columns(n: int, a: int, b: int, drawn: int = 0) -> tuple[list[Monomial]
     """
     columns = list(islice(ordered_monomials(n, a, b), COLUMN_GUARD - drawn + 1))
     check_columns(drawn + len(columns), "bidegree ({}, {}) takes the ordered columns past", a, b)
-    columns.sort(key=order_key, reverse=True)
+    columns.sort(key=_column_key, reverse=True)
     return columns, ColumnIndex(columns, b + 1)
+
+
+def _column_key(w: Monomial) -> tuple[tuple[int, ...], list[int], list[int]]:
+    # ``order_key`` for a column, whose p is a partition and so its own
+    # sorted form: (p, q sorted down) orders as the head and, p being
+    # equal, the twisted q as the tail.
+    q = w.q
+    return w.p, sorted(q, reverse=True), [-v if v & 1 else v for v in q]
+
+
+@lru_cache(maxsize=None)
+def _scaled_rearrangements(nu: tuple[int, ...], base: int) -> tuple[tuple[int, ...], ...]:
+    # The distinct rearrangements of 2*nu with every entry times ``base``,
+    # the x halves of their pair codes.
+    return tuple([tuple([v * base for v in r]) for r in doubled_rearrangements(nu)])
+
+
+@lru_cache(maxsize=None)
+def _y_rearrangements(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # ``doubled_rearrangements`` of mu's partition, for mu in any order.
+    return doubled_rearrangements(tuple(sorted(mu, reverse=True)))
 
 
 def _classes(dec: Decomposition, base: int) -> dict[tuple[int, ...], int]:
@@ -375,8 +430,8 @@ def _classes(dec: Decomposition, base: int) -> dict[tuple[int, ...], int]:
     # over all of them both r meet each orbit equally often.
     flags = pair_codes(dec.delta, dec.gamma, base)
     classes: dict[tuple[int, ...], int] = {}
-    for r in doubled_rearrangements(dec.nu):
-        key = tuple(sorted(pair_codes(r, flags, base)))
+    for r in _scaled_rearrangements(dec.nu, base):
+        key = tuple(sorted(map(add, r, flags)))
         classes[key] = classes.get(key, 0) + 1
     return classes
 
@@ -394,9 +449,11 @@ def product_coefficients(dec: Decomposition, index: ColumnIndex) -> dict[int, in
     nonzero count to that count, an int.
     The r are walked once per class of ``_classes``, weighted by the
     class size; the class table of (nu, sigma) is built once per
-    ``index``.  A class holds its pairs as codes, and adding s to the
+    ``index``, from the rearrangements of 2*nu scaled by the base once per
+    (nu, base).  A class holds its pairs as codes, and adding s to the
     codes adds it to the y exponents, since no term's y exponent reaches
-    the base, so each term's key is one sort of ints.  ``index`` must
+    the base, so each term's key is one sort of ints and its position one
+    lookup.  ``index`` must
     hold every column of the product's bidegree; a term outside it
     raises RuntimeError.
     """
@@ -404,15 +461,13 @@ def product_coefficients(dec: Decomposition, index: ColumnIndex) -> dict[int, in
     classes = index.classes.get(table)
     if classes is None:
         classes = index.classes[table] = _classes(dec, index.base)
-    counts: dict[tuple[int, ...], int] = {}
-    ss = doubled_rearrangements(tuple(sorted(dec.mu, reverse=True)))
-    for codes, weight in classes.items():
-        for s in ss:
-            key = tuple(sorted(map(add, codes, s)))
-            counts[key] = counts.get(key, 0) + weight
-    positions = list(map(index.get, counts))
-    if None in positions:
-        outside = next(key for key, j in zip(counts, positions) if j is None)
-        pairs = tuple(divmod(code, index.base) for code in outside)
+    counts: dict[int, int] = {}
+    ss = _y_rearrangements(dec.mu)
+    try:
+        for codes, weight in classes.items():
+            for j in map(index.__getitem__, [tuple(sorted(map(add, codes, s))) for s in ss]):
+                counts[j] = counts.get(j, 0) + weight
+    except KeyError as missing:
+        pairs = tuple(divmod(code, index.base) for code in missing.args[0])
         _check(False, "a product term has the orbit {}, which is not a column", pairs)
-    return dict(zip(positions, counts.values()))
+    return counts

@@ -10,6 +10,7 @@ from functools import cache
 from itertools import permutations
 from typing import Iterator
 
+import signsym.descent_basis as descent_basis_module
 import signsym.hilbert as hilbert_module
 from signsym.descent_basis import (
     Decomposition,
@@ -38,10 +39,13 @@ from signsym.straighten import BasisExpansion
 
 
 def clear_hilbert_caches() -> None:
-    """Clear every functools cache of ``signsym.hilbert``, as a fresh process starts."""
-    for value in vars(hilbert_module).values():
-        if callable(getattr(value, "cache_clear", None)):
-            value.cache_clear()
+    """Clear every functools cache of ``signsym.hilbert`` and of the
+    ``signsym.descent_basis`` it reads its cells through, as a fresh
+    process starts."""
+    for module in (hilbert_module, descent_basis_module):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 def record_table_builds(monkeypatch, build) -> list[int]:

@@ -12,7 +12,10 @@ from signsym.descent_basis import (
     COLUMN_GUARD,
     _classes,
     _decompose,
+    _column_key,
     _descent_data,
+    _index_window,
+    _y_descent_data,
     cell_columns,
     check_columns,
     compare,
@@ -242,17 +245,21 @@ WORKED = mono((7, 6, 6, 5, 5, 3), (3, 8, 6, 3, 5, 5))
 @pytest.mark.parametrize("entry", [decompose, _decompose], ids=["decompose", "_decompose"])
 def test_each_decompose_check_fires(monkeypatch, entry, delta, gamma, ties, message):
     # The checks on the halved parts read delta, gamma and the tie pairs
-    # from _descent_data, once per sigma; a statistics bug that feeds them
-    # a wrong value must still be caught, by the check that names it, in
-    # the public entry and in the private one that skips is_ordered.
+    # from _descent_data, once per sigma, and a column reaches them, with
+    # the checks on its y side, through one cached lookup of its y
+    # exponents; a statistics bug that feeds them a wrong value must
+    # still be caught, by the check that names it, in the public entry
+    # and in the private one that skips is_ordered.  The lookup has
+    # cached WORKED by then, so it is replaced by its uncached body.
     real = _descent_data
     assert entry(WORKED).nu == (2, 2, 2, 2, 2, 1)
 
     def broken(window):
-        sigma, real_delta, real_gamma, real_ties = real(window)
-        return sigma, delta or real_delta, gamma or real_gamma, real_ties if ties is None else ties
+        sigma, real_delta, real_gamma, order, real_ties = real(window)
+        return sigma, delta or real_delta, gamma or real_gamma, order, real_ties if ties is None else ties
 
     monkeypatch.setattr(descent_basis_module, "_descent_data", broken)
+    monkeypatch.setattr(descent_basis_module, "_y_descent_data", _y_descent_data.__wrapped__)
     with pytest.raises(RuntimeError, match=f"^internal decomposition invariant violated: {re.escape(message)}$"):
         entry(WORKED)
 
@@ -262,14 +269,14 @@ def test_tie_pairs_chain_the_slots_of_each_value():
     # slots in increasing order, each with the next, which orders every
     # pair of them; the list depends on sigma alone
     window = decompose(WORKED).sigma.window
-    assert _descent_data(window)[3] == (
+    assert _descent_data(window)[4] == (
         ("delta", 1, 2), ("delta", 3, 4), ("delta", 4, 5),
         ("gamma", 1, 2), ("gamma", 0, 3), ("gamma", 3, 4), ("gamma", 4, 5),
     )
     chained = 0
     for n in (1, 2, 3, 4):
         for sigma in enumerate_group(n):
-            _, delta, gamma, ties = _descent_data(sigma.window)
+            _, delta, gamma, _, ties = _descent_data(sigma.window)
             expected = set()
             for name, seq in (("delta", delta), ("gamma", gamma)):
                 for value in set(seq):
@@ -278,6 +285,69 @@ def test_tie_pairs_chain_the_slots_of_each_value():
             assert len(ties) == len(expected) and set(ties) == expected, sigma
             chained += len(ties)
     assert chained > 600
+
+
+def test_one_pass_descent_data_matches_the_statistics():
+    # _descent_data reads delta and gamma from the descent counts of the
+    # window and of its inverse in one pass; they must be the exponents of
+    # diagonal_signed_descent_monomial, which builds them from two
+    # statistics profiles, for every sigma of ranks 1-5.  The slot order
+    # lists |sigma(i)| - 1 at position i: the position that the inverse's
+    # window sends to i + 1.
+    checked = 0
+    for n in (1, 2, 3, 4, 5):
+        for sigma in enumerate_group(n):
+            built, delta, gamma, order, _ = _descent_data(sigma.window)
+            c = diagonal_signed_descent_monomial(sigma)
+            assert built == sigma
+            assert (delta, gamma) == (c.p, c.q), sigma
+            assert all(type(v) is int for v in delta + gamma)
+            inverse = sigma.inverse().window
+            assert len(order) == n and all(abs(inverse[k]) == i + 1 for i, k in enumerate(order)), sigma
+            assert [gamma[k] for k in order] == list(statistics(sigma).f)
+            checked += 1
+    assert checked == 2 + 8 + 48 + 384 + 3840
+
+
+def _brute_index_window(q):
+    # The window of the docstring of signed_index_permutation: positions
+    # by decreasing q, a position j as j for even q_j and -j for odd, each
+    # block of equal q in increasing window values.
+    window = []
+    for value in sorted(set(q), reverse=True):
+        window += sorted(j if value % 2 == 0 else -j for j, v in enumerate(q, start=1) if v == value)
+    return tuple(window)
+
+
+def test_y_lookup_returns_the_index_window():
+    # a column finds sigma, and with it delta, gamma and mu, by one cached
+    # lookup of its y exponents, which alone fix the window
+    checked = 0
+    for n in (1, 2, 3, 4, 5):
+        for total in range(13):
+            for a in range(total + 1):
+                for w in ordered_monomials(n, a, total - a):
+                    sigma, delta, gamma, mu = _y_descent_data(w.q)
+                    assert sigma.window == _index_window(w.q) == _brute_index_window(w.q), w.text()
+                    assert sigma == signed_index_permutation(w)
+                    assert _y_descent_data(w.q) is _y_descent_data(w.q)
+                    dec = decompose(w)
+                    assert (dec.sigma, dec.delta, dec.gamma, dec.mu) == (sigma, delta, gamma, mu)
+                    checked += 1
+    assert checked > 2500
+
+
+def test_column_key_orders_every_cell_as_order_key():
+    # cell_columns sorts by (p, q sorted down, q twisted), which must order
+    # the columns of every bidegree up to total 12 at ranks 1-5 exactly as
+    # order_key does, since every column's p is a partition
+    for n in (1, 2, 3, 4, 5):
+        for total in range(13):
+            for a in range(total + 1):
+                columns = list(ordered_monomials(n, a, total - a))
+                expected = sorted(columns, key=order_key, reverse=True)
+                assert sorted(columns, key=_column_key, reverse=True) == expected, (n, a, total - a)
+                assert cell_columns(n, a, total - a)[0] == expected
 
 
 def test_decompose_descent_monomial_example():
