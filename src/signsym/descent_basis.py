@@ -5,7 +5,9 @@ its signed variant in the x family alone, and the diagonal versions that
 pair statistics of an element with statistics of its inverse across the
 two variable families.  The ordered monomials form a transversal of the
 averaging orbits; every ordered monomial decomposes as an even part
-times a diagonal signed descent monomial.  ``product_coefficients``
+times a diagonal signed descent monomial.  ``ordered_monomials`` walks
+the transversal by its definition, one exponent pair at a time, and
+``order_key`` orders it.  ``product_coefficients``
 builds the basis product named by such a decomposition at the ordered
 monomials of one bidegree, the one kernel behind straightening and the
 freeness check.  m_nu(x^2) m_mu(y^2) is invariant, so the product is
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache, reduce
-from itertools import groupby, islice
+from itertools import islice
 from operator import add, ge, or_, sub
 
 from .poly import Monomial, distinct_permutations
@@ -45,8 +47,8 @@ from .signed_perm import (
 
 #: Cap on the ordered columns, one basis product each, of a ``straighten``
 #: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
-#: in 2.3 s and 57 MB, ``--n 3 --max-degree 34`` 90,465 in 2.6-3.2 s and
-#: 17 MB (2-vCPU Xeon).
+#: in 2.0-2.3 s and 115 MB peak RSS, ``--n 3 --max-degree 34`` 90,465 in
+#: 1.8-2.3 s and 20 MB (2-vCPU Xeon).
 COLUMN_GUARD = 100_000
 
 
@@ -141,13 +143,13 @@ def _index_window(q: tuple[int, ...]) -> tuple[int, ...]:
 def order_key(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sort key realizing the total order on ordered monomials.
 
-    The first component lists both exponent vectors independently sorted
-    in decreasing order; the second breaks ties by (p, sign_twist(q)).
-    Comparing keys with the usual tuple order compares monomials.
+    The first component lists both exponent vectors sorted in decreasing
+    order; the second breaks ties by (p, sign_twist(q)).  Comparing keys
+    with the usual tuple order compares monomials.  p is weakly decreasing
+    on an ordered monomial, so it is read as it stands.
     """
-    head = tuple(sorted(m.p, reverse=True)) + tuple(sorted(m.q, reverse=True))
-    tail = m.p + tuple(sign_twist(v) for v in m.q)
-    return (head, tail)
+    p, q = m.p, m.q
+    return p + tuple(sorted(q, reverse=True)), p + tuple([-v if v & 1 else v for v in q])
 
 
 def compare(m: Monomial, w: Monomial) -> int:
@@ -279,49 +281,14 @@ def _decompose(m: Monomial) -> Decomposition:
     return Decomposition(sigma, nu, delta, mu, gamma)
 
 
-def partitions_fixed_length(total: int, length: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing tuples of ``length`` non-negative integers summing to ``total``."""
-    if total < 0:
-        return
-    if length == 0 or total == 0:
-        if total == 0:
-            yield (0,) * length
-        return
-    hi = total if cap is None else min(total, cap)
-    lo = -(-total // length)  # smallest feasible first part
-    for first in range(hi, lo - 1, -1):
-        for rest in partitions_fixed_length(total - first, length - 1, first):
-            yield (first,) + rest
-
-
-def _tie_block_fills(free: int, blocks: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    # The y exponents over consecutive tie blocks (length, parity) of an
-    # ordered x exponent: even on an even block and weakly decreasing,
-    # odd on an odd block and weakly increasing, so that the twisted
-    # pairs decrease.  ``free`` is half of what the y degree leaves once
-    # every odd slot holds 1; each block takes a partition of its share.
-    # The tails are walked afresh for each head, so a caller that stops
-    # early has built no more columns than it drew.
-    if not blocks:
-        if free == 0:
-            yield ()
-        return
-    (length, odd), rest = blocks[0], blocks[1:]
-    for share in range(free + 1) if rest else (free,):
-        for part in partitions_fixed_length(share, length):
-            head = tuple(2 * v + 1 for v in reversed(part)) if odd else tuple(2 * v for v in part)
-            for tail in _tie_block_fills(free - share, rest):
-                yield head + tail
-
-
 def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
     """All ordered monomials of rank n with x-degree a and y-degree b.
 
-    p runs over the partitions of a; each tie block of p takes its y
-    exponents directly in the order the transversal needs, so no
-    exponent pair is built and then refused.  ``check_rank`` and
-    ``check_degree`` refuse the arguments at the call, before any monomial
-    is drawn.
+    The walk follows the definition: n exponent pairs (x, y), each with
+    x + y even, summing to (a, b), each at most the one before it in
+    (x, sign_twist(y)) order, so no pair is built and then refused.
+    ``check_rank`` and ``check_degree`` refuse the arguments at the call,
+    before any monomial is drawn.
     """
     check_rank(n)
     check_degree(a)
@@ -331,14 +298,33 @@ def ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
 
 def _ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
     # The walk of ``ordered_monomials``, once its arguments have passed.
-    for p in partitions_fixed_length(a, n):
-        odd = sum(v % 2 for v in p)
-        if b < odd or (b - odd) % 2:
-            continue
-        blocks = [(len(list(tie)), v % 2) for v, tie in groupby(p)]
-        for q in _tie_block_fills((b - odd) // 2, blocks):
-            # partitions and tie-block fills are non-negative ints, n of each
+    if (a + b) % 2 == 0:  # every pair has an even total
+        for p, q in _pairs(n, a, b, a, b):
+            # n non-negative ints each, ordered by construction
             yield Monomial._from_checked(p, q)
+
+
+def _pairs(k: int, a: int, b: int, top_x: int, top_y: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # The last k pairs, summing to (a, b), each at most (top_x, top_y) in
+    # (x, twisted y) order.  The first x is at least ceil(a / k); when
+    # a = k * x every later x equals it and their twisted y are at most
+    # this one's, so k times it is at least the twisted sum, b for an even
+    # x and -b for an odd one.  These bounds keep the walk proportional
+    # to its output, and (0, 0) pads the rest once nothing is left.  The
+    # tails are walked afresh for each head, so a caller that stops early
+    # has built no more columns than it drew.
+    if a == b == 0:
+        yield (0,) * k, (0,) * k
+    elif k == 1:
+        if a < top_x or (a == top_x and sign_twist(b) <= top_y):
+            yield (a,), (b,)
+    else:
+        for x in range(min(a, top_x), -(-a // k) - 1, -1):
+            for y in range(x & 1, b + 1, 2):
+                t = -y if y & 1 else y
+                if (x < top_x or t <= top_y) and (a < k * x or k * t >= (-b if x & 1 else b)):
+                    for xs, ys in _pairs(k - 1, a - x, b - y, x, t):
+                        yield (x,) + xs, (y,) + ys
 
 
 @lru_cache(maxsize=None)
@@ -396,16 +382,8 @@ def cell_columns(n: int, a: int, b: int, drawn: int = 0) -> tuple[list[Monomial]
     """
     columns = list(islice(ordered_monomials(n, a, b), COLUMN_GUARD - drawn + 1))
     check_columns(drawn + len(columns), "bidegree ({}, {}) takes the ordered columns past", a, b)
-    columns.sort(key=_column_key, reverse=True)
+    columns.sort(key=order_key, reverse=True)
     return columns, ColumnIndex(columns, b + 1)
-
-
-def _column_key(w: Monomial) -> tuple[tuple[int, ...], list[int], list[int]]:
-    # ``order_key`` for a column, whose p is a partition and so its own
-    # sorted form: (p, q sorted down) orders as the head and, p being
-    # equal, the twisted q as the tail.
-    q = w.q
-    return w.p, sorted(q, reverse=True), [-v if v & 1 else v for v in q]
 
 
 @lru_cache(maxsize=None)

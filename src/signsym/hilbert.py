@@ -211,8 +211,8 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dic
     positions of the cell that ``cell_columns`` numbers.  The product is
     zero at every larger column, so row j is nonzero at j and at larger
     positions only.  Rows and rank for every cell up to total degree 16
-    take about 0.45-0.5 s at rank 8 (5,448 columns), and up to degree 20
-    about 0.42-0.5 s at rank 4 (13,238 columns), from cold caches on a
+    take about 0.45-0.53 s at rank 8 (5,448 columns), and up to degree 20
+    about 0.34-0.41 s at rank 4 (13,238 columns), from cold caches on a
     2-vCPU Xeon.  A bad rank or degree
     is refused by ``ordered_monomials``, which ``cell_columns`` draws at once.
     """

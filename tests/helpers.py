@@ -17,8 +17,6 @@ from signsym.descent_basis import (
     decompose,
     diagonal_signed_descent_monomial,
     is_ordered,
-    order_key,
-    partitions_fixed_length,
     sign_twist,
 )
 from signsym.poly import (
@@ -200,6 +198,32 @@ def bidegree_components(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
     for m, c in terms(f):
         buckets.setdefault((sum(m.p), sum(m.q)), {})[m] = c
     return {bd: Polynomial(f.n, part) for bd, part in sorted(buckets.items())}
+
+
+def partitions_fixed_length(total: int, length: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing tuples of ``length`` non-negative integers summing to ``total``."""
+    if total < 0:
+        return
+    if length == 0 or total == 0:
+        if total == 0:
+            yield (0,) * length
+        return
+    hi = total if cap is None else min(total, cap)
+    lo = -(-total // length)  # smallest feasible first part
+    for first in range(hi, lo - 1, -1):
+        for rest in partitions_fixed_length(total - first, length - 1, first):
+            yield (first,) + rest
+
+
+def reference_order_key(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Order oracle: the key of the total order on ordered monomials, from its definition.
+
+    Both exponent vectors sorted in decreasing order, ties broken by
+    (p, sign_twist(q)).  Independent of ``order_key``, which reads p as it
+    stands and twists q inline.
+    """
+    head = tuple(sorted(m.p, reverse=True)) + tuple(sorted(m.q, reverse=True))
+    return head, m.p + tuple(sign_twist(v) for v in m.q)
 
 
 def ordered_representative(m: Monomial) -> Monomial:
@@ -531,9 +555,9 @@ def straighten_full(f: Polynomial) -> BasisExpansion:
         remainder = component
         previous = None
         while not remainder.is_zero():
-            m = max((u for u in remainder.monomials() if is_ordered(u)), key=order_key)
-            assert previous is None or order_key(m) < previous, "leading term failed to decrease"
-            previous = order_key(m)
+            m = max((u for u in remainder.monomials() if is_ordered(u)), key=reference_order_key)
+            assert previous is None or reference_order_key(m) < previous, "leading term failed to decrease"
+            previous = reference_order_key(m)
             dec = decompose(m)
             product = full_candidate(dec.sigma, dec.nu, dec.mu)
             scalar = remainder.coefficient(m) / product.coefficient(m)

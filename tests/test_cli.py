@@ -214,6 +214,23 @@ def test_straighten_rejects_non_invariant(capsys, monkeypatch):
     assert err == "error: input is not invariant: the term x1 has an odd total exponent in slot 1\n"
 
 
+def test_rho_is_refused_past_the_entry_cap(capsys, monkeypatch):
+    # x1^2 at rank 4800 averages to 4,800 terms of 9,600 entries each.  A
+    # straighten input is counted at 2n entries per listed term before
+    # any term is read: one term at rank 8,000,000 is at the cap and
+    # reaches the rank check, one more rank is refused by the cap
+    zeros = ",".join(["0"] * 4799)
+    code, out, err = run(capsys, "rho", "--format", "json", "--p", "2," + zeros, "--q", "0," + zeros)
+    assert (code, out, err) == (1, "", "error: the average has 46080000 exponent entries, above the cap of 16000000\n")
+    for n, message in (
+        (8_000_000, "monomial rank 1 does not match polynomial rank 8000000"),
+        (8_000_001, "the polynomial has 16000002 exponent entries, above the cap of 16000000"),
+    ):
+        payload = {"n": n, "terms": [{"p": [2], "q": [0], "coeff": 1}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        assert run(capsys, "straighten") == (1, "", f"error: {message}\n")
+
+
 def test_a_count_too_long_to_print_is_refused_by_its_order_of_magnitude(capsys, monkeypatch):
     # 2,000 distinct exponent pairs: an orbit of 2000! (5,736 digits)
     # members, past what Python prints as an int

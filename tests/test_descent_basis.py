@@ -7,12 +7,19 @@ import re
 import pytest
 
 import signsym.descent_basis as descent_basis_module
-from helpers import counted_product, mono, mono_product, ordered_representative, sp
+from helpers import (
+    counted_product,
+    mono,
+    mono_product,
+    ordered_representative,
+    partitions_fixed_length,
+    reference_order_key,
+    sp,
+)
 from signsym.descent_basis import (
     COLUMN_GUARD,
     _classes,
     _decompose,
-    _column_key,
     _descent_data,
     _index_window,
     _y_descent_data,
@@ -27,7 +34,6 @@ from signsym.descent_basis import (
     order_key,
     ordered_monomials,
     pair_codes,
-    partitions_fixed_length,
     product_coefficients,
     sign_twist,
     signed_descent_monomial,
@@ -337,17 +343,43 @@ def test_y_lookup_returns_the_index_window():
     assert checked > 2500
 
 
-def test_column_key_orders_every_cell_as_order_key():
-    # cell_columns sorts by (p, q sorted down, q twisted), which must order
-    # the columns of every bidegree up to total 12 at ranks 1-5 exactly as
-    # order_key does, since every column's p is a partition
+def test_order_key_matches_the_reference_key():
+    # order_key reads p as it stands and twists q inline; on every ordered
+    # monomial up to total 12 at ranks 1-5 it must equal the key built
+    # from the definition, and cell_columns must order each cell by it
     for n in (1, 2, 3, 4, 5):
         for total in range(13):
             for a in range(total + 1):
                 columns = list(ordered_monomials(n, a, total - a))
-                expected = sorted(columns, key=order_key, reverse=True)
-                assert sorted(columns, key=_column_key, reverse=True) == expected, (n, a, total - a)
-                assert cell_columns(n, a, total - a)[0] == expected
+                assert all(order_key(w) == reference_order_key(w) for w in columns), (n, a, total - a)
+                expected = sorted(columns, key=reference_order_key, reverse=True)
+                assert cell_columns(n, a, total - a)[0] == expected, (n, a, total - a)
+
+
+def test_walk_work_is_proportional_to_its_columns(monkeypatch):
+    # the walk's bounds (x at least ceil(a / k), and a = k * x forcing the
+    # twisted y) keep its calls within a small multiple of the columns it
+    # yields, per cell and for a caller that stops early
+    calls = [0]
+    pairs = descent_basis_module._pairs
+
+    def counted(*args):
+        calls[0] += 1
+        return pairs(*args)
+
+    monkeypatch.setattr(descent_basis_module, "_pairs", counted)
+    cells = [(n, a, total - a) for n in range(1, 9) for total in range(15) for a in range(total + 1)]
+    cells += [(20, a, total - a) for total in range(13) for a in range(total + 1)]
+    for n, a, b in cells:
+        calls[0] = 0
+        columns = sum(1 for _ in ordered_monomials(n, a, b))
+        assert calls[0] <= 4 * (columns + 1), (n, a, b, columns, calls[0])
+    calls[0] = 0
+    assert len(list(itertools.islice(ordered_monomials(8, 2, 400), 1001))) == 1001
+    assert calls[0] <= 4 * 1001
+    calls[0] = 0
+    assert list(ordered_monomials(3, 1, 200_000)) == []
+    assert calls[0] <= 1
 
 
 def test_decompose_descent_monomial_example():
@@ -368,7 +400,7 @@ def test_class_walk_matches_a_plain_count_of_every_term():
     merged = several = 0
     for n, a, b in cells:
         columns, index = cell_columns(n, a, b)
-        assert columns == sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
+        assert columns == sorted(ordered_monomials(n, a, b), key=reference_order_key, reverse=True)
         # each key decodes, code by code, to the column's sorted exponent pairs
         assert index.base == b + 1
         assert {tuple(divmod(code, b + 1) for code in key): j for key, j in index.items()} == {
@@ -489,7 +521,11 @@ def test_ordered_monomials_enumeration():
     assert cell == [((1, 1), (1, 1)), ((2, 0), (0, 2)), ((2, 0), (2, 0))]
     assert list(ordered_monomials(2, 1, 0)) == []
     # exhaustive cross-check against a plain filter over all exponent vectors
-    for n, a, b in ((2, 4, 4), (3, 5, 5), (3, 6, 3), (4, 4, 4)):
+    # (3, 3, 5) forces every x to 1, (3, 6, 4) every x to 2, and (3, 3, 4)
+    # has an odd total, so no column
+    cells = [(2, 4, 4), (3, 5, 5), (3, 6, 3), (4, 4, 4), (1, 5, 7), (3, 3, 5), (3, 6, 4)]
+    cells += [(4, 8, 2), (3, 0, 6), (3, 6, 0), (3, 3, 4)]
+    for n, a, b in cells:
         ps = [p for p in itertools.product(range(a + 1), repeat=n) if sum(p) == a]
         qs = [q for q in itertools.product(range(b + 1), repeat=n) if sum(q) == b]
         expected = sorted((p, q) for p in ps for q in qs if is_ordered(mono(p, q)))

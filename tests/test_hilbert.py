@@ -20,6 +20,7 @@ from helpers import (
     mono,
     rational_rank,
     record_table_builds,
+    reference_order_key,
     rho_bruteforce,
 )
 from signsym.descent_basis import (
@@ -320,7 +321,7 @@ def test_candidates_are_triangular_on_their_leads():
             assert min(row) == j and row[j] > 0, (n, a, b, j)
             dec = decompose(columns[j])
             labels.append((dec.sigma, dec.nu, tuple(sorted(dec.mu, reverse=True))))
-        assert columns == sorted(ordered_monomials(n, a, b), key=order_key, reverse=True), (n, a, b)
+        assert columns == sorted(ordered_monomials(n, a, b), key=reference_order_key, reverse=True), (n, a, b)
         assert Counter(labels) == Counter(group_candidates(n, a, b)), (n, a, b)
 
 

@@ -19,6 +19,7 @@ from helpers import (
     mono,
     monomial_sym_squares,
     mul,
+    partitions_fixed_length,
     poly,
     poly_sum,
     random_even_monomial,
@@ -28,7 +29,6 @@ from helpers import (
     sub,
     unit,
 )
-from signsym.descent_basis import partitions_fixed_length
 from signsym.poly import (
     Monomial,
     Polynomial,
@@ -207,6 +207,28 @@ def test_rho_guard(monkeypatch):
     monkeypatch.setattr(poly_module, "rearrangements", no_orbit)
     with pytest.raises(ValueError, match="^the average has 28 terms, above the cap of 27$"):
         rho(f)
+
+
+def test_entry_cap_refuses_before_any_term_is_built(monkeypatch):
+    # 2n exponent entries per term: rho counts them over the orbits it
+    # would expand, from_json over the terms listed, and neither builds a
+    # term past the cap
+    assert poly_module.ENTRY_GUARD == 16_000_000
+    f = poly(4, (1, (0, 2, 4, 6), (0, 0, 0, 0)), (3, (2, 0, 0, 0), (0, 0, 0, 0)))
+    data = rho(f).to_json()
+    monkeypatch.setattr(poly_module, "ENTRY_GUARD", 28 * 8)
+    assert Polynomial.from_json(data) == rho(f)
+
+    def no_term(*args):
+        raise AssertionError("no term may be built past the cap")
+
+    monkeypatch.setattr(poly_module, "ENTRY_GUARD", 28 * 8 - 1)
+    monkeypatch.setattr(poly_module, "rearrangements", no_term)
+    monkeypatch.setattr(poly_module, "Monomial", no_term)
+    with pytest.raises(ValueError, match="^the average has 224 exponent entries, above the cap of 223$"):
+        rho(f)
+    with pytest.raises(ValueError, match="^the polynomial has 224 exponent entries, above the cap of 223$"):
+        Polynomial.from_json(data)
 
 
 def test_a_count_past_64_bits_prints_as_its_order_of_magnitude():

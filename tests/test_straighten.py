@@ -26,6 +26,7 @@ from helpers import (
     monomial_sym_squares,
     mul,
     ordered_representative,
+    partitions_fixed_length,
     poly,
     random_even_monomial,
     random_invariant,
@@ -33,7 +34,7 @@ from helpers import (
     straighten_full,
     unit,
 )
-from signsym.descent_basis import ordered_monomials, partitions_fixed_length
+from signsym.descent_basis import ordered_monomials
 from signsym.poly import Polynomial, is_separately_invariant, rho
 from signsym.hilbert import verify_basis_rank
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
@@ -192,28 +193,28 @@ def test_straighten_column_cap_at_its_boundary(monkeypatch):
 
 def test_straighten_column_cap_draws_no_more_than_it_counts(monkeypatch):
     # x1^2 y2^200000 at rank 3 has billions of ordered columns at its
-    # bidegree.  Each tie block's tails are walked for each head part as
-    # the columns are drawn, so a cap of 10 draws a few partitions per
-    # column, not the 50,001 tails of the first head.
-    drawn = []
-    partitions = descent_basis_module.partitions_fixed_length
+    # bidegree.  The tails of each pair are walked as the columns are
+    # drawn, so a cap of 10 costs a few walk calls per column drawn,
+    # however many columns the bidegree has.
+    calls = []
+    pairs = descent_basis_module._pairs
 
     def counted(*args):
-        for part in partitions(*args):
-            drawn.append(part)
-            yield part
+        calls.append(args)
+        return pairs(*args)
 
-    monkeypatch.setattr(descent_basis_module, "partitions_fixed_length", counted)
+    monkeypatch.setattr(descent_basis_module, "_pairs", counted)
     monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 10)
     f = averaged(mono((2, 0, 0), (0, 200_000, 0)))
     with pytest.raises(ValueError, match="^bidegree \\(2, 200000\\) takes the ordered columns past the cap of 10$"):
         straighten(f)
-    assert 11 <= len(drawn) <= 4 * 11
+    assert 11 <= len(calls) <= 4 * 11
 
 
 def test_straighten_at_rank_1200():
-    # the columns, the terms and the recursion depth of the partitions
-    # follow the nonzero exponents, not the rank
+    # the columns, the terms and the recursion depth of the walk, which
+    # pads with (0, 0) once nothing is left, follow the nonzero exponent
+    # pairs, not the rank
     n = 1200
     f = averaged(mono((2,) + (0,) * (n - 1), (0,) * n))
     expansion = straighten(f)
@@ -470,8 +471,8 @@ def test_one_binding_per_cap(monkeypatch):
 
 def test_each_cap_is_read_only_in_its_own_module():
     # Code only: a docstring may name a cap.  The owner compares its cap
-    # once, in check_columns or check_terms.
-    owners = {"COLUMN_GUARD": "descent_basis.py", "TERM_GUARD": "poly.py"}
+    # once, in check_columns, check_terms or check_entries.
+    owners = {"COLUMN_GUARD": "descent_basis.py", "TERM_GUARD": "poly.py", "ENTRY_GUARD": "poly.py"}
     for path in sorted(Path(straighten_module.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for cap, owner in owners.items():
