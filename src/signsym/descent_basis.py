@@ -141,14 +141,18 @@ def _index_window(q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def order_key(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sort key realizing the total order on ordered monomials.
+    """Sort key realizing the total order on ordered monomials, and defined
+    only on them.
 
     The first component lists both exponent vectors sorted in decreasing
     order; the second breaks ties by (p, sign_twist(q)).  Comparing keys
     with the usual tuple order compares monomials.  p is weakly decreasing
-    on an ordered monomial, so it is read as it stands.
+    on an ordered monomial, so it is read as it stands; on any other
+    monomial the key is not the sorted one, and ``compare`` refuses it.
     """
     p, q = m.p, m.q
+    # sign_twist inlined: a call per entry costs a third more, and the key
+    # is built once per column of every cell
     return p + tuple(sorted(q, reverse=True)), p + tuple([-v if v & 1 else v for v in q])
 
 
@@ -306,13 +310,18 @@ def _ordered_monomials(n: int, a: int, b: int) -> Iterator[Monomial]:
 
 def _pairs(k: int, a: int, b: int, top_x: int, top_y: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     # The last k pairs, summing to (a, b), each at most (top_x, top_y) in
-    # (x, twisted y) order.  The first x is at least ceil(a / k); when
-    # a = k * x every later x equals it and their twisted y are at most
-    # this one's, so k times it is at least the twisted sum, b for an even
-    # x and -b for an odd one.  These bounds keep the walk proportional
-    # to its output, and (0, 0) pads the rest once nothing is left.  The
-    # tails are walked afresh for each head, so a caller that stops early
-    # has built no more columns than it drew.
+    # (x, twisted y) order.  The first x is at least ceil(a / k); the
+    # twisted y t shares the parity of x, so y = |t|, and lies in [0, b]
+    # for an even x and [-b, -1] for an odd one, at most top_y when
+    # x = top_x.  When a = k * x every later x equals it and their t are
+    # at most this one's, so k * t is at least the twisted sum, b for an
+    # even x and -b for an odd one.  Each range is computed, not filtered,
+    # and (0, 0) pads the rest once nothing is left, so the walk is
+    # proportional to its output.  x and t run from the largest down, so
+    # the first column drawn has at most two nonzero pairs and the
+    # recursion starts shallow at any rank.  The tails are walked afresh
+    # for each head: a caller that stops early has built no more columns
+    # than it drew.
     if a == b == 0:
         yield (0,) * k, (0,) * k
     elif k == 1:
@@ -320,11 +329,12 @@ def _pairs(k: int, a: int, b: int, top_x: int, top_y: int) -> Iterator[tuple[tup
             yield (a,), (b,)
     else:
         for x in range(min(a, top_x), -(-a // k) - 1, -1):
-            for y in range(x & 1, b + 1, 2):
-                t = -y if y & 1 else y
-                if (x < top_x or t <= top_y) and (a < k * x or k * t >= (-b if x & 1 else b)):
-                    for xs, ys in _pairs(k - 1, a - x, b - y, x, t):
-                        yield (x,) + xs, (y,) + ys
+            twisted_b = -b if x & 1 else b
+            high = min(top_y if x == top_x else b, -1 if x & 1 else b)
+            low = -(-twisted_b // k) if a == k * x else min(twisted_b, 0)
+            for t in range(high - ((high - x) & 1), low - 1, -2):
+                for xs, ys in _pairs(k - 1, a - x, b - abs(t), x, t):
+                    yield (x,) + xs, (abs(t),) + ys
 
 
 @lru_cache(maxsize=None)

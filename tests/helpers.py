@@ -60,6 +60,27 @@ def record_table_builds(monkeypatch, build) -> list[int]:
     return built
 
 
+def count_walk(monkeypatch) -> list[int]:
+    """Count the column walk's work from now on.  The returned list holds
+    the calls of ``descent_basis._pairs`` and the steps of its loops, the
+    values drawn from the ``range`` objects it iterates."""
+    counts = [0, 0]
+    pairs = descent_basis_module._pairs
+
+    def counted_pairs(*args):
+        counts[0] += 1
+        return pairs(*args)
+
+    def counted_range(*args):
+        for v in range(*args):
+            counts[1] += 1
+            yield v
+
+    monkeypatch.setattr(descent_basis_module, "_pairs", counted_pairs)
+    monkeypatch.setattr(descent_basis_module, "range", counted_range, raising=False)
+    return counts
+
+
 def group_order(n: int) -> int:
     """Order of the rank-n signed permutation group, 2^n * n!."""
     return (1 << n) * math.factorial(n)

@@ -8,6 +8,7 @@ import pytest
 
 import signsym.descent_basis as descent_basis_module
 from helpers import (
+    count_walk,
     counted_product,
     mono,
     mono_product,
@@ -358,28 +359,34 @@ def test_order_key_matches_the_reference_key():
 
 def test_walk_work_is_proportional_to_its_columns(monkeypatch):
     # the walk's bounds (x at least ceil(a / k), and a = k * x forcing the
-    # twisted y) keep its calls within a small multiple of the columns it
-    # yields, per cell and for a caller that stops early
-    calls = [0]
-    pairs = descent_basis_module._pairs
-
-    def counted(*args):
-        calls[0] += 1
-        return pairs(*args)
-
-    monkeypatch.setattr(descent_basis_module, "_pairs", counted)
+    # twisted y) keep its calls, and the steps of its loops, within a small
+    # multiple of the columns it yields, per cell and for a caller that
+    # stops early, however large the y-degree
+    counts = count_walk(monkeypatch)
     cells = [(n, a, total - a) for n in range(1, 9) for total in range(15) for a in range(total + 1)]
     cells += [(20, a, total - a) for total in range(13) for a in range(total + 1)]
     for n, a, b in cells:
-        calls[0] = 0
+        counts[:] = [0, 0]
         columns = sum(1 for _ in ordered_monomials(n, a, b))
-        assert calls[0] <= 4 * (columns + 1), (n, a, b, columns, calls[0])
-    calls[0] = 0
-    assert len(list(itertools.islice(ordered_monomials(8, 2, 400), 1001))) == 1001
-    assert calls[0] <= 4 * 1001
-    calls[0] = 0
+        assert counts[0] <= 4 * (columns + 1), (n, a, b, columns, counts)
+        assert counts[1] <= 10 * (columns + 1), (n, a, b, columns, counts)
+    for n, a, b in ((8, 2, 400), (3, 2, 200_000_000)):
+        counts[:] = [0, 0]
+        assert len(list(itertools.islice(ordered_monomials(n, a, b), 1001))) == 1001
+        assert counts[0] <= 4 * 1001 and counts[1] <= 10 * 1001, (n, a, b, counts)
+    counts[:] = [0, 0]
     assert list(ordered_monomials(3, 1, 200_000)) == []
-    assert calls[0] <= 1
+    assert counts == [0, 0]
+
+
+def test_first_column_drawn_has_at_most_two_nonzero_pairs():
+    # the walk runs x and the twisted y from the largest down, so its first
+    # column takes all of a in one pair and its recursion stays shallow at
+    # any rank; an upward walk in y would first build (0, 2), ..., (0, 2)
+    # at (1200, 0, 2400), 1200 nested calls
+    for n, a, b in ((1200, 0, 2400), (1200, 1, 2401), (1200, 2, 2400), (5, 7, 9), (4, 6, 0), (1, 3, 5)):
+        first = next(ordered_monomials(n, a, b))
+        assert sum(1 for x, y in zip(first.p, first.q) if x or y) <= 2, (n, a, b)
 
 
 def test_decompose_descent_monomial_example():

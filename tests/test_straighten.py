@@ -20,6 +20,7 @@ from helpers import (
     add,
     averaged_basis,
     bidegree_components,
+    count_walk,
     evaluate_full,
     family_invariant,
     mono,
@@ -194,21 +195,29 @@ def test_straighten_column_cap_at_its_boundary(monkeypatch):
 def test_straighten_column_cap_draws_no_more_than_it_counts(monkeypatch):
     # x1^2 y2^200000 at rank 3 has billions of ordered columns at its
     # bidegree.  The tails of each pair are walked as the columns are
-    # drawn, so a cap of 10 costs a few walk calls per column drawn,
-    # however many columns the bidegree has.
-    calls = []
-    pairs = descent_basis_module._pairs
-
-    def counted(*args):
-        calls.append(args)
-        return pairs(*args)
-
-    monkeypatch.setattr(descent_basis_module, "_pairs", counted)
+    # drawn and each y range is computed from its bounds, so a cap of 10
+    # costs a few walk calls and loop steps per column drawn, however many
+    # columns the bidegree has and however large its y-degree.
+    counts = count_walk(monkeypatch)
     monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 10)
     f = averaged(mono((2, 0, 0), (0, 200_000, 0)))
     with pytest.raises(ValueError, match="^bidegree \\(2, 200000\\) takes the ordered columns past the cap of 10$"):
         straighten(f)
-    assert 11 <= len(calls) <= 4 * 11
+    assert 11 <= counts[0] <= 4 * 11
+    assert counts[1] <= 10 * 11
+
+
+def test_straighten_refuses_deep_columns_at_the_cap(monkeypatch):
+    # the average of y1^2400 at rank 1200 has a column (0, 2), ..., (0, 2)
+    # 1200 pairs deep; the walk draws its shallow columns first, so the
+    # column cap refuses the bidegree before the recursion gets deep.  A
+    # cap of 10 keeps the test small; at the real cap the refusal holds
+    # 100,001 columns of 2,400 entries.
+    n = 1200
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 10)
+    f = averaged(mono((0,) * n, (2 * n,) + (0,) * (n - 1)))
+    with pytest.raises(ValueError, match="^bidegree \\(0, 2400\\) takes the ordered columns past the cap of 10$"):
+        straighten(f)
 
 
 def test_straighten_at_rank_1200():
