@@ -7,23 +7,23 @@ two variable families.  The ordered monomials form a transversal of the
 averaging orbits; every ordered monomial decomposes as an even part
 times a diagonal signed descent monomial.  ``ordered_monomials`` walks
 the transversal by its definition, one exponent pair at a time, and
-``order_key`` orders it.  ``product_coefficients``
-builds the basis product named by such a decomposition at the ordered
-monomials of one bidegree, the one kernel behind straightening and the
-freeness check.  m_nu(x^2) m_mu(y^2) is invariant, so the product is
-the average of m_nu(x^2) m_mu(y^2) c_sigma, whose terms all have
-coefficient 1: its orbit sum at a column, as ``poly.orbit_sums`` keys
-it, is the number of terms in the column's orbit.  The kernel returns
-those term counts as plain integers at column positions;
-``cell_columns`` draws the columns of a bidegree, under
-``COLUMN_GUARD``, numbers them in decreasing order and keys them by
-orbit, each exponent pair coded as one int by ``pair_codes``, so each
-term is one sort of ints and one lookup.  The rearrangements of 2*nu
-are scaled by the code's base once per (nu, base) and merged into
-classes once per (nu, sigma) and bidegree.  What depends on sigma
-alone, c_sigma, the slot order it reads the y side along and the slot
-pairs its ties compare, is built once per sigma, and a column finds it
-by one lookup of its y exponents, which fix sigma.
+``order_key`` orders it.  ``product_coefficients`` builds the basis
+product named by such a decomposition at the ordered monomials of one
+bidegree, the one kernel behind straightening and the freeness check.
+m_nu(x^2) m_mu(y^2) is invariant, so the product is the average of
+m_nu(x^2) m_mu(y^2) c_sigma, whose terms all have coefficient 1: its
+orbit sum at a column, as ``poly.orbit_sums`` keys it, is the number of
+terms in the column's orbit.  The kernel returns those term counts as
+plain integers keyed by orbit, each exponent pair coded as one int by
+``pair_codes``, so each term is one sort of ints.  The rearrangements
+of 2*nu are scaled by the code's base once per (nu, base) and merged
+into classes once per (nu, sigma) in the caller's class table.  What
+depends on sigma alone, c_sigma, the slot order it reads the y side
+along and the slot pairs its ties compare, is built once per sigma, and
+a column finds it by one lookup of its y exponents, which fix sigma.
+``cell_columns`` draws every column of one freeness cell in decreasing
+order, with the position of each orbit; ``hilbert.verify_basis_rank``
+holds the cell to ``COLUMN_GUARD`` first.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache, reduce
-from itertools import islice
 from operator import add, ge, or_, sub
 
 from .poly import Monomial, distinct_permutations
@@ -45,8 +44,8 @@ from .signed_perm import (
     window_inverse,
 )
 
-#: Cap on the ordered columns, one basis product each, of a ``straighten``
-#: call or a ``verify`` run: ``verify --n 1 --max-degree 499`` builds 62,500
+#: Cap on the ordered columns, one basis product each, of a ``verify`` run or
+#: cell: ``verify --n 1 --max-degree 499`` builds 62,500
 #: in 2.0-2.3 s and 115 MB peak RSS, ``--n 3 --max-degree 34`` 90,465 in
 #: 1.8-2.3 s and 20 MB (2-vCPU Xeon).
 COLUMN_GUARD = 100_000
@@ -354,46 +353,25 @@ def pair_codes(xs: tuple[int, ...], ys: tuple[int, ...], base: int) -> tuple[int
     orders them as tuples are ordered, so sorted codes name an averaging
     orbit as ``poly.orbit_key`` names it, one int per slot in place of a
     pair.  Within one bidegree (a, b) every y exponent is at most b, and
-    ``cell_columns`` takes base = b + 1.  The code is linear: the codes
-    of (x + r, y + s) are those of (x, y) with r * base + s added, so long
-    as y + s stays below ``base``.
+    ``straighten`` and ``cell_columns`` take base = b + 1.  The code is
+    linear: the codes of (x + r, y + s) are those of (x, y) with
+    r * base + s added, so long as y + s stays below ``base``.
     """
     return tuple(map(add, map(base.__mul__, xs), ys))
 
 
-class ColumnIndex(dict):
-    """The position of each ordered column of one bidegree, keyed by its
-    sorted ``pair_codes`` at ``base``.
+def cell_columns(n: int, a: int, b: int) -> tuple[list[Monomial], dict[tuple[int, ...], int]]:
+    """The ordered monomials of bidegree (a, b) in decreasing order, and the
+    position of each, so position 0 is the largest column.
 
-    ``classes`` holds the class table of each (nu, sigma) that
-    ``product_coefficients`` has met in the bidegree, so that the columns
-    sharing nu and sigma, which differ only in mu, build it once; it
-    lives as long as the index.
+    Each position is keyed by the column's exponent pairs coded as the
+    ints p_i * (b + 1) + q_i and sorted, the keys of
+    ``product_coefficients``.  Every column of the bidegree is drawn:
+    ``hilbert.verify_basis_rank`` refuses a cell whose series coefficient,
+    its column count, passes ``COLUMN_GUARD`` before it calls here.
     """
-
-    __slots__ = ("base", "classes")
-
-    def __init__(self, columns: list[Monomial], base: int):
-        super().__init__((tuple(sorted(pair_codes(w.p, w.q, base))), j) for j, w in enumerate(columns))
-        self.base = base
-        self.classes: dict[tuple[tuple[int, ...], SignedPermutation], dict[tuple[int, ...], int]] = {}
-
-
-def cell_columns(n: int, a: int, b: int, drawn: int = 0) -> tuple[list[Monomial], ColumnIndex]:
-    """The ordered monomials of bidegree (a, b) in decreasing order, and their
-    ``ColumnIndex``, so position 0 is the largest column.
-
-    The index keys each column by its exponent pairs coded as the ints
-    p_i * (b + 1) + q_i and sorted, so that a product term is looked up
-    by one sort of ints.  A caller that has already drawn ``drawn``
-    columns, at most ``COLUMN_GUARD``, passes that count.  At most one
-    column past the cap is drawn, and a bidegree that takes the count
-    past it is refused before any column is sorted.
-    """
-    columns = list(islice(ordered_monomials(n, a, b), COLUMN_GUARD - drawn + 1))
-    check_columns(drawn + len(columns), "bidegree ({}, {}) takes the ordered columns past", a, b)
-    columns.sort(key=order_key, reverse=True)
-    return columns, ColumnIndex(columns, b + 1)
+    columns = sorted(ordered_monomials(n, a, b), key=order_key, reverse=True)
+    return columns, {tuple(sorted(pair_codes(w.p, w.q, b + 1))): j for j, w in enumerate(columns)}
 
 
 @lru_cache(maxsize=None)
@@ -424,38 +402,31 @@ def _classes(dec: Decomposition, base: int) -> dict[tuple[int, ...], int]:
     return classes
 
 
-def product_coefficients(dec: Decomposition, index: ColumnIndex) -> dict[int, int]:
-    """Term counts of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the positions of ``index``.
+def product_coefficients(dec: Decomposition, base: int, classes: dict) -> dict[tuple[int, ...], int]:
+    """Term counts of m_nu(x^2) m_mu(y^2) rho(c_sigma), keyed by the sorted
+    ``pair_codes`` at ``base`` of each orbit they meet.
 
     c_sigma is x^delta y^gamma, and m_nu(x^2) m_mu(y^2) is invariant, so
     the product is rho of the sum of x^(r + delta) y^(s + gamma) over the
     distinct rearrangements r of 2*nu and s of 2*mu.  Those terms are
     distinct, each has coefficient 1, and every slot has an even total
     because delta_i and gamma_i share parity.  rho keeps each orbit's
-    sum, so the product's orbit sum at a column is the number of terms
-    in its orbit.  The returned map sends each column position with a
-    nonzero count to that count, an int.
+    sum, so the product's orbit sum at an ordered monomial is the number
+    of terms in its orbit, an int.  ``base`` must pass every y exponent
+    of the product's bidegree, b + 1 at bidegree (a, b).
     The r are walked once per class of ``_classes``, weighted by the
-    class size; the class table of (nu, sigma) is built once per
-    ``index``, from the rearrangements of 2*nu scaled by the base once per
-    (nu, base).  A class holds its pairs as codes, and adding s to the
-    codes adds it to the y exponents, since no term's y exponent reaches
-    the base, so each term's key is one sort of ints and its position one
-    lookup.  ``index`` must
-    hold every column of the product's bidegree; a term outside it
-    raises RuntimeError.
+    class size.  ``classes`` holds the class table of each (nu, sigma)
+    met so far at ``base``; the caller keeps one per bidegree, so that
+    the columns sharing nu and sigma, which differ only in mu, build it
+    once.  A class holds its pairs as codes, and adding s to the codes
+    adds it to the y exponents, since no term's y exponent reaches the
+    base, so each term's key is one sort of ints.
     """
-    table = (dec.nu, dec.sigma)
-    classes = index.classes.get(table)
-    if classes is None:
-        classes = index.classes[table] = _classes(dec, index.base)
-    counts: dict[int, int] = {}
+    if (dec.nu, dec.sigma) not in classes:
+        classes[dec.nu, dec.sigma] = _classes(dec, base)
+    counts: dict[tuple[int, ...], int] = {}
     ss = _y_rearrangements(dec.mu)
-    try:
-        for codes, weight in classes.items():
-            for j in map(index.__getitem__, [tuple(sorted(map(add, codes, s))) for s in ss]):
-                counts[j] = counts.get(j, 0) + weight
-    except KeyError as missing:
-        pairs = tuple(divmod(code, index.base) for code in missing.args[0])
-        _check(False, "a product term has the orbit {}, which is not a column", pairs)
+    for codes, weight in classes[dec.nu, dec.sigma].items():
+        for key in [tuple(sorted(map(add, codes, s))) for s in ss]:
+            counts[key] = counts.get(key, 0) + weight
     return counts

@@ -11,10 +11,11 @@ Verification follows the paper's bijection: each ordered monomial of a
 cell decomposes as x^(2 nu) y^(2 mu) c_sigma, and the candidate it names
 is built only at the ordered monomials, which fix an invariant, by the
 kernel that straightening uses.  Each candidate is one integer row: its
-orbit sums, the kernel's term counts, at the positions of the cell's
-columns, numbered in decreasing order.  On invariants the orbit sum at
-w is the orbit size times the coefficient at w, which is injective, so
-the rank of the rows is the rank of the candidates.  It is taken by
+orbit sums, the kernel's term counts keyed by orbit, moved to the
+positions of the cell's columns, numbered in decreasing order.  On
+invariants the orbit sum at w is the orbit size times the coefficient at
+w, which is injective, so the rank of the rows is the rank of the
+candidates.  It is taken by
 echelon form with each row's lead at its smallest position, the
 triangularity of the paper's freeness proof.  Only the series
 numerator scans the group: ``series_table`` hands out the widest table
@@ -33,7 +34,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from . import scan
-from .descent_basis import _decompose, cell_columns, check_columns, ordered_monomials, product_coefficients
+from .descent_basis import _check, _decompose, cell_columns, check_columns, ordered_monomials, product_coefficients
 from .poly import Monomial
 from .signed_perm import Value, check_degree, check_walk
 
@@ -207,17 +208,30 @@ def candidate_rows(n: int, a: int, b: int) -> tuple[list[Monomial], Iterator[dic
     Row j is lazy: ``decompose`` splits column j as x^(2 nu) y^(2 mu)
     c_sigma, with every check but ``is_ordered``, which the columns pass
     by construction, and ``product_coefficients`` gives the orbit sums,
-    as term counts, of m_nu(x^2) m_mu(y^2) rho(c_sigma) at the column
-    positions of the cell that ``cell_columns`` numbers.  The product is
-    zero at every larger column, so row j is nonzero at j and at larger
-    positions only.  Rows and rank for every cell up to total degree 16
-    take about 0.45-0.53 s at rank 8 (5,448 columns), and up to degree 20
-    about 0.34-0.41 s at rank 4 (13,238 columns), from cold caches on a
-    2-vCPU Xeon.  A bad rank or degree
-    is refused by ``ordered_monomials``, which ``cell_columns`` draws at once.
+    as term counts, of m_nu(x^2) m_mu(y^2) rho(c_sigma), keyed by orbit;
+    the row holds them at the column positions of the cell that
+    ``cell_columns`` numbers, one class table serving the cell.  A term
+    outside the cell raises RuntimeError.  The product is zero at every
+    larger column, so row j is nonzero at j and at larger positions only.
+    Rows and rank for every cell up to total degree 16 take about
+    0.45-0.53 s at rank 8 (5,448 columns), and up to degree 20 about
+    0.34-0.41 s at rank 4 (13,238 columns), from cold caches on a 2-vCPU
+    Xeon.  A bad rank or degree is refused by ``ordered_monomials``,
+    which ``cell_columns`` draws at once; every column of the cell is
+    drawn, so ``verify_basis_rank`` checks the cell against
+    ``COLUMN_GUARD`` first.
     """
     columns, index = cell_columns(n, a, b)
-    return columns, (product_coefficients(dec, index) for dec in map(_decompose, columns))
+    classes: dict = {}
+    return columns, (_row(product_coefficients(dec, b + 1, classes), index, b + 1) for dec in map(_decompose, columns))
+
+
+def _row(counts: dict[tuple[int, ...], int], index: dict[tuple[int, ...], int], base: int) -> dict[int, int]:
+    # The kernel's counts moved from orbit codes to column positions.
+    try:
+        return dict(zip(map(index.__getitem__, counts), counts.values()))
+    except KeyError as missing:
+        _check(False, "a product term has the orbit {}, which is not a column", tuple(divmod(c, base) for c in missing.args[0]))
 
 
 class CellReport(Value, namedtuple("CellReport", "n a b rank dim series")):

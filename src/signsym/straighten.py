@@ -10,15 +10,18 @@ becomes a polynomial only at the output edge, in
 ``BasisExpansion.coefficient``, and ``BasisExpansion.from_json`` reads
 one back into labels, refusing a coefficient outside the ring.
 
-An invariant is fixed by its coefficients at the ordered monomials, so
-the expansion works on those columns alone, walking them once in
-decreasing order.  A nonzero column w decomposes as x^(2 nu) y^(2 mu)
-c_sigma, and m_nu(x^2) m_mu(y^2) rho(c_sigma) is positive at w and zero
-at every larger column, so subtracting its matching multiple clears w
-for good.  The walk works in orbit sums alone: the remainder starts as
-the input's orbit sums at the columns, and ``product_coefficients``
-gives the product's orbit sums there as integer term counts, so the
-scalar at a column is its remainder over its count.  On invariants the
+An invariant is fixed by its coefficients at the ordered monomials, one
+per orbit, so the expansion works on those columns alone.  A nonzero
+column w decomposes as x^(2 nu) y^(2 mu) c_sigma, and m_nu(x^2)
+m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger column,
+so subtracting its matching multiple clears w for good.  The walk is
+the heap division of sparse polynomial algebra: it visits only the
+orbits of its remainder, largest column first, and the products add
+only smaller ones.  It works in orbit sums alone, keyed by the orbit's
+sorted ``pair_codes``: the remainder starts as the input's orbit sums,
+and ``product_coefficients`` gives the product's orbit sums as integer
+term counts, so the scalar at a column is its remainder over its
+count.  On invariants the
 orbit sum at w is the orbit size times the coefficient at w, which is
 injective.  A column names its label (sigma, nu, sorted mu) uniquely,
 so the walk's scalars are the expansion.  ``rho`` is linear over
@@ -33,14 +36,16 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .descent_basis import (
     _decompose,
-    cell_columns,
     diagonal_signed_descent_monomial,
     doubled_rearrangements,
+    order_key,
     pair_codes,
     product_coefficients,
+    sign_twist,
 )
 from .poly import (
     Monomial,
@@ -168,19 +173,18 @@ def _canonical(n: int, sigma: SignedPermutation, labels: dict[Label, Fraction]) 
 def straighten(f: Polynomial) -> BasisExpansion:
     """Expand an invariant polynomial over the averaged descent basis.
 
-    The orbit sums of each bidegree are read at the ordered monomials
-    of that bidegree and reduced by one walk over them in decreasing
-    order.  The products are triangular, so the walk must leave a zero
-    remainder at every column; anything else raises RuntimeError.
-    ``cell_columns``, told how many columns came before, refuses the
-    bidegree whose columns pass the cap over all bidegrees, before its
-    walk; ``check_terms`` refuses the product whose terms, summed over
-    all products, pass their cap, before it is built.
+    The orbit sums of each bidegree are reduced by one walk over the
+    orbits of the remainder, largest ordered monomial first: a heap holds
+    the orbits met so far, and each product pushes the orbits it meets
+    for the first time.  The products are triangular, so each must be
+    positive at its own column and reach only smaller ones; anything else
+    raises RuntimeError.  ``check_terms`` refuses the product whose
+    terms, summed over all products, pass their cap, before it is built.
     """
     reason = _invariance_failure(f)
     if reason is not None:
         raise ValueError(f"input is not invariant: {reason}")
-    drawn = terms = 0
+    terms = 0
     # The scalar of m_nu(x^2) m_mu(y^2) in each sigma's coefficient.  A
     # column names its (sigma, nu, sorted mu) uniquely and is visited
     # once, so each key is set once.
@@ -190,34 +194,47 @@ def straighten(f: Polynomial) -> BasisExpansion:
     for key, members in _orbit_groups(f).items():
         components.setdefault(tuple(map(sum, zip(*key))), {})[key] = len(members) * f.coefficient(members[0])
     for bd, sums in sorted(components.items()):
-        columns, index = cell_columns(f.n, *bd, drawn)
-        drawn += len(columns)
-        # the index lists the columns in order, keyed by their pairs' codes,
-        # which keep the order of the sorted pairs of an orbit key
-        coded = {pair_codes(*zip(*key), index.base): v for key, v in sums.items()}
-        remainder = [coded.get(key, 0) for key in index]
-        for j, w in enumerate(columns):
-            if remainder[j]:
+        base, classes = bd[1] + 1, {}
+        # the codes of an orbit key's sorted pairs are sorted too
+        remainder = {pair_codes(*zip(*key), base): v for key, v in sums.items()}
+        heap = sorted(_column(key, base) for key in remainder)  # a sorted list is a heap
+        while heap:
+            _, key, w = top = heappop(heap)
+            if value := remainder.pop(key):
                 dec = _decompose(w)
                 terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
                 check_terms(terms, "products at bidegree {} take the terms past", bd)
-                product = product_coefficients(dec, index)
-                lead = product.get(j, 0)
+                product = product_coefficients(dec, base, classes)
+                lead = product.pop(key, 0)
                 if lead <= 0:
-                    raise RuntimeError(
-                        "leading coefficient of the reduction product must be positive; "
-                        f"got {lead} for {w.text()}"
-                    )
-                scalar = Fraction(remainder[j], lead)
+                    raise RuntimeError("leading coefficient of the reduction product must be positive; "
+                                       f"got {lead} for {w.text()}")
+                scalar = Fraction(value, lead)
                 for v, count in product.items():
-                    remainder[v] -= scalar * count
+                    # a visited orbit has left the remainder, so a product
+                    # term there, or at any other orbit above the lead, is new
+                    if v not in remainder:
+                        column = _column(v, base)
+                        if column < top:
+                            raise RuntimeError(f"the reduction product of {w.text()} reaches "
+                                               f"{column[2].text()}, above its lead")
+                        heappush(heap, column)
+                    remainder[v] = remainder.get(v, 0) - scalar * count
                 scalars.setdefault(dec.sigma, {})[dec.nu, tuple(sorted(dec.mu, reverse=True))] = scalar
-        if any(remainder):
-            raise RuntimeError(
-                f"straightening of bidegree {bd} left a nonzero remainder; "
-                "the reduction products are not triangular"
-            )
     return BasisExpansion(f.n, scalars)
+
+
+def _column(codes: tuple[int, ...], base: int) -> tuple[tuple[int, ...], tuple[int, ...], Monomial]:
+    # The heap entry of the orbit with sorted pair codes ``codes`` at
+    # ``base``: the ``order_key`` of its ordered monomial, every entry
+    # negated so that the heap's smallest entry is the largest column,
+    # then the codes and that monomial, whose pairs are sorted by (x,
+    # twisted y), largest first; every slot total of an orbit of the
+    # remainder is even.  Distinct orbits have distinct keys, so no two
+    # entries compare past their key.
+    pairs = sorted([divmod(code, base) for code in codes], key=lambda xy: (xy[0], sign_twist(xy[1])), reverse=True)
+    w = Monomial._from_checked(*zip(*pairs))
+    return tuple([-v for part in order_key(w) for v in part]), codes, w
 
 
 def _combination(expansion: BasisExpansion) -> dict[tuple[tuple[int, int], ...], Fraction]:

@@ -147,9 +147,9 @@ def test_straighten_module_patch_by_path_reaches_the_cli(capsys, monkeypatch):
     kernel = straighten_module.product_coefficients
     calls = []
 
-    def counted(dec, columns):
+    def counted(dec, *args):
         calls.append(dec)
-        return kernel(dec, columns)
+        return kernel(dec, *args)
 
     monkeypatch.setattr("signsym.straighten.product_coefficients", counted)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())))
@@ -164,8 +164,8 @@ def test_straighten_verify_catches_a_scaled_kernel(capsys, monkeypatch):
     # should be
     kernel = straighten_module.product_coefficients
 
-    def doubled(dec, columns):
-        return {w: 2 * c for w, c in kernel(dec, columns).items()}
+    def doubled(*args):
+        return {key: 2 * c for key, c in kernel(*args).items()}
 
     monkeypatch.setattr(straighten_module, "product_coefficients", doubled)
     payload = json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())
@@ -563,4 +563,54 @@ def test_closed_pipe_exits_without_traceback():
     finally:
         proc.kill()
         proc.wait()
+        proc.stderr.close()
+
+
+def test_straighten_reads_at_most_one_character_past_its_cap(capsys, monkeypatch):
+    # the cap is read at call time from cli: an input of exactly the cap
+    # is read whole and answered, one character more is refused with one
+    # error line, and neither read asks for more than the cap plus one
+    payload = json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())
+    reads = []
+
+    class Stdin(io.StringIO):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(cli, "INPUT_GUARD", len(payload))
+    monkeypatch.setattr("sys.stdin", Stdin(payload))
+    code, out, err = run(capsys, "straighten", "--verify")
+    assert (code, err) == (0, "") and out
+    monkeypatch.setattr("sys.stdin", Stdin(payload + "\n"))
+    code, out, err = run(capsys, "straighten", "--verify")
+    assert (code, out, err) == (1, "", f"error: standard input is longer than the cap of {len(payload)} characters\n")
+    assert reads == [len(payload) + 1] * 2
+
+
+def test_straighten_refuses_one_character_over_the_cap_through_a_pipe():
+    # the real cap, through an OS pipe: the command stops reading one
+    # character past it and refuses before any parse, in a fraction of
+    # a second (0.17 s and 111 MB on a 2-vCPU Xeon)
+    cap = cli.INPUT_GUARD
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "signsym.cli", "straighten"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=fresh_env(),
+    )
+    try:
+        chunk = b" " * 1_000_000
+        for _ in range(cap // len(chunk)):
+            proc.stdin.write(chunk)
+        proc.stdin.write(b" " * (cap % len(chunk) + 1))
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stdout.read() == b""
+        assert proc.stderr.read() == f"error: standard input is longer than the cap of {cap} characters\n".encode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
         proc.stderr.close()

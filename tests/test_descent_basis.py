@@ -7,6 +7,7 @@ import re
 import pytest
 
 import signsym.descent_basis as descent_basis_module
+import signsym.hilbert as hilbert_module
 from helpers import (
     count_walk,
     counted_product,
@@ -40,6 +41,7 @@ from signsym.descent_basis import (
     signed_descent_monomial,
     signed_index_permutation,
 )
+from signsym.hilbert import candidate_rows
 from signsym.poly import Monomial, Polynomial, orbit_key, rearrangement_count, rho
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 
@@ -402,26 +404,32 @@ def test_class_walk_matches_a_plain_count_of_every_term():
     # sorted pairs; a count over every (r, s) with no merging must agree
     # at every column of cells too large for full products; the kernel's
     # integer counts are orbit sums, the oracle's coefficients times the
-    # orbit size
+    # orbit size, keyed by each orbit's sorted pair codes, and the rows
+    # of ``candidate_rows`` hold them at the column positions
     cells = [(5, 6, 6), (6, 8, 4), (6, 10, 6), (8, 4, 4), (8, 6, 6), (8, 8, 8)]
     merged = several = 0
     for n, a, b in cells:
         columns, index = cell_columns(n, a, b)
         assert columns == sorted(ordered_monomials(n, a, b), key=reference_order_key, reverse=True)
         # each key decodes, code by code, to the column's sorted exponent pairs
-        assert index.base == b + 1
         assert {tuple(divmod(code, b + 1) for code in key): j for key, j in index.items()} == {
             orbit_key(w): j for j, w in enumerate(columns)
         }
-        for w in columns:
+        classes = {}
+        for w, row in zip(columns, candidate_rows(n, a, b)[1]):
             dec = decompose(w)
-            counts = product_coefficients(dec, index)
+            counts = product_coefficients(dec, b + 1, classes)
             assert all(type(count) is int for count in counts.values())
             expected = {v: c * rearrangement_count(orbit_key(v)) for v, c in counted_product(dec, columns).items()}
-            assert {columns[j]: count for j, count in counts.items()} == expected, w.text()
-            classes = _classes(dec, index.base)
-            merged += any(k > 1 for k in classes.values())
-            several += len(classes) > 1
+            assert {tuple(divmod(code, b + 1) for code in key): k for key, k in counts.items()} == {
+                orbit_key(v): k for v, k in expected.items()
+            }, w.text()
+            assert {columns[j]: count for j, count in row.items()} == expected, w.text()
+            assert classes[dec.nu, dec.sigma] == _classes(dec, b + 1)
+            merged += any(k > 1 for k in classes[dec.nu, dec.sigma].values())
+            several += len(classes[dec.nu, dec.sigma]) > 1
+        # the columns sharing nu and sigma shared one class table
+        assert len(classes) < len(columns)
     assert merged and several
 
 
@@ -432,26 +440,25 @@ def test_kernel_rows_at_the_code_boundary(n, a, b):
     # puts all of b in one slot, at the top of the code's range.  At base
     # b the pair (x, b) would code as (x + 1, 0), and in the cells with an
     # odd b two columns would share a key: {(1, 11), (4, 0)} and
-    # {(3, 11), (2, 0)} in (5, 11), say.  The kernel's rows must be the
-    # plain term counts, as orbit sums, at every column.
-    columns, index = cell_columns(n, a, b)
+    # {(3, 11), (2, 0)} in (5, 11), say.  The rows of ``candidate_rows``
+    # must be the plain term counts, as orbit sums, at every column.
+    columns, rows = candidate_rows(n, a, b)
     assert b >= 10 and b in columns[0].q
-    assert len(index) == len(columns)
-    for w in columns:
-        dec = decompose(w)
-        counts = product_coefficients(dec, index)
-        expected = {v: c * rearrangement_count(orbit_key(v)) for v, c in counted_product(dec, columns).items()}
-        assert {columns[j]: count for j, count in counts.items()} == expected, w.text()
+    assert len(cell_columns(n, a, b)[1]) == len(columns)
+    for w, row in zip(columns, rows):
+        expected = {v: c * rearrangement_count(orbit_key(v)) for v, c in counted_product(decompose(w), columns).items()}
+        assert {columns[j]: count for j, count in row.items()} == expected, w.text()
 
 
-def test_product_term_outside_the_index_raises():
-    # a term whose orbit is not a column is a broken invariant, not a KeyError
+def test_product_term_outside_the_index_raises(monkeypatch):
+    # a term whose orbit is not a column of the cell is a broken
+    # invariant, not a KeyError
     columns, index = cell_columns(3, 4, 4)
-    dec = decompose(columns[0])
-    del index[tuple(sorted(pair_codes(columns[0].p, columns[0].q, index.base)))]
+    del index[tuple(sorted(pair_codes(columns[0].p, columns[0].q, 5)))]
+    monkeypatch.setattr(hilbert_module, "cell_columns", lambda n, a, b: (columns, index))
     message = f"internal decomposition invariant violated: a product term has the orbit {orbit_key(columns[0])}, which is not a column"
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
-        product_coefficients(dec, index)
+        list(candidate_rows(3, 4, 4)[1])
 
 
 def test_decompose_reconstruction_small_grid():

@@ -8,6 +8,7 @@ leading term at every step) and by evaluating expansions back.
 import ast
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from helpers import (
     straighten_full,
     unit,
 )
-from signsym.descent_basis import ordered_monomials
+from signsym.descent_basis import ordered_monomials, pair_codes
 from signsym.poly import Polynomial, is_separately_invariant, rho
 from signsym.hilbert import verify_basis_rank
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
@@ -80,18 +81,29 @@ def test_straighten_rejects_non_invariant():
 
 def test_straighten_refuses_a_product_that_is_not_triangular(monkeypatch):
     # The walk trusts the kernel's products to lead positively at their
-    # own column and to reach no earlier one; each net names its breach.
+    # own column and to reach only smaller ones; each net names its
+    # breach.  The columns of rho(x1^2 y1^2) at rank 2 are x1^2 y1^2,
+    # x1^2 y2^2 and x1 x2 y1 y2 (as (1, -1) pairs), in decreasing order.
     f = averaged(mono((2, 0), (2, 0)))
     kernel = straighten_module.product_coefficients
-    monkeypatch.setattr(straighten_module, "product_coefficients", lambda dec, index: {})
+    monkeypatch.setattr(straighten_module, "product_coefficients", lambda *args: {})
     message = "leading coefficient of the reduction product must be positive; got 0 for x1^2 y1^2"
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         straighten(f)
-    # the second column's product also reaches back to column 0
-    monkeypatch.setattr(straighten_module, "product_coefficients", lambda dec, index: {0: 1, **kernel(dec, index)})
-    message = "straightening of bidegree (2, 2) left a nonzero remainder; the reduction products are not triangular"
-    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
-        straighten(f)
+    # a product that reaches back to the largest column, which the walk
+    # has visited, or to an orbit above its lead that it has never met
+    # (x1^4, which no orbit of the bidegree lies above)
+    largest = tuple(sorted(pair_codes((2, 0), (2, 0), 3)))
+    unmet = tuple(sorted(pair_codes((4, 0), (0, 0), 3)))
+    for above, name in ((largest, "x1^2 y1^2"), (unmet, "x1^4")):
+        def reaching(dec, base, classes, above=above):
+            product = kernel(dec, base, classes)
+            return product if dec.nu == (1, 0) and dec.mu == (1, 0) else {above: 1, **product}
+
+        monkeypatch.setattr(straighten_module, "product_coefficients", reaching)
+        message = f"the reduction product of x1^2 y2^2 reaches {name}, above its lead"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            straighten(f)
 
 
 def no_expansion(*args):
@@ -132,9 +144,9 @@ def test_straighten_guard(monkeypatch):
     kernel = straighten_module.product_coefficients
     calls = []
 
-    def counted(dec, index):
+    def counted(dec, *args):
         calls.append(dec)
-        return kernel(dec, index)
+        return kernel(dec, *args)
 
     monkeypatch.setattr(straighten_module, "product_coefficients", counted)
     monkeypatch.setattr(poly_module, "TERM_GUARD", terms)
@@ -154,70 +166,43 @@ def test_straighten_guard(monkeypatch):
         evaluate(expansion)
 
 
-def test_straighten_column_cap_at_its_boundary(monkeypatch):
-    # The columns of every bidegree count against one cap, and each
-    # bidegree's stream is cut one past what is left of the cap, before
-    # the bidegree is walked.
-    assert descent_basis_module.COLUMN_GUARD == 100_000
-    f = add(averaged(mono((2, 0), (0, 0))), averaged(mono((2, 0), (2, 0))))
-    wide = len(list(ordered_monomials(2, 2, 2)))
-    assert wide > 2
-    expansion = straighten(f)
-    drawn = []
-
-    def counted(n, a, b):
-        for w in ordered_monomials(n, a, b):
-            drawn.append((a, b))
-            yield w
-
-    monkeypatch.setattr(descent_basis_module, "ordered_monomials", counted)
-    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 1 + wide)
-    assert straighten(f).entries == expansion.entries
-    assert len(drawn) == 1 + wide
-    drawn.clear()
-    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", wide - 1)
-    monkeypatch.setattr(straighten_module, "BasisExpansion", no_expansion)
-    with pytest.raises(ValueError, match=f"^bidegree \\(2, 2\\) takes the ordered columns past the cap of {wide - 1}$"):
-        straighten(f)
-    assert drawn == [(2, 0)] + [(2, 2)] * (wide - 1)
-
-    def no_kernel(dec, index):
-        raise AssertionError("no product may be built past the cap")
-
-    drawn.clear()
-    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 0)
-    monkeypatch.setattr(straighten_module, "product_coefficients", no_kernel)
-    with pytest.raises(ValueError, match="^bidegree \\(2, 0\\) takes the ordered columns past the cap of 0$"):
-        straighten(f)
-    assert drawn == [(2, 0)]
-
-
-def test_straighten_column_cap_draws_no_more_than_it_counts(monkeypatch):
-    # x1^2 y2^200000 at rank 3 has billions of ordered columns at its
-    # bidegree.  The tails of each pair are walked as the columns are
-    # drawn and each y range is computed from its bounds, so a cap of 10
-    # costs a few walk calls and loop steps per column drawn, however many
-    # columns the bidegree has and however large its y-degree.
+def test_straighten_refuses_a_huge_y_degree_by_the_term_cap(monkeypatch):
+    # x1^2 y2^200000000 at rank 3 has over 10^15 ordered columns at its
+    # bidegree, and the walk meets only those its products reach: the
+    # term cap refuses it, with no column drawn by the column walk
     counts = count_walk(monkeypatch)
-    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 10)
-    f = averaged(mono((2, 0, 0), (0, 200_000, 0)))
-    with pytest.raises(ValueError, match="^bidegree \\(2, 200000\\) takes the ordered columns past the cap of 10$"):
+    pops = []
+    heappop = straighten_module.heappop
+
+    def counted_pop(heap):
+        pops.append(len(heap))
+        return heappop(heap)
+
+    monkeypatch.setattr(straighten_module, "heappop", counted_pop)
+    monkeypatch.setattr(straighten_module, "BasisExpansion", no_expansion)
+    f = averaged(mono((2, 0, 0), (0, 200_000_000, 0)))
+    message = "^products at bidegree \\(2, 200000000\\) take the terms past the cap of 100000$"
+    with pytest.raises(ValueError, match=message):
         straighten(f)
-    assert 11 <= counts[0] <= 4 * 11
-    assert counts[1] <= 10 * 11
+    assert counts == [0, 0]
+    # every heap entry is the input's one orbit or an orbit that a
+    # product term met first, and the terms stay under the cap
+    assert 1 < len(pops) <= poly_module.TERM_GUARD
+    assert max(pops) <= poly_module.TERM_GUARD
 
 
-def test_straighten_refuses_deep_columns_at_the_cap(monkeypatch):
-    # the average of y1^2400 at rank 1200 has a column (0, 2), ..., (0, 2)
-    # 1200 pairs deep; the walk draws its shallow columns first, so the
-    # column cap refuses the bidegree before the recursion gets deep.  A
-    # cap of 10 keeps the test small; at the real cap the refusal holds
-    # 100,001 columns of 2,400 entries.
-    n = 1200
-    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 10)
+@pytest.mark.parametrize("n", [100, 400, 1200])
+def test_straighten_answers_deep_columns(n):
+    # the average of y1^(2n) is one orbit whose ordered monomial is one
+    # product: its column (0, 2n), (0, 0), ... is the only one visited of
+    # the bidegree's many, each in well under a second at these ranks
     f = averaged(mono((0,) * n, (2 * n,) + (0,) * (n - 1)))
-    with pytest.raises(ValueError, match="^bidegree \\(0, 2400\\) takes the ordered columns past the cap of 10$"):
-        straighten(f)
+    start = time.perf_counter()
+    expansion = straighten(f)
+    assert evaluates_to(expansion, f)
+    assert time.perf_counter() - start < 5
+    identity = SignedPermutation(tuple(range(1, n + 1)))
+    assert expansion.entries == {identity: {((0,) * n, (n,) + (0,) * (n - 1)): Fraction(1, n)}}
 
 
 def test_straighten_at_rank_1200():
@@ -462,13 +447,15 @@ def test_expansion_refuses_a_sigma_of_another_rank_and_inexact_scalars():
 
 def test_one_binding_per_cap(monkeypatch):
     # each cap is read at call time from the one module that defines it:
-    # descent_basis's column cap refuses straighten and verify alike, and
-    # poly's term cap refuses straighten's products as well as rho
+    # descent_basis's column cap refuses verify and does not bind
+    # straighten, which builds no cell, and poly's term cap refuses
+    # straighten's products as well as rho
     f = averaged(mono((2, 0), (2, 0)))
+    expansion = straighten(f)
     columns = len(list(ordered_monomials(2, 2, 2)))
+    monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", 0)
+    assert straighten(f) == expansion
     monkeypatch.setattr(descent_basis_module, "COLUMN_GUARD", columns - 1)
-    with pytest.raises(ValueError, match=f"^bidegree \\(2, 2\\) takes the ordered columns past the cap of {columns - 1}$"):
-        straighten(f)
     with pytest.raises(ValueError, match=f"^cell \\(2, 2\\) has {columns} ordered columns, above the cap of {columns - 1}$"):
         verify_basis_rank(2, 2, 2)
     monkeypatch.undo()
@@ -480,8 +467,9 @@ def test_one_binding_per_cap(monkeypatch):
 
 def test_each_cap_is_read_only_in_its_own_module():
     # Code only: a docstring may name a cap.  The owner compares its cap
-    # once, in check_columns, check_terms or check_entries.
-    owners = {"COLUMN_GUARD": "descent_basis.py", "TERM_GUARD": "poly.py", "ENTRY_GUARD": "poly.py"}
+    # once, in check_columns, check_terms, check_entries or the CLI's
+    # read of standard input.
+    owners = {"COLUMN_GUARD": "descent_basis.py", "TERM_GUARD": "poly.py", "ENTRY_GUARD": "poly.py", "INPUT_GUARD": "cli.py"}
     for path in sorted(Path(straighten_module.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for cap, owner in owners.items():
