@@ -34,7 +34,7 @@ TRUNCATION_DEGREE = 12
 #: Cap on the characters ``straighten`` reads from standard input, just above
 #: the 48,084,507 of ``rho --format json`` of x1^2 at n=2828, the largest rank
 #: the entry cap lets ``rho`` average it at: ``straighten --verify --format
-#: json`` of that takes 8.7 s and 606 MB peak RSS, and one character
+#: json`` of that takes 7.0-9.2 s and 480 MB peak RSS, and one character
 #: over the cap is refused in 0.17 s and 111 MB (2-vCPU Xeon).
 INPUT_GUARD = 50_000_000
 
@@ -122,6 +122,9 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
     except RecursionError:
         raise ValueError("input JSON is nested too deeply to read") from None
     f = Polynomial.from_json(payload)
+    # Neither the text nor its parse is needed past here; held, they would
+    # add about 170 MB to the peak of the walk and the check at the cap.
+    del text, payload
     expansion = straighten(f)
     if args.verify and not evaluates_to(expansion, f):
         print("verification failed: expansion does not evaluate back to the input", file=sys.stderr)

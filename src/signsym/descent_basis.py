@@ -352,10 +352,12 @@ def pair_codes(xs: tuple[int, ...], ys: tuple[int, ...], base: int) -> tuple[int
     While every y_i is below ``base`` the code is one-to-one on pairs and
     orders them as tuples are ordered, so sorted codes name an averaging
     orbit as ``poly.orbit_key`` names it, one int per slot in place of a
-    pair.  Within one bidegree (a, b) every y exponent is at most b, and
-    ``straighten`` and ``cell_columns`` take base = b + 1.  The code is
-    linear: the codes of (x + r, y + s) are those of (x, y) with
-    r * base + s added, so long as y + s stays below ``base``.
+    pair.  A cell (a, b) of ``cell_columns`` has no y exponent past b,
+    and takes base = b + 1; ``straighten`` takes 1 + the largest y-degree
+    of its input's orbits, since each basis product keeps the bidegree of
+    its lead.  The code is linear: the codes of (x + r, y + s) are those
+    of (x, y) with r * base + s added, so long as y + s stays below
+    ``base``.
     """
     return tuple(map(add, map(base.__mul__, xs), ys))
 
@@ -413,14 +415,15 @@ def product_coefficients(dec: Decomposition, base: int, classes: dict) -> dict[t
     because delta_i and gamma_i share parity.  rho keeps each orbit's
     sum, so the product's orbit sum at an ordered monomial is the number
     of terms in its orbit, an int.  ``base`` must pass every y exponent
-    of the product's bidegree, b + 1 at bidegree (a, b).
+    of the product's bidegree, b + 1 or more at bidegree (a, b).
     The r are walked once per class of ``_classes``, weighted by the
     class size.  ``classes`` holds the class table of each (nu, sigma)
-    met so far at ``base``; the caller keeps one per bidegree, so that
-    the columns sharing nu and sigma, which differ only in mu, build it
-    once.  A class holds its pairs as codes, and adding s to the codes
-    adds it to the y exponents, since no term's y exponent reaches the
-    base, so each term's key is one sort of ints.
+    met so far at ``base``; the caller keeps one per ``straighten`` call
+    or ``verify`` cell, at one base, so that the columns sharing nu and
+    sigma, which differ only in mu, build it once.  A class holds its
+    pairs as codes, and adding s to the codes adds it to the y exponents,
+    since no term's y exponent reaches the base, so each term's key is
+    one sort of ints.
     """
     if (dec.nu, dec.sigma) not in classes:
         classes[dec.nu, dec.sigma] = _classes(dec, base)

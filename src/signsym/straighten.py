@@ -17,7 +17,8 @@ m_mu(y^2) rho(c_sigma) is positive at w and zero at every larger column,
 so subtracting its matching multiple clears w for good.  The walk is
 the heap division of sparse polynomial algebra: it visits only the
 orbits of its remainder, largest column first, and the products add
-only smaller ones.  It works in orbit sums alone, keyed by the orbit's
+only smaller ones of their lead's bidegree, so one walk serves every
+bidegree.  It works in orbit sums alone, keyed by the orbit's
 sorted ``pair_codes``: the remainder starts as the input's orbit sums,
 and ``product_coefficients`` gives the product's orbit sums as integer
 term counts, so the scalar at a column is its remainder over its
@@ -51,7 +52,6 @@ from .poly import (
     Monomial,
     Polynomial,
     _invariance_failure,
-    _orbit_groups,
     check_terms,
     is_separately_invariant,
     json_object,
@@ -173,10 +173,11 @@ def _canonical(n: int, sigma: SignedPermutation, labels: dict[Label, Fraction]) 
 def straighten(f: Polynomial) -> BasisExpansion:
     """Expand an invariant polynomial over the averaged descent basis.
 
-    The orbit sums of each bidegree are reduced by one walk over the
-    orbits of the remainder, largest ordered monomial first: a heap holds
-    the orbits met so far, and each product pushes the orbits it meets
-    for the first time.  The products are triangular, so each must be
+    The input's orbit sums are reduced by one walk over the orbits of
+    the remainder, largest ordered monomial first: a heap holds the
+    orbits met so far, and each product pushes the orbits it meets for
+    the first time.  A product keeps its lead's bidegree, so the one walk
+    reduces every bidegree.  The products are triangular, so each must be
     positive at its own column and reach only smaller ones; anything else
     raises RuntimeError.  ``check_terms`` refuses the product whose
     terms, summed over all products, pass their cap, before it is built.
@@ -184,43 +185,41 @@ def straighten(f: Polynomial) -> BasisExpansion:
     reason = _invariance_failure(f)
     if reason is not None:
         raise ValueError(f"input is not invariant: {reason}")
-    terms = 0
+    sums = orbit_sums(f)
+    # A product keeps its lead's bidegree, so no term it meets has a y
+    # exponent at or past 1 + the largest y-degree of the input's orbits.
+    base = 1 + max((sum(q for _, q in key) for key in sums), default=0)
+    classes, terms = {}, 0
     # The scalar of m_nu(x^2) m_mu(y^2) in each sigma's coefficient.  A
     # column names its (sigma, nu, sorted mu) uniquely and is visited
     # once, so each key is set once.
     scalars: dict[SignedPermutation, dict[Label, Fraction]] = {}
-    components: dict[tuple[int, int], dict[tuple[tuple[int, int], ...], Fraction]] = {}
-    # On an invariant an orbit's sum is its member count times their one coefficient.
-    for key, members in _orbit_groups(f).items():
-        components.setdefault(tuple(map(sum, zip(*key))), {})[key] = len(members) * f.coefficient(members[0])
-    for bd, sums in sorted(components.items()):
-        base, classes = bd[1] + 1, {}
-        # the codes of an orbit key's sorted pairs are sorted too
-        remainder = {pair_codes(*zip(*key), base): v for key, v in sums.items()}
-        heap = sorted(_column(key, base) for key in remainder)  # a sorted list is a heap
-        while heap:
-            _, key, w = top = heappop(heap)
-            if value := remainder.pop(key):
-                dec = _decompose(w)
-                terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
-                check_terms(terms, "products at bidegree {} take the terms past", bd)
-                product = product_coefficients(dec, base, classes)
-                lead = product.pop(key, 0)
-                if lead <= 0:
-                    raise RuntimeError("leading coefficient of the reduction product must be positive; "
-                                       f"got {lead} for {w.text()}")
-                scalar = Fraction(value, lead)
-                for v, count in product.items():
-                    # a visited orbit has left the remainder, so a product
-                    # term there, or at any other orbit above the lead, is new
-                    if v not in remainder:
-                        column = _column(v, base)
-                        if column < top:
-                            raise RuntimeError(f"the reduction product of {w.text()} reaches "
-                                               f"{column[2].text()}, above its lead")
-                        heappush(heap, column)
-                    remainder[v] = remainder.get(v, 0) - scalar * count
-                scalars.setdefault(dec.sigma, {})[dec.nu, tuple(sorted(dec.mu, reverse=True))] = scalar
+    # the codes of an orbit key's sorted pairs are sorted too
+    remainder = {pair_codes(*zip(*key), base): v for key, v in sums.items()}
+    heap = sorted(_column(key, base) for key in remainder)  # a sorted list is a heap
+    while heap:
+        _, key, w = top = heappop(heap)
+        if value := remainder.pop(key):
+            dec = _decompose(w)
+            terms += rearrangement_count(dec.nu) * rearrangement_count(dec.mu)
+            check_terms(terms, "products at bidegree {} take the terms past", (sum(w.p), sum(w.q)))
+            product = product_coefficients(dec, base, classes)
+            lead = product.pop(key, 0)
+            if lead <= 0:
+                raise RuntimeError("leading coefficient of the reduction product must be positive; "
+                                   f"got {lead} for {w.text()}")
+            scalar = Fraction(value, lead)
+            for v, count in product.items():
+                # a visited orbit has left the remainder, so a product
+                # term there, or at any other orbit above the lead, is new
+                if v not in remainder:
+                    column = _column(v, base)
+                    if column < top:
+                        raise RuntimeError(f"the reduction product of {w.text()} reaches "
+                                           f"{column[2].text()}, above its lead")
+                    heappush(heap, column)
+                remainder[v] = remainder.get(v, 0) - scalar * count
+            scalars.setdefault(dec.sigma, {})[dec.nu, tuple(sorted(dec.mu, reverse=True))] = scalar
     return BasisExpansion(f.n, scalars)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface behavior and schema round trips."""
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,32 @@ def test_straighten_module_patch_by_path_reaches_the_cli(capsys, monkeypatch):
     code, out, err = run(capsys, "straighten")
     assert (code, err) == (0, "") and out
     assert calls
+
+
+def test_straighten_frees_its_parsed_input_before_the_walk(capsys, monkeypatch):
+    # the text and its parse are dropped once the polynomial is read, so
+    # neither sits under the peak of the walk and the check
+    class Parsed(dict):
+        pass
+
+    loads, parsed, alive = json.loads, [], []
+
+    def tracked(text):
+        payload = Parsed(loads(text))
+        parsed.append(weakref.ref(payload))
+        return payload
+
+    def walked(f):
+        gc.collect()
+        alive.append(parsed[0]() is not None)
+        return straighten(f)
+
+    monkeypatch.setattr(cli.json, "loads", tracked)
+    monkeypatch.setattr(cli, "straighten", walked)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rho(Polynomial.from_monomial(mono((2, 0), (2, 0)))).to_json())))
+    code, out, err = run(capsys, "straighten", "--verify")
+    assert (code, err) == (0, "") and out
+    assert alive == [False]
 
 
 def test_straighten_verify_catches_a_scaled_kernel(capsys, monkeypatch):

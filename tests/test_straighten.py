@@ -216,6 +216,32 @@ def test_straighten_at_rank_1200():
     assert evaluates_to(expansion, f)
 
 
+def test_one_walk_reduces_every_bidegree_at_one_code_base(monkeypatch):
+    # three bidegrees, one of y-degree 100, share one walk: its
+    # expansion is the union of its parts' and the full-product
+    # oracle's, and every product is coded at one base, 1 + the largest
+    # y-degree, the bound a product keeping its lead's bidegree cannot
+    # pass, not 1 + the largest single y exponent, 50
+    parts = [averaged(mono(p, q)) for p, q in [((1, 1, 0), (1, 1, 0)), ((2, 0, 0), (0, 50, 50)), ((3, 1, 0), (1, 3, 0))]]
+    f = add(add(*parts[:2]), parts[2])
+    union = {}
+    for part in parts:
+        for sigma, labels in straighten(part).entries.items():
+            assert not union.setdefault(sigma, {}).keys() & labels.keys()
+            union[sigma].update(labels)
+    kernel = straighten_module.product_coefficients
+    bases = []
+
+    def counted(dec, base, classes):
+        bases.append(base)
+        return kernel(dec, base, classes)
+
+    monkeypatch.setattr(straighten_module, "product_coefficients", counted)
+    expansion = straighten(f)
+    assert set(bases) == {101} and len(bases) == sum(map(len, union.values()))
+    assert expansion.entries == union == straighten_full(f).entries
+
+
 def test_unit_expansion_exhaustive_rank_two():
     for sigma in enumerate_group(2):
         assert straighten(averaged_basis(sigma)).entries == {sigma: {((0, 0), (0, 0)): 1}}
