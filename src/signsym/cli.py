@@ -97,10 +97,14 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
 
 
 def _integer_option(text: str) -> int:
-    # A refusal reads as argparse's own for type=int.
-    if not ASCII_INTEGER.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    # A refusal reads as argparse's own for type=int, also past the digit
+    # limit of ``int``, which raises ValueError there.
+    if ASCII_INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import accumulate
 
@@ -323,24 +323,18 @@ def orbit_key(m: Monomial) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(zip(m.p, m.q)))
 
 
-def _orbits(f: Polynomial, key: Callable[[Monomial], object]) -> dict[object, list[Monomial]]:
-    # The terms of ``f`` grouped by ``key``, which is called once per term.
-    # Each public reader of terms comes through here, so each refuses a
-    # non-polynomial with this one TypeError, not with an AttributeError.
-    if not isinstance(f, Polynomial):
-        raise TypeError(f"expected a Polynomial, got {type(f).__name__}")
-    orbits: dict[object, list[Monomial]] = {}
-    for m in f._terms:
-        orbits.setdefault(key(m), []).append(m)
-    return orbits
-
-
 def _orbit_groups(f: Polynomial) -> dict[tuple[tuple[int, int], ...], list[Monomial]]:
     # The terms of ``f`` grouped by ``orbit_key``, made on the first call
-    # and kept on ``f``, whose terms never change.  ``_orbits`` refuses a
-    # non-polynomial before anything is kept.
-    if not isinstance(f, Polynomial) or f._groups is None:
-        f._groups = _orbits(f, orbit_key)
+    # and kept on ``f``, whose terms never change.  Each public reader of
+    # terms comes through here, so each refuses a non-polynomial with this
+    # one TypeError, not with an AttributeError.
+    if not isinstance(f, Polynomial):
+        raise TypeError(f"expected a Polynomial, got {type(f).__name__}")
+    if f._groups is None:
+        groups: dict[tuple[tuple[int, int], ...], list[Monomial]] = {}
+        for m in f._terms:
+            groups.setdefault(orbit_key(m), []).append(m)
+        f._groups = groups
     return f._groups
 
 
@@ -405,12 +399,18 @@ def rho(f: Polynomial) -> Polynomial:
     return Polynomial._from_checked(f.n, acc)
 
 
-def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) -> str | None:
-    # Why the grouped terms of ``f`` are not whole orbits of ``size(key)``
-    # members with one coefficient each, or None.
+def _invariance_failure(f: Polynomial) -> str | None:
+    # Why ``f`` is not invariant, naming a term of ``f``, or None when it
+    # is.  Every member of an orbit has the odd slots of its key, so they
+    # are looked for once per key; the first odd key holds the first odd
+    # term.  Otherwise each orbit must be whole, with one coefficient.
+    orbits = _orbit_groups(f)
+    odd = next((ms[0] for key, ms in orbits.items() if any((p + q) % 2 for p, q in key)), None)
+    if odd is not None:
+        return f"the term {odd.text()} has an odd total exponent in slot {odd.odd_slot()}"
     for key, members in orbits.items():
         first = members[0]
-        full = size(key)
+        full = rearrangement_count(key)
         if len(members) != full:
             return f"the orbit of {first.text()} has {len(members)} of its {_count_text(full)} terms"
         # ``list.count`` compares in C, by identity first
@@ -418,18 +418,6 @@ def _orbit_failure(f: Polynomial, orbits: dict[object, list[Monomial]], size) ->
         if coeffs.count(coeffs[0]) != full:
             return f"the orbit of {first.text()} has unequal coefficients"
     return None
-
-
-def _invariance_failure(f: Polynomial) -> str | None:
-    # Why ``f`` is not invariant, naming a term of ``f``, or None when it
-    # is.  Every member of an orbit has the odd slots of its key, so they
-    # are looked for once per key; the first odd key holds the first odd
-    # term.
-    orbits = _orbit_groups(f)
-    odd = next((ms[0] for key, ms in orbits.items() if any((p + q) % 2 for p, q in key)), None)
-    if odd is not None:
-        return f"the term {odd.text()} has an odd total exponent in slot {odd.odd_slot()}"
-    return _orbit_failure(f, orbits, rearrangement_count)
 
 
 def is_invariant(f: Polynomial) -> bool:
@@ -441,20 +429,3 @@ def is_invariant(f: Polynomial) -> bool:
     pairs, so each orbit must appear in full with one coefficient.
     """
     return _invariance_failure(f) is None
-
-
-def is_separately_invariant(f: Polynomial) -> bool:
-    """True when ``f`` is fixed by the group acting on x alone and on y alone.
-
-    Such polynomials form the coefficient ring of the straightening
-    expansion: symmetric functions of the squared x variables times
-    symmetric functions of the squared y variables.  Decided by orbits:
-    every exponent is even, and the terms sharing sorted x and sorted y
-    exponents form a whole orbit with one coefficient.
-    """
-    orbits = _orbits(f, lambda m: (tuple(sorted(m.p)), tuple(sorted(m.q))))
-    if any(e % 2 for p, q in orbits for e in p + q):
-        return False
-    return _orbit_failure(
-        f, orbits, lambda key: rearrangement_count(key[0]) * rearrangement_count(key[1])
-    ) is None

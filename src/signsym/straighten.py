@@ -8,7 +8,8 @@ m_nu(x^2) m_mu(y^2), and an expansion keeps each coefficient in it: one
 scalar per label (nu, mu) of weakly decreasing n-tuples.  A coefficient
 becomes a polynomial only at the output edge, in
 ``BasisExpansion.coefficient``, and ``BasisExpansion.from_json`` reads
-one back into labels, refusing a coefficient outside the ring.
+one back into labels, refusing a coefficient that its labels do not
+rebuild, which is exactly one outside the ring.
 
 An invariant is fixed by its coefficients at the ordered monomials, one
 per orbit, so the expansion works on those columns alone.  A nonzero
@@ -53,7 +54,6 @@ from .poly import (
     Polynomial,
     _invariance_failure,
     check_terms,
-    is_separately_invariant,
     json_object,
     orbit_sums,
     rearrangement_count,
@@ -129,8 +129,13 @@ class BasisExpansion:
     def from_json(cls, data: dict) -> "BasisExpansion":
         """Read ``to_json`` output back into labels.
 
-        A coefficient that is not separately invariant in x and y is
-        refused; one whose terms are all zero is not stored.
+        Each coefficient's terms are read into labels (nu, mu) by halving
+        and sorting their exponents.  The coefficient is refused unless
+        those labels rebuild it exactly through ``coefficient``, which
+        holds exactly when it is separately invariant in x and y.  The
+        labels' orbit sizes must first sum to its term count, so nothing
+        is built for a coefficient that holds part of an orbit.  One
+        whose terms are all zero is not stored.
         """
         n, entries = json_object(data, "an expansion", "entries", {"sigma", "coeff"})
         exp = cls(n)
@@ -141,17 +146,18 @@ class BasisExpansion:
             sigma = SignedPermutation(tuple(sigma))
             if sigma in exp.entries:
                 raise ValueError(f"sigma {sigma} is listed twice")
-            if not is_separately_invariant(coeff):
+            labels = exp.entries[sigma] = {(_halved(m.p), _halved(m.q)): coeff.coefficient(m) for m in coeff.monomials()}
+            size = sum(rearrangement_count(nu) * rearrangement_count(mu) for nu, mu in labels)
+            if size != len(coeff) or exp.coefficient(sigma) != coeff:
                 raise ValueError(f"coefficient of {sigma} is not separately invariant in x and y")
-            # every term of one separate orbit has its label and its scalar
-            exp.entries[sigma] = {(_halved(m.p), _halved(m.q)): coeff.coefficient(m) for m in coeff.monomials()}
         # a zero coefficient counts as listed, but is not kept
         exp.entries = {sigma: labels for sigma, labels in exp.entries.items() if labels}
         return exp
 
 
 def _halved(exps: tuple[int, ...]) -> tuple[int, ...]:
-    # The part nu, weakly decreasing, of a rearrangement of 2*nu.
+    # The part nu, weakly decreasing, of a rearrangement of 2*nu; for any
+    # other exponents, a part whose rebuild does not give them back.
     return tuple(sorted((e // 2 for e in exps), reverse=True))
 
 

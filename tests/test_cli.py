@@ -450,6 +450,10 @@ def test_hilbert_numerator(capsys):
         (["verify", "--n", "\u0662"], 1, "error: argument --n: invalid int value: '\u0662'\n"),
         (["hilbert", "--n", "1_0"], 1, "error: argument --n: invalid int value: '1_0'\n"),
         (["verify", "--n", "2", "--max-degree", "1_2"], 1, "error: argument --max-degree: invalid int value: '1_2'\n"),
+        # past the digit limit of int(), which raises ValueError there
+        (["hilbert", "--n", "9" * 5000], 1, f"error: argument --n: invalid int value: '{'9' * 5000}'\n"),
+        (["verify", "--n", "2", "--max-degree", "9" * 5000], 1,
+         f"error: argument --max-degree: invalid int value: '{'9' * 5000}'\n"),
         # no subcommand takes a guard option
         (["hilbert", "--n", "2", "--rank-guard", "\u0663"], 1, "error: unrecognized arguments: --rank-guard \u0663\n"),
         (["rho", "--p", "2", "--q", "0", "--rank-guard", "9"], 1, "error: unrecognized arguments: --rank-guard 9\n"),

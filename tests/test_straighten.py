@@ -37,7 +37,7 @@ from helpers import (
     unit,
 )
 from signsym.descent_basis import ordered_monomials, pair_codes
-from signsym.poly import Polynomial, is_separately_invariant, rho
+from signsym.poly import Polynomial, rho
 from signsym.hilbert import verify_basis_rank
 from signsym.signed_perm import SignedPermutation, enumerate_group, statistics
 from signsym.straighten import BasisExpansion, evaluate, evaluates_to, straighten
@@ -293,7 +293,7 @@ def test_expansion_coefficients_live_in_the_product_ring():
     for _ in range(6):
         f = random_invariant(rng, 2)
         for _, coeff in straighten(f).items():
-            assert is_separately_invariant(coeff)
+            assert family_invariant(coeff)
 
 
 def test_support_bound_and_parity():
@@ -614,9 +614,36 @@ def test_expansion_from_json_stores_no_zero():
 
 
 def test_expansion_from_json_refuses_a_coefficient_not_separately_invariant():
-    # x1 has an odd exponent; x1^2 y1^2 + x2^2 y2^2 is invariant, but only
-    # half of its separate orbit
-    for bad in (poly(2, (1, (1, 0), (0, 0))), poly(2, (1, (2, 0), (2, 0)), (1, (0, 2), (0, 2)))):
+    # The labels read from a coefficient must rebuild it exactly.  x1 has
+    # an odd exponent.  x1^3 + x2^3 halves to the labels of x1^2 + x2^2,
+    # and x1^2 + 2 x2^2 is one separate orbit carrying two coefficients,
+    # so both pass the size sum and are refused by the rebuild.  x1^2 y1^2
+    # + x2^2 y2^2 is invariant, but two of the four terms of its separate
+    # orbit.
+    message = "^" + re.escape("coefficient of [2,1] is not separately invariant in x and y") + "$"
+    for bad in (
+        poly(2, (1, (1, 0), (0, 0))),
+        poly(2, (1, (3, 0), (0, 0)), (1, (0, 3), (0, 0))),
+        poly(2, (1, (2, 0), (0, 0)), (2, (0, 2), (0, 0))),
+        poly(2, (1, (2, 0), (2, 0)), (1, (0, 2), (0, 2))),
+    ):
         data = {"n": 2, "entries": [{"sigma": [2, 1], "coeff": bad.to_json()}]}
-        with pytest.raises(ValueError, match=re.escape("coefficient of [2,1] is not separately invariant in x and y")):
+        with pytest.raises(ValueError, match=message):
             BasisExpansion.from_json(data)
+
+
+def test_expansion_from_json_refuses_a_part_of_a_large_orbit_at_once(monkeypatch):
+    # One term whose separate orbit has 20! terms is refused by the size
+    # sum, before any rearrangement of its label is built.
+    def built(part):
+        pytest.fail(f"the rearrangements of {part} were built for a coefficient that cannot be whole")
+
+    monkeypatch.setattr(straighten_module, "doubled_rearrangements", built)
+    n = 20
+    window = list(range(1, n + 1))
+    coeff = {"n": n, "terms": [{"p": [2 * k for k in window], "q": [0] * n, "coeff": 1}]}
+    message = "^" + re.escape(f"coefficient of [{','.join(map(str, window))}] is not separately invariant in x and y") + "$"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        BasisExpansion.from_json({"n": n, "entries": [{"sigma": window, "coeff": coeff}]})
+    assert time.perf_counter() - start < 1
