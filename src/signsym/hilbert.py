@@ -22,7 +22,10 @@ numerator scans the group: ``series_table`` hands out the widest table
 of a rank built so far, which holds every smaller total, and builds a
 wider one, with one scan, only for a total beyond it.  A caller that
 reads its cells from one ``series_table`` at its largest total scans
-once.
+once.  The scan runs at the stable rank, not at n: the invariant ring
+is Sym^n(W), W spanned by the monomials x^i y^j with i + j even, and
+every non-constant element of W has degree at least 2, so up to total
+degree D the series of rank n is that of rank max(1, min(n, D // 2)).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from itertools import permutations
 from . import scan
 from .descent_basis import _check, _decompose, cell_columns, check_columns, ordered_monomials, product_coefficients
 from .poly import Monomial
-from .signed_perm import Value, check_degree, check_walk
+from .signed_perm import Value, check_degree, check_rank, check_walk
 
 #: Cap on the entries of one dense series table, (total + 1)^2 for the
 #: largest total asked for, so total degree 499 at most.  At the cap the
@@ -133,14 +136,18 @@ def _widest_table(n: int) -> list[tuple[tuple[int, ...], ...]]:
 def series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     """Series coefficients of rank n: entry [a][b] is that of s^a t^b, for every a + b <= max_total.
 
-    The numerator behind the series scans the whole group, so
-    ``check_walk`` refuses the rank, and ``check_degree`` the total.  A
-    total whose dense table would exceed ``SERIES_TABLE_GUARD`` entries is
-    refused before anything is built.  The widest table of the rank is
-    handed out while it holds ``max_total``; a larger total builds one
-    table at that total, which replaces it.
+    A monomial of total degree at most ``max_total`` in the invariant ring
+    Sym^n(W) has at most ``max_total // 2`` factors of positive degree, so
+    the table is built at the stable rank m = max(1, min(n, max_total //
+    2)); entries past the diagonal are those of rank m.  ``check_rank``
+    refuses n and ``check_degree`` the total.  A total whose dense table
+    would exceed ``SERIES_TABLE_GUARD`` entries is refused before anything
+    is built.  The widest table of rank n is handed out while it holds
+    ``max_total``; a larger total builds one table at that total, which
+    replaces it.  The numerator behind it scans the whole group of rank
+    m, so ``check_walk`` refuses m first.
     """
-    check_walk(n)
+    check_rank(n)
     check_degree(max_total)
     entries = (max_total + 1) ** 2
     if entries > SERIES_TABLE_GUARD:
@@ -150,7 +157,9 @@ def series_table(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
         )
     held = _widest_table(n)
     if len(held[0]) <= max_total:
-        held[0] = _series_table(n, max_total)
+        rank = max(1, min(n, max_total // 2))
+        check_walk(rank)
+        held[0] = _series_table(rank, max_total)
     return held[0]
 
 
@@ -270,10 +279,13 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     columns: ``decompose`` puts each in C, and |D| = dim.  rank = dim
     forces the elements of D to be distinct, and dim = series then gives
     D = C, a basis of the cell.  There is one candidate per column, so
-    ``dim`` and ``generators`` both count the columns.  The series is
-    read first, so that its guards, and ``check_columns`` on the series,
-    refuse a cell before any candidate is built.
+    ``dim`` and ``generators`` both count the columns.  The rows are
+    built at rank n, so ``check_walk`` refuses n first, as it refuses the
+    numerator; the series is read next, so that its guards, and
+    ``check_columns`` on the series, refuse a cell before any candidate
+    is built.
     """
+    check_walk(n)
     series = series_coefficient(n, a, b)
     check_columns(series, "cell ({}, {}) has {count} ordered columns, above", a, b)
     columns, rows = candidate_rows(n, a, b)

@@ -203,12 +203,20 @@ def parse_window(text: str) -> SignedPermutation:
 
 
 def parse_integers(text: str) -> tuple[int, ...]:
-    """Parse comma-separated ASCII integers like "2, -1,3" (spaces tolerated)."""
-    entries = [entry.strip() for entry in text.split(",")]
-    for pos, entry in enumerate(entries, start=1):
-        if not ASCII_INTEGER.fullmatch(entry):
-            raise ValueError(f"entry {entry!r} at position {pos} is not an integer")
-    return tuple(map(int, entries))
+    """Parse comma-separated ASCII integers like "2, -1,3" (spaces tolerated).
+
+    An entry past the digit limit of ``int`` is refused as not an integer,
+    like any other entry that is not one.
+    """
+    values = []
+    for pos, entry in enumerate(map(str.strip, text.split(",")), start=1):
+        try:
+            if not ASCII_INTEGER.fullmatch(entry):
+                raise ValueError
+            values.append(int(entry))  # which raises past the digit limit of int()
+        except ValueError:
+            raise ValueError(f"entry {entry!r} at position {pos} is not an integer") from None
+    return tuple(values)
 
 
 def enumerate_group(n: int) -> Iterator[SignedPermutation]:

@@ -121,6 +121,12 @@ def test_rho_bad_exponents(capsys):
         assert run(capsys, "rho", "--p", p, "--q", "0") == (1, "", f"error: {message}\n")
 
 
+def test_rho_refuses_an_exponent_past_the_digit_limit(capsys):
+    # int() refuses more than 4,300 digits with its own message
+    q = "1" * 4301
+    assert run(capsys, "rho", "--p", "2", "--q", q) == (1, "", f"error: entry {q!r} at position 1 is not an integer\n")
+
+
 def test_straighten_pipeline(capsys, monkeypatch):
     f = rho(Polynomial.from_monomial(mono((2, 0), (2, 0))))
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(f.to_json())))
@@ -420,18 +426,33 @@ def test_degree_guard_at_its_boundary(capsys, monkeypatch, command):
     assert built == [499]
 
 
-@pytest.mark.parametrize("extra", [(), ("--numerator",)])
-def test_hilbert_honours_rank_guard(capsys, monkeypatch, extra):
-    # the series table and the numerator refuse alike, before the scan
+@pytest.mark.parametrize(
+    "argv,rank",
+    [
+        # the series to total 18 scans at rank 9, and the numerator at rank n
+        (["--n", "9", "--max-degree", "18"], 9),
+        (["--n", "9", "--max-degree", "18", "--numerator"], 9),
+        (["--n", "9", "--max-degree", "2", "--numerator"], 9),
+        (["--n", "3000000", "--numerator"], 3000000),
+    ],
+)
+def test_hilbert_honours_rank_guard(capsys, monkeypatch, argv, rank):
+    # refused before the scan
     def no_scan(n):
         raise AssertionError("no scan may run past the rank guard")
 
     monkeypatch.setattr(hilbert_module.scan, "fmaj_pair_counts", no_scan)
     clear_hilbert_caches()
-    code, out, err = run(capsys, "hilbert", "--n", "9", "--max-degree", "2", *extra)
-    assert (code, out, err) == (1, "", "error: rank 9 exceeds the guard 8\n")
-    code, out, err = run(capsys, "hilbert", "--n", "3000000", *extra)
-    assert (code, out, err) == (1, "", "error: rank 3000000 exceeds the guard 8\n")
+    code, out, err = run(capsys, "hilbert", *argv)
+    assert (code, out, err) == (1, "", f"error: rank {rank} exceeds the guard 8\n")
+
+
+@pytest.mark.parametrize("n,stable,degree", [("9", "2", ["--max-degree", "2"]), ("3000000", "6", [])])
+def test_hilbert_series_past_the_walk_cap_is_that_of_its_stable_rank(capsys, n, stable, degree):
+    # below total D the series of rank n is that of rank max(1, min(n, D // 2))
+    code, out, err = run(capsys, "hilbert", "--n", n, *degree)
+    assert (code, err) == (0, "")
+    assert run(capsys, "hilbert", "--n", stable, *degree) == (0, out, "")
 
 
 def test_hilbert_numerator(capsys):

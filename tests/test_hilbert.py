@@ -90,6 +90,13 @@ def test_fmaj_numerator_guard(monkeypatch):
         fmaj_numerator(9)
 
 
+def test_verify_basis_rank_keeps_the_walk_cap():
+    # its rows are built at rank n, though the cell's series is that of rank 2
+    assert series_coefficient(9, 2, 2) == series_coefficient(2, 2, 2) == 3
+    with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8$"):
+        verify_basis_rank(9, 2, 2)
+
+
 def test_fmaj_distribution_matches_product_formula():
     for n in (1, 2, 3, 4):
         assert fmaj_distribution(n) == poincare_product(n)
@@ -137,6 +144,19 @@ def test_grown_series_table_in_any_query_order(order):
         cells = {(a, b): series_coefficient(n, a, b) for a, b in keys}
         expected = {k: c for k, c in scan.fmaj_pair_counts(n).items() if sum(k) <= max_total}
         assert times_denominator(n, cells, max_total) == expected, (n, order)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_series_table_at_the_stable_rank_equals_the_full_rank_table(n):
+    # below total D every monomial of Sym^n(W) has at most D // 2 factors
+    # of positive degree, so the table is built at that rank
+    clear_hilbert_caches()
+    for max_total in range(15):
+        table = hilbert_module.series_table(n, max_total)
+        full = hilbert_module._series_table(n, max_total)
+        for total in range(max_total + 1):
+            for a in range(total + 1):
+                assert table[a][total - a] == full[a][total - a], (n, max_total, a, total - a)
 
 
 @pytest.fixture
@@ -225,6 +245,14 @@ def test_series_matches_bruteforce_dimensions():
     for a in range(7):
         for b in range(7):
             assert invariant_dimension(2, a, b) == series_coefficient(2, a, b)
+
+
+@pytest.mark.parametrize("n", [9, 20, 100])
+def test_series_past_the_walk_cap_matches_bruteforce_dimensions(n):
+    # the series at its stable rank against the ordered monomials at rank n
+    for total in range(13):
+        for a in range(total + 1):
+            assert invariant_dimension(n, a, total - a) == series_coefficient(n, a, total - a), (n, a)
 
 
 def test_series_matches_bruteforce_dimensions_rank_three():

@@ -63,7 +63,7 @@ def test_parse_errors(text, fragment):
 def test_parse_integers():
     # the one reader of comma-separated integers, for windows and exponent lists
     assert parse_integers(" 2, -1 ,+3") == (2, -1, 3)
-    for text, message in (("", "entry '' at position 1"), ("1,,2", "entry '' at position 2"), ("1,1_0", "entry '1_0' at position 2")):
+    for text, message in (("", "entry '' at position 1"), ("1,,2", "entry '' at position 2"), ("1,1_0", "entry '1_0' at position 2"), ("1," + "1" * 4301, f"entry {'1' * 4301!r} at position 2")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
             parse_integers(text)
 
