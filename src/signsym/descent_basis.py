@@ -383,12 +383,6 @@ def _scaled_rearrangements(nu: tuple[int, ...], base: int) -> tuple[tuple[int, .
     return tuple([tuple([v * base for v in r]) for r in doubled_rearrangements(nu)])
 
 
-@lru_cache(maxsize=None)
-def _y_rearrangements(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # ``doubled_rearrangements`` of mu's partition, for mu in any order.
-    return doubled_rearrangements(tuple(sorted(mu, reverse=True)))
-
-
 def _classes(dec: Decomposition, base: int) -> dict[tuple[int, ...], int]:
     # The distinct rearrangements r of 2*nu, counted by the sorted codes
     # of the pairs (r_i + delta_i, gamma_i), each r_i * base plus the code
@@ -428,7 +422,7 @@ def product_coefficients(dec: Decomposition, base: int, classes: dict) -> dict[t
     if (dec.nu, dec.sigma) not in classes:
         classes[dec.nu, dec.sigma] = _classes(dec, base)
     counts: dict[tuple[int, ...], int] = {}
-    ss = _y_rearrangements(dec.mu)
+    ss = doubled_rearrangements(tuple(sorted(dec.mu, reverse=True)))
     for codes, weight in classes[dec.nu, dec.sigma].items():
         for key in [tuple(sorted(map(add, codes, s))) for s in ss]:
             counts[key] = counts.get(key, 0) + weight

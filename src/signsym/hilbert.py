@@ -39,7 +39,7 @@ from itertools import permutations
 from . import scan
 from .descent_basis import _check, _decompose, cell_columns, check_columns, ordered_monomials, product_coefficients
 from .poly import Monomial
-from .signed_perm import Value, check_degree, check_rank, check_walk
+from .signed_perm import ENUMERATION_GUARD, Value, check_degree, check_rank, check_walk
 
 #: Cap on the entries of one dense series table, (total + 1)^2 for the
 #: largest total asked for, so total degree 499 at most.  At the cap the
@@ -279,16 +279,24 @@ def verify_basis_rank(n: int, a: int, b: int) -> CellReport:
     columns: ``decompose`` puts each in C, and |D| = dim.  rank = dim
     forces the elements of D to be distinct, and dim = series then gives
     D = C, a basis of the cell.  There is one candidate per column, so
-    ``dim`` and ``generators`` both count the columns.  The rows are
-    built at rank n, so ``check_walk`` refuses n first, as it refuses the
-    numerator; the series is read next, so that its guards, and
-    ``check_columns`` on the series, refuse a cell before any candidate
-    is built.
+    ``dim`` and ``generators`` both count the columns.  The series is
+    read first, so that its guards, and ``check_columns`` on the series,
+    refuse a cell before any candidate is built.
+
+    The rows are built at rank min(n, ``ENUMERATION_GUARD``).  The ring is
+    Sym^n(W), so a cell of total a + b has the same rank and dim at every
+    rank r with (a + b) // 2 <= r <= n: its columns at two such ranks
+    match one to one, and the rows at the smaller rank are those at the
+    larger with rows and columns scaled by orbit-size ratios.  Past the
+    cap the series refuses every cell with (a + b) // 2 above it, so the
+    clamped build stays inside that range.  The tests check it against
+    the full rank-n build for n = 9, 10 to total 10, n = 12 to total 8 and
+    three cells of total 16 at n = 9, and every rank from (a + b) // 2 to
+    8 against rank 8 for every cell to total 12.
     """
-    check_walk(n)
     series = series_coefficient(n, a, b)
     check_columns(series, "cell ({}, {}) has {count} ordered columns, above", a, b)
-    columns, rows = candidate_rows(n, a, b)
+    columns, rows = candidate_rows(min(n, ENUMERATION_GUARD), a, b)
     return CellReport(n=n, a=a, b=b, rank=_leading_column_rank(rows), dim=len(columns), series=series)
 
 

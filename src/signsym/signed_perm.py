@@ -30,8 +30,8 @@ ASCII_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 #: as many), the Hilbert numerator scan (a quarter of them by its two
 #: folds, 0.4-0.5 s at rank 8) and the n! permutations of
 #: ``maj_inv_equidistribution`` (0.2-0.4 s at rank 8).  The scan's 16-bit
-#: lanes hold its statistics only up to rank 15.  Past the cap ``check_walk``, its one reader, refuses a
-#: walk loudly instead of silently burning time.
+#: lanes hold its statistics only up to rank 15.  Past the cap ``check_walk`` refuses a walk loudly
+#: instead of silently burning time; ``hilbert.verify_basis_rank`` builds its rows at the cap, not past it.
 ENUMERATION_GUARD = 8
 
 

@@ -323,23 +323,36 @@ def test_verify_rank_four_within_default_guard(capsys):
 
 
 def test_verify_guard_refusal(capsys, monkeypatch):
-    # rank 9 is refused by the rank cap of the numerator scan, before it
-    # runs; a table of 586,651 columns is refused by its column count
+    # the series to total 18 scans at rank 9, refused by the rank cap of
+    # the numerator scan before it runs; a table of 586,651 columns is
+    # refused by its column count
     def no_scan(n):
         raise AssertionError("no scan may run past a guard")
 
     monkeypatch.setattr(hilbert_module.scan, "fmaj_pair_counts", no_scan)
     clear_hilbert_caches()
-    code, out, err = run(capsys, "verify", "--n", "9")
+    code, out, err = run(capsys, "verify", "--n", "9", "--max-degree", "18")
     assert (code, out, err) == (1, "", "error: rank 9 exceeds the guard 8\n")
-    # the refusal computes no group order, which past about rank 1,700
-    # has more digits than Python prints
-    code, out, err = run(capsys, "verify", "--n", "3000000")
-    assert (code, out, err) == (1, "", "error: rank 3000000 exceeds the guard 8\n")
     monkeypatch.undo()
     code, out, err = run(capsys, "verify", "--n", "2", "--max-degree", "100")
     assert (code, out) == (1, "")
     assert err == "error: total degree <= 100 has 586651 ordered columns, above the cap of 100000\n"
+
+
+@pytest.mark.parametrize("n", ["9", "3000000"])
+def test_verify_past_the_walk_cap_prints_the_cells_of_rank_8(capsys, n):
+    # the series to total 12 scans at rank 6 and the rows are built at
+    # rank 8; no group order is computed, which past about rank 1,700 has
+    # more digits than Python prints
+    def cells(rank):
+        code, out, err = run(capsys, "verify", "--format", "json", "--n", rank)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["n"] == int(rank) and data["pass"]
+        assert all(cell.pop("n") == int(rank) for cell in data["cells"])
+        return data["cells"]
+
+    assert cells(n) == cells("8")
 
 
 def test_verify_column_cap_at_its_boundary(capsys, monkeypatch):

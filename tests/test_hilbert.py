@@ -90,11 +90,49 @@ def test_fmaj_numerator_guard(monkeypatch):
         fmaj_numerator(9)
 
 
-def test_verify_basis_rank_keeps_the_walk_cap():
-    # its rows are built at rank n, though the cell's series is that of rank 2
-    assert series_coefficient(9, 2, 2) == series_coefficient(2, 2, 2) == 3
+def test_verify_basis_rank_refuses_total_18_past_the_walk_cap(monkeypatch):
+    # the series of total 18 scans at rank 9, refused before the scan runs
+    def no_scan(n):
+        raise AssertionError("no scan may run past the rank guard")
+
+    monkeypatch.setattr(scan, "fmaj_pair_counts", no_scan)
+    clear_hilbert_caches()
     with pytest.raises(ValueError, match="^rank 9 exceeds the guard 8$"):
-        verify_basis_rank(9, 2, 2)
+        verify_basis_rank(9, 9, 9)
+
+
+def _full_build(n, a, b):
+    # rank and dim of the cell's rows built at rank n itself, not clamped
+    columns, rows = candidate_rows(n, a, b)
+    return _leading_column_rank(rows), len(columns)
+
+
+@pytest.mark.parametrize(
+    "n,cells",
+    [
+        (9, [(a, t - a) for t in range(11) for a in range(t + 1)]),
+        (10, [(a, t - a) for t in range(11) for a in range(t + 1)]),
+        (12, [(a, t - a) for t in range(9) for a in range(t + 1)]),
+        (9, [(16, 0), (8, 8), (0, 16)]),
+    ],
+    ids=["9-to-10", "10-to-10", "12-to-8", "9-at-16"],
+)
+def test_verify_basis_rank_past_the_walk_cap_matches_the_full_rank_build(n, cells):
+    # the rows are built at rank 8; the cell's rank and dim are those of rank n
+    for a, b in cells:
+        report = verify_basis_rank(n, a, b)
+        assert report.n == n and report.passed, (a, b)
+        assert (report.rank, report.dim) == _full_build(n, a, b), (a, b)
+
+
+def test_cells_below_the_walk_cap_are_stable_from_half_their_total():
+    # a cell of total a + b has one rank and dim at every rank from
+    # max(1, (a + b) // 2) up, here up to the cap
+    for total in range(13):
+        for a in range(total + 1):
+            capped = _full_build(8, a, total - a)
+            for r in range(max(1, total // 2), 8):
+                assert _full_build(r, a, total - a) == capped, (r, a, total - a)
 
 
 def test_fmaj_distribution_matches_product_formula():

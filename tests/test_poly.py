@@ -91,8 +91,11 @@ def test_term_readers_refuse_what_is_not_a_polynomial(reader):
 
 
 def test_polynomial_refuses_a_key_that_is_not_a_monomial():
-    for key in (((2,), (0,)), "x1^2", None):
-        with pytest.raises(ValueError, match=f"^{re.escape(f'term key {key!r} is not a Monomial')}$"):
+    # a Monomial of another rank is refused too
+    cases = [(key, f"term key {key!r} is not a Monomial") for key in (((2,), (0,)), "x1^2", None)]
+    cases.append((mono((2, 0), (0, 0)), "monomial rank 2 does not match polynomial rank 1"))
+    for key, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Polynomial(1, {key: 1})
 
 
